@@ -104,7 +104,7 @@ MigrationExecutor::executeBatch(const MigrationBatch &batch,
             Tick ack_penalty = 0;
             if (selective) {
                 src_gpu->shootdownPages(*pages);
-                if (obs::PageStats::active()) {
+                if (obs::Telemetry::current().pages) {
                     for (const PageId page : *pages) {
                         obs::PageStats::recordActive(
                             obs::PageEvent::Shootdown, page,

@@ -62,7 +62,7 @@ Cpms::schedule(const std::vector<MigrationCandidate> &candidates,
     pagesDeferred += candidates.size() - pages_total;
     batchesEmitted += batches.size();
 
-    if (obs::PageStats::active() && pages_total < candidates.size()) {
+    if (obs::Telemetry::current().pages && pages_total < candidates.size()) {
         std::unordered_set<PageId> scheduled;
         for (const auto &batch : batches)
             for (const auto &move : batch.moves)

@@ -5,9 +5,9 @@
 #include <cassert>
 #include <memory>
 
-#include "src/obs/metrics.hh"
 #include "src/obs/pagestats.hh"
 #include "src/obs/span.hh"
+#include "src/obs/telemetry.hh"
 #include "src/obs/timeseries.hh"
 #include "src/obs/trace.hh"
 #include "src/sim/log.hh"
@@ -167,12 +167,7 @@ Driver::startBatch()
                     _pageTable.setLocation(fault.page, fault.requester);
                     if (_config.pinAfterMigration)
                         _pageTable.info(fault.page).pinned = true;
-                    if (auto *m = obs::Metrics::active()) {
-                        m->latency.faultLatency.sample(
-                            double(_engine.now() - fault.raisedAt));
-                    }
-                    obs::TimeSeries::faultActive(
-                        double(_engine.now() - fault.raisedAt));
+                    obs::faultServiced(_engine.now() - fault.raisedAt);
                     _iommu.onMigrationDone(fault.page);
                 },
                 fault.fid);
@@ -197,32 +192,9 @@ Driver::startBatch()
                         pi.migrating = false;
                         pi.pinned = false;
                         pi.dcaFallback = true;
-                        const Tick abort_at = _engine.now();
-                        obs::PageStats::recordActive(
-                            obs::PageEvent::MigrationAbort, fault.page,
-                            cpuDeviceId, fault.requester, abort_at);
-                        obs::PageStats::recordActive(
-                            obs::PageEvent::DcaFallback, fault.page,
-                            cpuDeviceId, fault.requester, abort_at);
-                        obs::PageStats::recordActive(
-                            obs::PageEvent::Recovery, fault.page,
-                            cpuDeviceId, fault.requester, abort_at);
-                        if (auto *m = obs::Metrics::active()) {
-                            m->latency.faultLatency.sample(
-                                double(_engine.now() - fault.raisedAt));
-                        }
-                        obs::TimeSeries::faultActive(
-                            double(_engine.now() - fault.raisedAt));
-                        if (auto *tr = obs::TraceSession::activeFor(
-                                obs::CatChaos)) {
-                            tr->instant(obs::CatChaos, kTrack,
-                                        "migration_timeout",
-                                        _engine.now(),
-                                        obs::TraceArgs()
-                                            .add("page", fault.page)
-                                            .add("gpu",
-                                                 fault.requester));
-                        }
+                        const Tick now = _engine.now();
+                        obs::migrationAborted(fault.page, fault.requester,
+                                              now - fault.raisedAt, now);
                         _iommu.onMigrationDone(fault.page);
                     });
             }

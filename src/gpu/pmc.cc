@@ -6,9 +6,9 @@
 #include <string>
 #include <utility>
 
-#include "src/obs/metrics.hh"
 #include "src/obs/pagestats.hh"
 #include "src/obs/span.hh"
+#include "src/obs/telemetry.hh"
 #include "src/obs/trace.hh"
 #include "src/sys/chaos.hh"
 
@@ -162,26 +162,9 @@ Pmc::runAttempt(XferPtr xf)
                 _engine.scheduleAt(
                     write_done, [this, x = std::move(x)]() mutable {
                         GHPROF_SCOPE("pmc", "write_commit");
-                        const Tick end = _engine.now();
-                        if (auto *m = obs::Metrics::active()) {
-                            auto &hist =
-                                _self == cpuDeviceId
-                                    ? m->latency.cpuMigrationLatency
-                                    : m->latency
-                                          .interGpuMigrationLatency;
-                            hist.sample(double(end - x->begin));
-                        }
-                        if (auto *tr = obs::TraceSession::activeFor(
-                                obs::CatMigration)) {
-                            tr->complete(obs::CatMigration,
-                                         "pmc" + std::to_string(_self),
-                                         "migrate_page", x->begin, end,
-                                         obs::TraceArgs()
-                                             .add("page", x->page)
-                                             .add("dst", x->dst));
-                        }
-                        obs::FaultSpans::markActive(
-                            x->fid, obs::Stage::Transfer, end);
+                        obs::transferCommitted(_self, x->dst, x->page,
+                                               x->fid, x->begin,
+                                               _engine.now());
                         releaseSlot();
                         x->done();
                     });

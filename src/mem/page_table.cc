@@ -2,8 +2,7 @@
 
 #include <cassert>
 
-#include "src/obs/pagestats.hh"
-#include "src/obs/timeseries.hh"
+#include "src/obs/telemetry.hh"
 
 namespace griffin::mem {
 
@@ -45,10 +44,7 @@ PageTable::setLocation(PageId page, DeviceId dst)
         // The single commit point of every migration: the telemetry
         // recorded here is what reconciles the per-interval migration
         // counts with the pageTable.migrations aggregate.
-        obs::PageStats::recordActiveNow(obs::PageEvent::MigrationCommit,
-                                        page, pi.location, dst);
-        obs::TimeSeries::countActive(
-            obs::TimeSeries::Series::Migrations);
+        obs::pageCommitted(page, pi.location, dst);
     }
     pi.location = dst;
     pi.migrating = false;

@@ -1,13 +1,10 @@
 #include "src/obs/hostprof.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 #include <sstream>
 
 namespace griffin::obs {
-
-thread_local HostProfiler *HostProfiler::s_active = nullptr;
 
 namespace {
 
@@ -175,36 +172,12 @@ HostProfile::parseFolded(const std::string &text)
     return profile;
 }
 
-HostProfiler::HostProfiler() = default;
-
-HostProfiler::~HostProfiler()
-{
-    // A still-attached profiler at destruction would leave a dangling
-    // pointer in the thread_local chain.
-    assert(!_attached);
-}
-
 void
-HostProfiler::attach()
+HostProfiler::startTimer()
 {
-    assert(!_attached);
-    _attached = true;
-    _prevActive = s_active;
-    s_active = this;
-    _attachTime = std::chrono::steady_clock::now();
+    _startTime = std::chrono::steady_clock::now();
     _stopped = false;
     _wallNs = 0;
-}
-
-void
-HostProfiler::detach()
-{
-    assert(_attached);
-    assert(s_active == this && "detach out of LIFO order");
-    stopTimer();
-    s_active = _prevActive;
-    _prevActive = nullptr;
-    _attached = false;
 }
 
 void
@@ -242,7 +215,7 @@ HostProfiler::stopTimer()
 {
     if (_stopped)
         return;
-    _wallNs = nowMinus(_attachTime);
+    _wallNs = nowMinus(_startTime);
     _stopped = true;
 }
 
@@ -260,9 +233,7 @@ HostProfiler::profile() const
 {
     HostProfile out;
     out.enabled = true;
-    out.wallNs = _stopped ? _wallNs
-               : _attached ? nowMinus(_attachTime)
-                           : 0;
+    out.wallNs = _wallNs;
     out.dispatchNs = _dispatchNs;
     out.events = _events;
 

@@ -8,7 +8,7 @@
  *
  * Attribution model:
  *  - sim::EventQueue::runOne() brackets every dispatched event with
- *    beginDispatch()/endDispatch() when a profiler is attached; the
+ *    beginDispatch()/endDispatch() when the prof slot is set; the
  *    sum of those brackets is the *measured dispatch wall time*.
  *  - Instrumented event bodies open RAII scopes (GHPROF_SCOPE) naming
  *    their component ("network", "iommu", "driver", "pmc", "gpu",
@@ -27,7 +27,7 @@
  * The telemetry-overhead meter is nothing special: the obs sinks
  * (TraceSession, Sampler, PageStats, TimeSeries) open "obs;..."
  * scopes inside their recording paths. Those paths only execute when
- * that telemetry is attached, so the obs share is structurally zero
+ * that telemetry's slot is set, so the obs share is structurally zero
  * when telemetry is off.
  *
  * Determinism contract: bucket *names and counts* are a pure function
@@ -36,10 +36,10 @@
  * reports keep them in a clearly-marked "host" subsection that
  * sys::compare treats as warn-only and excludes from drift.
  *
- * Same attach discipline as every other sink: a LIFO thread_local
- * pointer, null-checked guards, near-zero cost when off (a scope is
- * one thread_local load and a branch), one instance per concurrent
- * sweep run.
+ * The profiler is the `prof` slot of the thread's telemetry set
+ * (obs/telemetry.hh): near-zero cost when off (a scope is one
+ * thread_local load and a branch), one instance per concurrent sweep
+ * run.
  */
 
 #ifndef GRIFFIN_OBS_HOSTPROF_HH
@@ -53,6 +53,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/obs/telemetry.hh"
+
 namespace griffin::obs {
 
 /**
@@ -64,11 +66,11 @@ struct HostProfile
 {
     bool enabled = false;
 
-    /** Host wall time from attach to stopTimer(), in nanoseconds. */
+    /** Host wall time from startTimer() to stopTimer(), in ns. */
     std::uint64_t wallNs = 0;
     /** Sum of per-event dispatch brackets (the measured time). */
     std::uint64_t dispatchNs = 0;
-    /** Events dispatched while attached (deterministic). */
+    /** Events dispatched while installed (deterministic). */
     std::uint64_t events = 0;
 
     struct Bucket
@@ -130,8 +132,9 @@ struct HostProfile
 };
 
 /**
- * The attachable profiler. Owned by MultiGpuSystem (built only when
- * SystemConfig::hostProf), attached for the duration of run().
+ * The profiler. Owned by MultiGpuSystem (built only when
+ * SystemConfig::hostProf), installed in the prof slot for the
+ * duration of run().
  */
 class HostProfiler
 {
@@ -146,27 +149,22 @@ class HostProfiler
     };
 
   public:
-    HostProfiler();
-    ~HostProfiler();
+    HostProfiler() = default;
 
     HostProfiler(const HostProfiler &) = delete;
     HostProfiler &operator=(const HostProfiler &) = delete;
-
-    /** Attach/detach on the calling thread (LIFO, single-threaded). */
-    void attach();
-    void detach();
-
-    /** The calling thread's profiling instance, or nullptr. */
-    static HostProfiler *active() { return s_active; }
 
     /** @name Dispatch bracket (sim::EventQueue::runOne) @{ */
     void beginDispatch();
     void endDispatch();
     /** @} */
 
+    /** Start the wall clock (restarting a stopped one). */
+    void startTimer();
+
     /**
-     * Freeze the wall clock (attach -> now). Call once the run is
-     * over, before profile(); later calls keep the first reading.
+     * Freeze the wall clock (startTimer() -> now). Call once the run
+     * is over, before profile(); later calls keep the first reading.
      */
     void stopTimer();
 
@@ -190,7 +188,7 @@ class HostProfiler
     {
       public:
         Scope(const char *component, const char *event)
-            : _prof(s_active)
+            : _prof(Telemetry::current().prof)
         {
             if (!_prof)
                 return;
@@ -269,14 +267,9 @@ class HostProfiler
     std::uint64_t _dispatchNs = 0;
     std::uint64_t _events = 0;
 
-    std::chrono::steady_clock::time_point _attachTime;
+    std::chrono::steady_clock::time_point _startTime;
     std::uint64_t _wallNs = 0;
     bool _stopped = false;
-
-    HostProfiler *_prevActive = nullptr;
-    bool _attached = false;
-
-    static thread_local HostProfiler *s_active;
 };
 
 /** Open an attribution scope for the rest of the enclosing block. */

@@ -3,13 +3,10 @@
 #include "src/obs/hostprof.hh"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/sim/engine.hh"
 
 namespace griffin::obs {
-
-thread_local PageStats *PageStats::s_active = nullptr;
 
 const char *
 pageEventName(PageEvent event)
@@ -38,32 +35,6 @@ pageEventName(PageEvent event)
 }
 
 PageStats::PageStats(PageStatsConfig config) : _config(config) {}
-
-PageStats::~PageStats()
-{
-    // A still-attached sink at destruction would leave a dangling
-    // pointer in the thread_local chain.
-    assert(!_attached);
-}
-
-void
-PageStats::attach()
-{
-    assert(!_attached);
-    _attached = true;
-    _prevActive = s_active;
-    s_active = this;
-}
-
-void
-PageStats::detach()
-{
-    assert(_attached);
-    assert(s_active == this && "detach out of LIFO order");
-    s_active = _prevActive;
-    _prevActive = nullptr;
-    _attached = false;
-}
 
 PageStats::PageRec &
 PageStats::pageOf(PageId page, Tick at)

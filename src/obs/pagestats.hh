@@ -9,9 +9,9 @@
  * thrashed?". The instrumented components (driver, DFTM, CPMS, the
  * Griffin policy, the PMCs, the ACUD executor and the page table's
  * commit point) record lifecycle events against a PageId through the
- * same null-checked static pointer pattern the trace/metrics sinks
- * use; from the raw ledger the recorder derives per-page migration
- * counts, churn/ping-pong detection, inter-migration reuse distances,
+ * `pages` slot of the thread's telemetry set (obs/telemetry.hh); from
+ * the raw ledger the recorder derives per-page migration counts,
+ * churn/ping-pong detection, inter-migration reuse distances,
  * residency timelines and top-N hot/thrashing page tables.
  *
  * Churn definition: a MigrationCommit is a *churn event* when it
@@ -22,16 +22,15 @@
  * keeps legitimate long-term rebalancing (a page coming home a whole
  * phase later) out of the thrash count.
  *
- * Cost model: nothing is recorded when no sink is attached on the
- * calling thread — every instrumentation site is a single pointer
+ * Cost model: nothing is recorded when the calling thread's pages
+ * slot is empty — every instrumentation site is a single pointer
  * null-check, so standalone component tests and `--page-stats`-off
  * bench runs pay nothing and their outputs stay bit-identical. When
  * on, each event is O(1) amortized (one hash-map lookup plus counter
  * bumps; a commit additionally scans the page's tiny device-history
- * list). Like Metrics/FaultSpans, the sink is a LIFO-attached
- * thread_local pointer, so concurrent sweep runs (sys::SweepRunner)
- * each record into their own instance and `--jobs=N` output merges
- * deterministically.
+ * list). Every thread has its own slot set, so concurrent sweep runs
+ * (sys::SweepRunner) each record into their own instance and
+ * `--jobs=N` output merges deterministically.
  */
 
 #ifndef GRIFFIN_OBS_PAGESTATS_HH
@@ -43,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/obs/telemetry.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/types.hh"
 
@@ -170,29 +170,22 @@ struct PageStatsSummary
 };
 
 /**
- * The attachable recorder. Owned by MultiGpuSystem (built only when
- * PageStatsConfig::enabled), attached for the duration of run().
+ * The recorder. Owned by MultiGpuSystem (built only when
+ * PageStatsConfig::enabled), installed in the pages slot for the
+ * duration of run().
  */
 class PageStats
 {
   public:
     explicit PageStats(PageStatsConfig config = {});
-    ~PageStats();
 
     PageStats(const PageStats &) = delete;
     PageStats &operator=(const PageStats &) = delete;
 
-    /** Attach/detach on the calling thread (LIFO, single-threaded). */
-    void attach();
-    void detach();
-
-    /** The calling thread's recording instance, or nullptr. */
-    static PageStats *active() { return s_active; }
-
     /**
      * Clock for instrumentation sites that have no engine of their
      * own (the page table's commit point). Set by the owning system
-     * at attach time; recordNow() reads 0 when unset.
+     * at construction; recordNow() reads 0 when unset.
      */
     void setClock(const sim::Engine *engine) { _clock = engine; }
 
@@ -210,16 +203,16 @@ class PageStats
     recordActive(PageEvent event, PageId page, DeviceId from,
                  DeviceId to, Tick at)
     {
-        if (s_active)
-            s_active->record(event, page, from, to, at);
+        if (PageStats *ps = Telemetry::current().pages)
+            ps->record(event, page, from, to, at);
     }
 
     static void
     recordActiveNow(PageEvent event, PageId page, DeviceId from,
                     DeviceId to)
     {
-        if (s_active)
-            s_active->recordNow(event, page, from, to);
+        if (PageStats *ps = Telemetry::current().pages)
+            ps->recordNow(event, page, from, to);
     }
 
     /** @} */
@@ -274,11 +267,6 @@ class PageStats
     std::array<std::uint64_t, numPageEvents> _events{};
     std::uint64_t _churnEvents = 0;
     sim::Histogram _reuseDistance{5000.0, 400};
-
-    PageStats *_prevActive = nullptr;
-    bool _attached = false;
-
-    static thread_local PageStats *s_active;
 };
 
 } // namespace griffin::obs

@@ -5,8 +5,6 @@
 
 namespace griffin::obs {
 
-thread_local FaultSpans *FaultSpans::s_active = nullptr;
-
 const char *
 stageName(Stage stage)
 {
@@ -28,7 +26,7 @@ stageName(Stage stage)
 // ---------------------------------------------------------------------
 
 namespace {
-/** Same bucketing as the fault-latency histogram (obs/metrics.hh). */
+/** Same bucketing as the fault-latency histogram (obs/telemetry.hh). */
 sim::Histogram
 stageHistogramShape()
 {
@@ -75,33 +73,6 @@ CriticalPath::share(Stage stage) const
 // ---------------------------------------------------------------------
 // FaultSpans
 // ---------------------------------------------------------------------
-
-FaultSpans::~FaultSpans()
-{
-    if (_attached)
-        detach();
-}
-
-void
-FaultSpans::attach()
-{
-    if (_attached)
-        return;
-    _prevActive = s_active;
-    s_active = this;
-    _attached = true;
-}
-
-void
-FaultSpans::detach()
-{
-    if (!_attached)
-        return;
-    if (s_active == this)
-        s_active = _prevActive;
-    _attached = false;
-    _prevActive = nullptr;
-}
 
 FaultId
 FaultSpans::beginFault(DeviceId gpu, PageId page, Tick origin)

@@ -7,18 +7,18 @@
  * N_PTW walkers, the walk itself, the policy decision, CPMS batching
  * delay, PMC queueing and streaming, the CPU shootdown/flush, and the
  * translation-replay resume). The instrumented components stamp stage
- * boundaries against a `FaultId`; the attachable `FaultSpans` sink
- * assembles one span tree per fault and feeds a `CriticalPath`
- * aggregator that the JSON run report serializes as `fault_breakdown`.
+ * boundaries against a `FaultId`; the `FaultSpans` sink assembles one
+ * span tree per fault and feeds a `CriticalPath` aggregator that the
+ * JSON run report serializes as `fault_breakdown`.
  *
  * Cost model: requests that never fault touch this layer not at all —
  * they only carry a few `Tick` stamps in the IOMMU's request struct.
  * A `FaultId` is allocated (and a record created) only when a fault
  * is actually raised, so the per-fault overhead is a handful of hash
  * map operations against a population of at most a few thousand
- * faults per run. Like `Metrics`, the sink is a LIFO-attached
- * thread_local pointer; nothing is recorded when none is attached on
- * the calling thread, and concurrent simulations on worker threads
+ * faults per run. The sink is the `spans` slot of the thread's
+ * telemetry set (obs/telemetry.hh); nothing is recorded when the slot
+ * is empty, and concurrent simulations on worker threads
  * (sys::SweepRunner) each record into their own sink.
  */
 
@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/obs/telemetry.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/types.hh"
 
@@ -143,24 +144,16 @@ class CriticalPath
 };
 
 /**
- * The attachable span sink. Components call the static helpers, which
- * are no-ops unless a sink is attached *and* the fault id is valid.
+ * The span sink. Components call the static helpers, which are no-ops
+ * unless the spans slot is set *and* the fault id is valid.
  */
 class FaultSpans
 {
   public:
     FaultSpans() = default;
-    ~FaultSpans();
 
     FaultSpans(const FaultSpans &) = delete;
     FaultSpans &operator=(const FaultSpans &) = delete;
-
-    /** Attach/detach on the calling thread (LIFO, single-threaded). */
-    void attach();
-    void detach();
-
-    /** The calling thread's collecting sink, or nullptr. */
-    static FaultSpans *active() { return s_active; }
 
     /**
      * A fault was raised: allocate its id and open its record.
@@ -188,15 +181,17 @@ class FaultSpans
     static void
     markActive(FaultId fid, Stage stage, Tick at)
     {
-        if (fid != invalidFaultId && s_active)
-            s_active->mark(fid, stage, at);
+        FaultSpans *fs = Telemetry::current().spans;
+        if (fid != invalidFaultId && fs)
+            fs->mark(fid, stage, at);
     }
 
     static void
     completeActive(FaultId fid, Tick at)
     {
-        if (fid != invalidFaultId && s_active)
-            s_active->complete(fid, at);
+        FaultSpans *fs = Telemetry::current().spans;
+        if (fid != invalidFaultId && fs)
+            fs->complete(fid, at);
     }
 
     /** @} */
@@ -223,11 +218,6 @@ class FaultSpans
     std::unordered_map<FaultId, FaultRecord> _open;
     std::vector<FaultRecord> _completed;
     CriticalPath _criticalPath;
-
-    FaultSpans *_prevActive = nullptr;
-    bool _attached = false;
-
-    static thread_local FaultSpans *s_active;
 };
 
 } // namespace griffin::obs

@@ -11,36 +11,9 @@
 
 namespace griffin::obs {
 
-thread_local TimeSeries *TimeSeries::s_active = nullptr;
-
 TimeSeries::TimeSeries(Tick tick) : _tick(tick)
 {
     assert(tick > 0);
-}
-
-TimeSeries::~TimeSeries()
-{
-    assert(!_attached);
-    stop();
-}
-
-void
-TimeSeries::attach()
-{
-    assert(!_attached);
-    _attached = true;
-    _prevActive = s_active;
-    s_active = this;
-}
-
-void
-TimeSeries::detach()
-{
-    assert(_attached);
-    assert(s_active == this && "detach out of LIFO order");
-    s_active = _prevActive;
-    _prevActive = nullptr;
-    _attached = false;
 }
 
 void

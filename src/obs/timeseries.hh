@@ -16,9 +16,9 @@
  * interval is flushed at stop(), so nothing after the last boundary
  * is dropped.
  *
- * Same attach discipline as Metrics/PageStats: a LIFO thread_local
- * pointer, null-checked static guards, zero cost when nothing is
- * attached, one instance per concurrent sweep run.
+ * The recorder is the `series` slot of the thread's telemetry set
+ * (obs/telemetry.hh): null-checked static guards, zero cost when the
+ * slot is empty, one instance per concurrent sweep run.
  */
 
 #ifndef GRIFFIN_OBS_TIMESERIES_HH
@@ -29,6 +29,7 @@
 #include <functional>
 #include <vector>
 
+#include "src/obs/telemetry.hh"
 #include "src/sim/types.hh"
 
 namespace griffin::sim {
@@ -38,9 +39,9 @@ class Engine;
 namespace griffin::obs {
 
 /**
- * The attachable interval recorder. Owned by MultiGpuSystem (built
- * only when SystemConfig::timeseriesTick > 0) and attached for the
- * duration of run().
+ * The interval recorder. Owned by MultiGpuSystem (built only when
+ * SystemConfig::timeseriesTick > 0), installed in the series slot and
+ * started for the duration of run().
  */
 class TimeSeries
 {
@@ -78,17 +79,10 @@ class TimeSeries
 
     /** @param tick interval width in cycles (must be > 0). */
     explicit TimeSeries(Tick tick);
-    ~TimeSeries();
+    ~TimeSeries() { stop(); }
 
     TimeSeries(const TimeSeries &) = delete;
     TimeSeries &operator=(const TimeSeries &) = delete;
-
-    /** Attach/detach on the calling thread (LIFO, single-threaded). */
-    void attach();
-    void detach();
-
-    /** The calling thread's recording instance, or nullptr. */
-    static TimeSeries *active() { return s_active; }
 
     /**
      * Poll source for link utilization: returns the *cumulative* busy
@@ -113,21 +107,14 @@ class TimeSeries
     static void
     countActive(Series series, std::uint64_t n = 1)
     {
-        if (s_active)
-            s_active->count(series, n);
-    }
-
-    /** One serviced fault: bumps Faults and records its latency. */
-    static void
-    faultActive(double latency)
-    {
-        if (s_active)
-            s_active->fault(latency);
+        if (TimeSeries *ts = Telemetry::current().series)
+            ts->count(series, n);
     }
 
     /** @} */
 
     void count(Series series, std::uint64_t n = 1);
+    /** One serviced fault: bumps Faults and records its latency. */
     void fault(double latency);
 
     /** @name Inspection (reports, tests) @{ */
@@ -163,11 +150,6 @@ class TimeSeries
 
     sim::Engine *_engine = nullptr;
     std::uint64_t _hookId = 0;
-
-    TimeSeries *_prevActive = nullptr;
-    bool _attached = false;
-
-    static thread_local TimeSeries *s_active;
 };
 
 } // namespace griffin::obs

@@ -14,8 +14,6 @@
 
 namespace griffin::obs {
 
-thread_local TraceSession *TraceSession::s_active = nullptr;
-
 const char *
 categoryName(Category cat)
 {
@@ -109,8 +107,9 @@ TraceSession::attach()
 {
     if (_attached)
         return;
-    _prevActive = s_active;
-    s_active = this;
+    TraceSession *&slot = Telemetry::current().trace;
+    _prevActive = slot;
+    slot = this;
     _attached = true;
 }
 
@@ -120,8 +119,9 @@ TraceSession::detach()
     if (!_attached)
         return;
     // Sessions detach LIFO in practice; tolerate out-of-order anyway.
-    if (s_active == this)
-        s_active = _prevActive;
+    TraceSession *&slot = Telemetry::current().trace;
+    if (slot == this)
+        slot = _prevActive;
     _attached = false;
     _prevActive = nullptr;
 }

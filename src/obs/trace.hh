@@ -6,8 +6,8 @@
  *
  * Design constraints:
  *  - zero overhead when no session is attached: every instrumentation
- *    point is guarded by `TraceSession::activeFor(cat)`, one static
- *    pointer load plus a category-mask test;
+ *    point is guarded by `TraceSession::activeFor(cat)`, one
+ *    thread_local slot load plus a category-mask test;
  *  - the simulated cycle count is the timebase (1 cycle = 1 "us" in
  *    the viewer, since the model clock is 1 GHz the absolute numbers
  *    read as nanoseconds);
@@ -17,12 +17,12 @@
  *
  * Each simulation is single-threaded, but independent simulations may
  * run concurrently on different OS threads (sys::SweepRunner). The
- * active-session pointer is therefore thread_local: a session records
- * only the events of the thread it was attached on, and parallel runs
- * each attach their own session. writeMerged() folds the per-run
- * sessions back into one document in a deterministic, submission-
- * ordered way, so a parallel sweep's trace file is byte-identical to
- * a serial one.
+ * active session therefore lives in the calling thread's trace slot
+ * (obs/telemetry.hh): a session records only the events of the thread
+ * it was attached on, and parallel runs each attach their own session.
+ * writeMerged() folds the per-run sessions back into one document in a
+ * deterministic, submission-ordered way, so a parallel sweep's trace
+ * file is byte-identical to a serial one.
  */
 
 #ifndef GRIFFIN_OBS_TRACE_HH
@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/telemetry.hh"
 #include "src/sim/types.hh"
 
 namespace griffin::obs {
@@ -106,11 +107,13 @@ class TraceSession
     /** @name Session attachment @{ */
 
     /**
-     * Make this the active session *on the calling thread* (saves and
-     * restores any previous one, LIFO). A session must be attached,
-     * detached and recorded into on a single thread; naming processes
-     * before handing it to that thread is fine as long as the hand-off
-     * synchronizes (e.g. thread creation).
+     * Make this the calling thread's trace slot (Telemetry::current),
+     * saving the previous occupant; detach() puts it back. Both are
+     * idempotent, and a detach out of LIFO order leaves the slot
+     * alone. A session must be attached, detached and recorded into
+     * on a single thread; naming processes before handing it to that
+     * thread is fine as long as the hand-off synchronizes (e.g.
+     * thread creation).
      */
     void attach();
 
@@ -118,7 +121,7 @@ class TraceSession
     void detach();
 
     /** The calling thread's active session, or nullptr. */
-    static TraceSession *active() { return s_active; }
+    static TraceSession *active() { return Telemetry::current().trace; }
 
     /**
      * The active session iff @p cat is enabled on it; the single
@@ -127,7 +130,7 @@ class TraceSession
     static TraceSession *
     activeFor(Category cat)
     {
-        TraceSession *t = s_active;
+        TraceSession *t = Telemetry::current().trace;
         return (t && (t->_categories & cat)) ? t : nullptr;
     }
 
@@ -222,8 +225,6 @@ class TraceSession
 
     TraceSession *_prevActive = nullptr;
     bool _attached = false;
-
-    static thread_local TraceSession *s_active;
 
     std::uint32_t trackId(const std::string &track);
     static void writeEvent(std::ostream &os, const Event &ev,

@@ -475,7 +475,7 @@ EventQueue::runOne()
         fn = std::move(entry.fn);
     }
 
-    if (auto *prof = obs::HostProfiler::active()) {
+    if (auto *prof = obs::Telemetry::current().prof) {
         // Bracket the dispatch so the profiler can attribute the
         // callback's wall time; end it even if the callback throws
         // (the watchdog surfaces errors as exceptions mid-run).

@@ -4,8 +4,10 @@
  *
  * Components expose their hot counters as plain integer members for
  * speed; a StatSet is the uniform, name-addressable view used by the
- * report generators and tests. Components register their counters once
- * at construction and the StatSet reads them on demand.
+ * report generators and tests. Components do not register anything:
+ * the system copies each counter into its RunResult's StatSet by hand
+ * once the run ends (sys::MultiGpuSystem::collectResults), and bind()
+ * is available for live probes.
  */
 
 #ifndef GRIFFIN_SIM_STATS_HH

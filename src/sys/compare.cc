@@ -34,32 +34,22 @@ runsByLabel(const obs::json::Value &doc, std::vector<std::string> &errors,
             bool &fatal, const char *which)
 {
     std::map<std::string, const obs::json::Value *> out;
-    const obs::json::Value *runs = &doc;
-    if (doc.kind() == obs::json::Value::Kind::Object) {
-        if (const obs::json::Value *r = doc.find("runs")) {
-            runs = r;
-        } else if (doc.find("label")) {
-            // A bare single-run object.
-            out.emplace(doc.find("label")->asString(), &doc);
-            return out;
-        }
-    }
-    if (runs->kind() != obs::json::Value::Kind::Array) {
+    const auto runs = reportRuns(doc);
+    if (!runs) {
         errors.push_back(std::string(which) +
                          ": no \"runs\" array in report document");
         return out;
     }
     for (std::size_t i = 0; i < runs->size(); ++i) {
-        const obs::json::Value &run = runs->at(i);
-        const obs::json::Value *label = run.find("label");
-        if (!label) {
+        const auto &[label, run] = (*runs)[i];
+        if (!run->find("label")) {
             errors.push_back(std::string(which) + ": run " +
                              std::to_string(i) + " has no label");
             continue;
         }
-        if (!out.emplace(label->asString(), &run).second) {
+        if (!out.emplace(label, run).second) {
             errors.push_back(std::string(which) + ": duplicate run label \"" +
-                             label->asString() +
+                             label +
                              "\" — labels must be unique within a report "
                              "(add a config dim to the sweep labels)");
             fatal = true;

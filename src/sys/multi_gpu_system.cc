@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -192,11 +190,11 @@ MultiGpuSystem::remoteAccess(DeviceId requester, DeviceId owner,
         ? ic::MessageSizes::dcaWriteRequest
         : ic::MessageSizes::dcaReadRequest;
 
-    if (obs::Metrics::active()) {
+    if (obs::Telemetry::current().latency) {
         const Tick begin = _engine.now();
         done = sim::boxed([this, begin, done = std::move(done)] {
-            if (auto *m = obs::Metrics::active())
-                m->latency.remoteAccessLatency.sample(
+            if (auto *lat = obs::Telemetry::current().latency)
+                lat->remoteAccessLatency.sample(
                     double(_engine.now() - begin));
             done();
         });
@@ -289,116 +287,37 @@ MultiGpuSystem::run(wl::Workload &workload)
 {
     if (_ran) {
         // A second run would silently reuse page tables, TLBs and
-        // stats from the first — diagnose and fail instead of
-        // producing corrupt results.
-        GLOG(Error, "MultiGpuSystem::run() called twice");
-        std::fprintf(stderr,
-                     "griffin: a MultiGpuSystem instance runs exactly "
-                     "one workload; build a new system for each run\n");
-        std::exit(2);
+        // stats from the first — refuse instead of producing corrupt
+        // results.
+        throw std::logic_error(
+            "griffin: a MultiGpuSystem instance runs exactly one "
+            "workload; build a new system for each run");
     }
     _ran = true;
 
     GLOG(Info, "run: " << workload.name() << " under "
                        << _policy->name());
 
-    // Attach the host profiler before every other sink so its dispatch
-    // brackets cover the whole run — including time the other sinks
-    // spend recording. The guard detaches even if the watchdog throws.
-    struct HostProfGuard
-    {
-        obs::HostProfiler *h;
-        explicit HostProfGuard(obs::HostProfiler *hh) : h(hh)
-        {
-            if (h)
-                h->attach();
-        }
-        ~HostProfGuard()
-        {
-            if (h)
-                h->detach();
-        }
-    } hostprof_guard(_hostProf.get());
-
-    // Collect latency histograms for the run. The guard detaches even
-    // if the watchdog throws.
-    struct MetricsGuard
-    {
-        obs::Metrics &m;
-        explicit MetricsGuard(obs::Metrics &mm) : m(mm) { m.attach(); }
-        ~MetricsGuard() { m.detach(); }
-    } metrics_guard(_metrics);
-
-    // Per-fault causal spans, same lifetime discipline.
-    struct SpansGuard
-    {
-        obs::FaultSpans &s;
-        explicit SpansGuard(obs::FaultSpans &ss) : s(ss) { s.attach(); }
-        ~SpansGuard() { s.detach(); }
-    } spans_guard(_spans);
-
-    // Optional page-lifecycle and time-series recorders; the guards
-    // detach (and stop the boundary hook) on a watchdog throw too.
-    struct PageStatsGuard
-    {
-        obs::PageStats *p;
-        explicit PageStatsGuard(obs::PageStats *pp) : p(pp)
-        {
-            if (p)
-                p->attach();
-        }
-        ~PageStatsGuard()
-        {
-            if (p)
-                p->detach();
-        }
-    } pagestats_guard(_pageStats.get());
-
-    struct TimeSeriesGuard
-    {
-        obs::TimeSeries *t;
-        TimeSeriesGuard(obs::TimeSeries *tt, sim::Engine &engine) : t(tt)
-        {
-            if (t) {
-                t->attach();
-                t->start(engine);
-            }
-        }
-        ~TimeSeriesGuard()
-        {
-            if (t) {
-                t->stop();
-                t->detach();
-            }
-        }
-    } timeseries_guard(_timeSeries.get(), _engine);
+    // Install this run's sinks over the thread's telemetry slots; the
+    // trace slot stays whatever the caller attached. The scope
+    // restores the previous set even if the watchdog throws.
+    const obs::Telemetry::Scope telemetry({
+        .latency = &_latency,
+        .spans = &_spans,
+        .pages = _pageStats.get(),
+        .series = _timeSeries.get(),
+        .prof = _hostProf.get(),
+    });
+    if (_hostProf)
+        _hostProf->startTimer();
+    if (_timeSeries)
+        _timeSeries->start(_engine);
 
     _policy->onSystemStart();
 
-    // Launch the kernels back to back. The continuation captures its
-    // own shared_ptr (a reference cycle), so the guard breaks the
-    // cycle once the run is over — watchdog throw included.
-    const unsigned num_kernels = workload.numKernels();
-    auto launch_next = std::make_shared<std::function<void(unsigned)>>();
-    struct LaunchGuard
-    {
-        std::function<void(unsigned)> &fn;
-        ~LaunchGuard() { fn = nullptr; }
-    } launch_guard{*launch_next};
-    *launch_next = [this, &workload, num_kernels,
-                    launch_next](unsigned k) {
-        if (k >= num_kernels) {
-            _policy->onSystemStop();
-            return;
-        }
-        _dispatcher->launchKernel(workload.makeKernel(k),
-                                  [launch_next, k] {
-                                      (*launch_next)(k + 1);
-                                  });
-    };
-    _engine.schedule(0, [launch_next] {
+    _engine.schedule(0, [this, &workload] {
         GHPROF_SCOPE("sys", "kernel_launch");
-        (*launch_next)(0);
+        launchKernel(workload, 0);
     });
 
     // While injecting faults, cross-check the system's invariants
@@ -426,7 +345,7 @@ MultiGpuSystem::run(wl::Workload &workload)
     _auditViolations += auditInvariants();
 
     // Flush the time series' final partial interval before the
-    // results snapshot it (the guard's later stop() is a no-op).
+    // results snapshot it.
     if (_timeSeries)
         _timeSeries->stop();
 
@@ -436,6 +355,20 @@ MultiGpuSystem::run(wl::Workload &workload)
         _hostProf->stopTimer();
 
     return collectResults();
+}
+
+void
+MultiGpuSystem::launchKernel(wl::Workload &workload, unsigned k)
+{
+    // The kernels run back to back: each one's completion launches
+    // the next, and the last one ends the policy's run.
+    if (k >= workload.numKernels()) {
+        _policy->onSystemStop();
+        return;
+    }
+    _dispatcher->launchKernel(workload.makeKernel(k), [this, &workload, k] {
+        launchKernel(workload, k + 1);
+    });
 }
 
 std::uint64_t
@@ -634,7 +567,7 @@ MultiGpuSystem::collectResults()
     if (_hostProf)
         result.hostProfile = _hostProf->profile();
 
-    result.latency = _metrics.latency;
+    result.latency = _latency;
     result.faultBreakdown = _spans.criticalPath();
     result.faultSpansOpen = _spans.openFaults();
     st.set("spans.completed", double(_spans.criticalPath().faults()));

@@ -27,10 +27,10 @@
 #include "src/mem/dram.hh"
 #include "src/mem/page_table.hh"
 #include "src/obs/hostprof.hh"
-#include "src/obs/metrics.hh"
 #include "src/obs/pagestats.hh"
 #include "src/obs/sampler.hh"
 #include "src/obs/span.hh"
+#include "src/obs/telemetry.hh"
 #include "src/obs/timeseries.hh"
 #include "src/sim/engine.hh"
 #include "src/sim/stats.hh"
@@ -114,7 +114,9 @@ class MultiGpuSystem : public gpu::RemoteRouter
 
     /**
      * Run @p workload to completion (all kernels, back to back) and
-     * collect the results. May be called once per system instance.
+     * collect the results. May be called once per system instance:
+     * a second call throws std::logic_error and leaves the system
+     * untouched.
      */
     RunResult run(wl::Workload &workload);
 
@@ -136,7 +138,7 @@ class MultiGpuSystem : public gpu::RemoteRouter
     core::GriffinPolicy *griffinPolicy() { return _griffinPolicy; }
     const SystemConfig &config() const { return _config; }
     gpu::Pmc &pmc(unsigned dev) { return *_pmcs[dev]; }
-    /** The run's fault-span sink (attached for the run's duration). */
+    /** The run's fault-span sink (installed for the run's duration). */
     const obs::FaultSpans &faultSpans() const { return _spans; }
     /** Non-null only when the config enabled page-lifecycle stats. */
     obs::PageStats *pageStats() { return _pageStats.get(); }
@@ -190,9 +192,9 @@ class MultiGpuSystem : public gpu::RemoteRouter
     std::unique_ptr<sim::Watchdog> _watchdog;
     std::uint64_t _auditViolations = 0;
 
-    /** Run-level latency histograms, attached for the run's duration. */
-    obs::Metrics _metrics;
-    /** Per-fault causal spans, attached alongside the metrics. */
+    /** Run-level latency histograms, the run's latency slot. */
+    obs::LatencyHistograms _latency;
+    /** Per-fault causal spans, the run's spans slot. */
     obs::FaultSpans _spans;
     /** Built only when SystemConfig::pageStats.enabled. */
     std::unique_ptr<obs::PageStats> _pageStats;
@@ -204,6 +206,9 @@ class MultiGpuSystem : public gpu::RemoteRouter
     const sim::Engine *_prevLogClock = nullptr;
 
     bool _ran = false;
+
+    /** Launch kernel @p k of @p workload, or stop when none is left. */
+    void launchKernel(wl::Workload &workload, unsigned k);
 
     RunResult collectResults();
 };

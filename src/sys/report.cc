@@ -4,7 +4,9 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <fstream>
 #include <iomanip>
+#include <iostream>
 #include <ostream>
 #include <sstream>
 
@@ -468,6 +470,46 @@ reportDocument(obs::json::Value runs)
     doc["schema_version"] = reportSchemaVersion;
     doc["runs"] = std::move(runs);
     return doc;
+}
+
+std::optional<obs::json::Value>
+loadReport(const std::string &path, const char *tool)
+{
+    std::ifstream is(path);
+    if (!is) {
+        std::cerr << tool << ": cannot open " << path << "\n";
+        return std::nullopt;
+    }
+    std::ostringstream text;
+    text << is.rdbuf();
+    auto doc = obs::json::Value::parse(text.str());
+    if (!doc)
+        std::cerr << tool << ": " << path << ": parse error\n";
+    return doc;
+}
+
+std::optional<std::vector<ReportRun>>
+reportRuns(const obs::json::Value &doc)
+{
+    using Kind = obs::json::Value::Kind;
+    const obs::json::Value *runs = &doc;
+    if (doc.kind() == Kind::Object) {
+        if (const obs::json::Value *r = doc.find("runs"))
+            runs = r;
+        else if (const obs::json::Value *label = doc.find("label"))
+            return std::vector<ReportRun>{{label->asString(), &doc}};
+    }
+    if (runs->kind() != Kind::Array)
+        return std::nullopt;
+    std::vector<ReportRun> out;
+    for (std::size_t i = 0; i < runs->size(); ++i) {
+        const obs::json::Value &run = runs->at(i);
+        const obs::json::Value *label = run.find("label");
+        out.emplace_back(label ? label->asString()
+                               : "run" + std::to_string(i),
+                         &run);
+    }
+    return out;
 }
 
 std::string

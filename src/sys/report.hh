@@ -3,7 +3,8 @@
  * Report helpers shared by the benches: fixed-width tables, CSV
  * emission, geometric means, simple ASCII bar rows — and the JSON run
  * report, the machine-readable record of one workload run (config,
- * counters, latency histograms with percentiles, optional samples).
+ * counters, latency histograms with percentiles, optional samples),
+ * plus the loader the report-reading tools share.
  */
 
 #ifndef GRIFFIN_SYS_REPORT_HH
@@ -13,6 +14,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/hostprof.hh"
@@ -146,6 +148,27 @@ obs::json::Value runReportJson(const std::string &label,
  * so the version stamp cannot be forgotten.
  */
 obs::json::Value reportDocument(obs::json::Value runs);
+
+/**
+ * Read and parse the report at @p path. On failure, prints
+ * "TOOL: cannot open PATH" or "TOOL: PATH: parse error" to stderr
+ * (TOOL = @p tool) and returns nullopt.
+ */
+std::optional<obs::json::Value> loadReport(const std::string &path,
+                                           const char *tool);
+
+/** One run of a report document: its label and its JSON object. */
+using ReportRun = std::pair<std::string, const obs::json::Value *>;
+
+/**
+ * The runs of a report document in document order: the "runs" array
+ * of a reportDocument() (or a bare array of runs), or a bare
+ * single-run object. An unlabelled run is named "run<index>".
+ * @return nullopt when @p doc holds no runs array and is not a
+ *         labelled run.
+ */
+std::optional<std::vector<ReportRun>>
+reportRuns(const obs::json::Value &doc);
 
 /** @} */
 

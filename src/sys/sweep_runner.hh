@@ -12,9 +12,9 @@
  * whether the sweep ran on 1 thread or 16.
  *
  * What makes this safe is that all cross-run observability state is
- * thread-local (obs::TraceSession / obs::Metrics / obs::FaultSpans
- * actives, the sim::Log clock): a job's sinks are attached on the
- * worker thread that runs it and never observed by its neighbours.
+ * thread-local (the obs::Telemetry slot set, the sim::Log clock): a
+ * job's sinks are installed on the worker thread that runs it and
+ * never observed by its neighbours.
  * The per-run hooks (preRun/postRun) also execute on the worker
  * thread; anything they share with the submitting thread must be
  * synchronized by the caller (bench::ObsState merges fragments under

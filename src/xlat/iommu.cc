@@ -7,7 +7,7 @@
 
 #include <string>
 
-#include "src/obs/span.hh"
+#include "src/obs/telemetry.hh"
 #include "src/obs/trace.hh"
 #include "src/sim/log.hh"
 #include "src/sys/chaos.hh"
@@ -161,30 +161,13 @@ Iommu::resolve(Request req)
             const PageId page = req.page;
             // Open the span: the pre-fault stages (queue, walk,
             // policy) are known in full right here.
-            FaultId fid = invalidFaultId;
-            if (auto *fs = obs::FaultSpans::active()) {
-                fid = fs->beginFault(requester, page, req.origin);
-                fs->mark(fid, obs::Stage::WalkQueue, req.walkStart);
-                fs->mark(fid, obs::Stage::Walk, req.walkEnd);
-                fs->mark(fid, obs::Stage::Policy, _engine.now());
-            }
+            const FaultId fid =
+                obs::faultRaised(requester, page, req.origin,
+                                 req.walkStart, req.walkEnd, _engine.now());
             req.fid = fid;
             _parked[page].push_back(std::move(req));
             GLOG(Trace, "iommu: fault page " << page << " -> gpu "
                                              << requester);
-            if (auto *tr =
-                    obs::TraceSession::activeFor(obs::CatFault)) {
-                tr->instant(obs::CatFault, kTrack, "fault_raised",
-                            _engine.now(),
-                            obs::TraceArgs()
-                                .add("gpu", requester)
-                                .add("page", page));
-                if (fid != invalidFaultId) {
-                    tr->flow(obs::CatFault, kTrack, "fault",
-                             _engine.now(), fid,
-                             obs::TraceSession::FlowPhase::Begin);
-                }
-            }
             _faultHandler->onPageFault(requester, page, fid);
         } else {
             ++dcaRedirects;
@@ -226,15 +209,7 @@ Iommu::reply(Request &req, XlatReply rep)
     _network.send(
         cpuDeviceId, requester, ic::MessageSizes::xlatReply,
         sim::boxed([this, done = std::move(done), rep, fid, requester] {
-            const Tick now = _engine.now();
-            obs::FaultSpans::completeActive(fid, now);
-            if (auto *tr = obs::TraceSession::activeFor(obs::CatFault)) {
-                const std::string track = "gpu" + std::to_string(requester);
-                tr->instant(obs::CatFault, track, "fault_resume", now,
-                            obs::TraceArgs().add("fault", fid));
-                tr->flow(obs::CatFault, track, "fault", now, fid,
-                         obs::TraceSession::FlowPhase::End);
-            }
+            obs::faultResumed(fid, requester, _engine.now());
             done(rep);
         }));
 }

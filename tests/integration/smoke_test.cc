@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
+#include "src/obs/telemetry.hh"
 #include "src/sys/multi_gpu_system.hh"
 #include "src/workloads/workload.hh"
 
@@ -83,4 +85,32 @@ TEST(SmokeDeterminism, SameSeedSameCycles)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.pagesPerDevice, b.pagesPerDevice);
     EXPECT_EQ(a.remoteAccesses, b.remoteAccesses);
+}
+
+TEST(SmokeLifecycle, SecondRunThrowsAndKeepsTheFirstResult)
+{
+    auto workload = wl::makeWorkload("MT", tinyWorkloadConfig());
+    sys::MultiGpuSystem system(sys::SystemConfig::griffinDefault());
+    const sys::RunResult first = system.run(*workload);
+    const std::string stats = first.stats.dump();
+    const std::uint64_t migrations = system.pageTable().migrations();
+
+    try {
+        system.run(*workload);
+        FAIL() << "a second run() must throw";
+    } catch (const std::logic_error &e) {
+        EXPECT_STREQ(e.what(),
+                     "griffin: a MultiGpuSystem instance runs exactly one "
+                     "workload; build a new system for each run");
+    }
+
+    // The refused run touched nothing: the first result and the
+    // system's state are as the first run left them, and no telemetry
+    // slot is left installed on this thread.
+    EXPECT_EQ(first.stats.dump(), stats);
+    EXPECT_EQ(system.engine().now(), first.cycles);
+    EXPECT_EQ(system.pageTable().migrations(), migrations);
+    EXPECT_EQ(system.faultSpans().openFaults(), 0u);
+    EXPECT_EQ(obs::Telemetry::current().latency, nullptr);
+    EXPECT_EQ(obs::Telemetry::current().spans, nullptr);
 }

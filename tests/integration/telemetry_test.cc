@@ -28,26 +28,32 @@ using namespace griffin;
 
 namespace {
 
-/** One MT run with both telemetry recorders on. */
+/**
+ * One run with both telemetry recorders on: MT by default, or
+ * @p workload under the chaos spec @p chaos.
+ */
 sys::RunResult
-runInstrumented(Tick timeseries_tick = 20000)
+runInstrumented(Tick timeseries_tick = 20000,
+                const std::string &workload = "MT",
+                const std::string &chaos = "")
 {
     wl::WorkloadConfig wcfg;
     wcfg.scaleDiv = 64;
     wcfg.seed = 42;
-    auto workload = wl::makeWorkload("MT", wcfg);
+    auto work = wl::makeWorkload(workload, wcfg);
     sys::SystemConfig scfg = sys::SystemConfig::griffinDefault();
     scfg.pageStats.enabled = true;
     scfg.timeseriesTick = timeseries_tick;
+    if (!chaos.empty())
+        scfg.chaos = *sys::ChaosConfig::parse(chaos);
     sys::MultiGpuSystem system(scfg);
-    return system.run(*workload);
+    return system.run(*work);
 }
 
-} // namespace
-
-TEST(Telemetry, IntervalSumsReconcileWithRunAggregates)
+/** The interval-sum reconciliation every instrumented run must meet. */
+void
+expectIntervalSumsReconcile(const sys::RunResult &r)
 {
-    const sys::RunResult r = runInstrumented();
     ASSERT_TRUE(r.pageStats.enabled);
     ASSERT_GT(r.timeseries.tick, 0u);
     ASSERT_FALSE(r.timeseries.rows.empty());
@@ -78,6 +84,26 @@ TEST(Telemetry, IntervalSumsReconcileWithRunAggregates)
     EXPECT_EQ(
         r.pageStats.events[unsigned(obs::PageEvent::MigrationCommit)],
         migrations);
+
+    // Every fault the driver took is serviced exactly once: by its
+    // page landing or by its migration timing out.
+    EXPECT_EQ(faults, std::uint64_t(r.stats.get("driver.faults")));
+}
+
+} // namespace
+
+TEST(Telemetry, IntervalSumsReconcileWithRunAggregates)
+{
+    expectIntervalSumsReconcile(runInstrumented());
+
+    // The abort path: every DMA fails, so the driver's migration
+    // timeout services the faults instead of the page landing.
+    const sys::RunResult r =
+        runInstrumented(10000, "SC", "dma=1.0,timeout=100000");
+    ASSERT_GT(r.stats.get("chaos.driverMigrationTimeouts"), 0.0);
+    expectIntervalSumsReconcile(r);
+    EXPECT_EQ(r.pageStats.events[unsigned(obs::PageEvent::DcaFallback)],
+              std::uint64_t(r.stats.get("chaos.driverMigrationTimeouts")));
 }
 
 TEST(Telemetry, MtReportsZeroChurn)
@@ -255,7 +281,7 @@ TEST(Telemetry, PingPongWorkloadFiresTheChurnDetector)
     PingPongRig rig;
     obs::PageStats ps;
     ps.setClock(&rig.engine);
-    ps.attach();
+    const obs::Telemetry::Scope attached({.pages = &ps});
 
     // Seed pages 10..12 on GPU1 (these CPU->GPU1 setLocation calls
     // commit but cannot churn: nothing has left GPU1 yet), then drive
@@ -266,7 +292,6 @@ TEST(Telemetry, PingPongWorkloadFiresTheChurnDetector)
         rig.executor->executeBatch(back, [] {});
     });
     rig.engine.run();
-    ps.detach();
 
     // Each page returned to GPU1 shortly after leaving it: 3 churn
     // events, and the full lifecycle was witnessed.

@@ -1,10 +1,11 @@
 /**
  * @file
- * Unit tests for the host-side self-profiler: the attach discipline,
- * dispatch bracketing through a real EventQueue, the self-time
- * partition invariant (bucket self times sum exactly to the measured
- * dispatch time), the first-scope-claims-bracket attribution rule,
- * the folded-stack round trip, and profile merging.
+ * Unit tests for the host-side self-profiler: the no-op scope when
+ * the prof slot is empty, dispatch bracketing through a real
+ * EventQueue, the self-time partition invariant (bucket self times sum
+ * exactly to the measured dispatch time), the first-scope-claims-
+ * bracket attribution rule, the explicit wall timer, the folded-stack
+ * round trip, and profile merging.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 
 using griffin::obs::HostProfile;
 using griffin::obs::HostProfiler;
+using griffin::obs::Telemetry;
 
 namespace {
 
@@ -32,39 +34,42 @@ spin(unsigned iters = 500)
 
 TEST(HostProfiler, ScopeIsANoOpWhenNothingIsAttached)
 {
-    ASSERT_EQ(HostProfiler::active(), nullptr);
+    ASSERT_EQ(Telemetry::current().prof, nullptr);
     {
         GHPROF_SCOPE("gpu", "l1_tlb");
         spin();
     }
-    ASSERT_EQ(HostProfiler::active(), nullptr);
+    ASSERT_EQ(Telemetry::current().prof, nullptr);
 }
 
 TEST(HostProfiler, AttachDisciplineIsLifo)
 {
     HostProfiler outer;
     HostProfiler inner;
-    outer.attach();
-    EXPECT_EQ(HostProfiler::active(), &outer);
-    inner.attach();
-    EXPECT_EQ(HostProfiler::active(), &inner);
-    inner.detach();
-    EXPECT_EQ(HostProfiler::active(), &outer);
-    outer.detach();
-    EXPECT_EQ(HostProfiler::active(), nullptr);
+    {
+        const Telemetry::Scope outer_scope({.prof = &outer});
+        EXPECT_EQ(Telemetry::current().prof, &outer);
+        {
+            const Telemetry::Scope inner_scope({.prof = &inner});
+            EXPECT_EQ(Telemetry::current().prof, &inner);
+        }
+        EXPECT_EQ(Telemetry::current().prof, &outer);
+    }
+    EXPECT_EQ(Telemetry::current().prof, nullptr);
 }
 
 TEST(HostProfiler, CountsDispatchesThroughTheEventQueue)
 {
     griffin::sim::EventQueue queue;
     HostProfiler prof;
-    prof.attach();
+    const Telemetry::Scope attached({.prof = &prof});
+    prof.startTimer();
     unsigned fired = 0;
     for (int i = 0; i < 5; ++i)
         queue.schedule(griffin::Tick(i * 10), [&] { ++fired; });
     while (queue.runOne())
         ;
-    prof.detach();
+    prof.stopTimer();
 
     EXPECT_EQ(fired, 5u);
     EXPECT_EQ(prof.eventsDispatched(), 5u);
@@ -78,10 +83,9 @@ TEST(HostProfiler, ScopelessDispatchLandsInUnattributed)
 {
     griffin::sim::EventQueue queue;
     HostProfiler prof;
-    prof.attach();
+    const Telemetry::Scope attached({.prof = &prof});
     queue.schedule(0, [] { spin(); });
     queue.runOne();
-    prof.detach();
 
     const HostProfile p = prof.profile();
     const auto *b = p.findBucket("sim", "unattributed");
@@ -96,13 +100,12 @@ TEST(HostProfiler, FirstScopeClaimsTheDispatchBracket)
 {
     griffin::sim::EventQueue queue;
     HostProfiler prof;
-    prof.attach();
+    const Telemetry::Scope attached({.prof = &prof});
     queue.schedule(0, [] {
         GHPROF_SCOPE("iommu", "walk_done");
         spin();
     });
     queue.runOne();
-    prof.detach();
 
     const HostProfile p = prof.profile();
     // The bracket's own self time merged into the scope's bucket with
@@ -120,7 +123,7 @@ TEST(HostProfiler, NestedScopeSelfTimesPartitionTheDispatchExactly)
 {
     griffin::sim::EventQueue queue;
     HostProfiler prof;
-    prof.attach();
+    const Telemetry::Scope attached({.prof = &prof});
     for (int i = 0; i < 3; ++i) {
         queue.schedule(griffin::Tick(i), [] {
             GHPROF_SCOPE("gpu", "l1_cache");
@@ -141,7 +144,6 @@ TEST(HostProfiler, NestedScopeSelfTimesPartitionTheDispatchExactly)
     }
     while (queue.runOne())
         ;
-    prof.detach();
 
     const HostProfile p = prof.profile();
     EXPECT_EQ(p.events, 3u);
@@ -165,13 +167,12 @@ TEST(HostProfiler, BucketOrderIsDeterministic)
 {
     griffin::sim::EventQueue queue;
     HostProfiler prof;
-    prof.attach();
+    const Telemetry::Scope attached({.prof = &prof});
     queue.schedule(0, [] { GHPROF_SCOPE("zeta", "b"); });
     queue.schedule(1, [] { GHPROF_SCOPE("alpha", "z"); });
     queue.schedule(2, [] { GHPROF_SCOPE("alpha", "a"); });
     while (queue.runOne())
         ;
-    prof.detach();
 
     const HostProfile p = prof.profile();
     ASSERT_EQ(p.buckets.size(), 3u);
@@ -183,14 +184,13 @@ TEST(HostProfiler, BucketOrderIsDeterministic)
 TEST(HostProfiler, StopTimerFreezesTheWallClock)
 {
     HostProfiler prof;
-    prof.attach();
+    EXPECT_EQ(prof.profile().wallNs, 0u); // never started
+    prof.startTimer();
     spin(5000);
     prof.stopTimer();
     const std::uint64_t first = prof.profile().wallNs;
     spin(5000);
     prof.stopTimer(); // idempotent: keeps the first reading
-    EXPECT_EQ(prof.profile().wallNs, first);
-    prof.detach();
     EXPECT_EQ(prof.profile().wallNs, first);
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the per-page lifecycle recorder: event accounting,
  * churn detection (window semantics), reuse distance, residency
- * timelines, deterministic top tables, and the attach discipline.
+ * timelines, deterministic top tables, and the no-op guards when the
+ * pages slot is empty.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@ using griffin::obs::PageEvent;
 using griffin::obs::PageStats;
 using griffin::obs::PageStatsConfig;
 using griffin::obs::PageStatsSummary;
+using griffin::obs::Telemetry;
 using griffin::obs::numPageEvents;
 using griffin::obs::pageEventName;
 
@@ -42,21 +44,20 @@ TEST(PageStats, EventNamesAreStableSnakeCase)
 
 TEST(PageStats, StaticGuardsAreNoOpsWhenNothingIsAttached)
 {
-    ASSERT_EQ(PageStats::active(), nullptr);
+    ASSERT_EQ(Telemetry::current().pages, nullptr);
     // Must not crash, must not touch any instance.
     PageStats::recordActive(PageEvent::MigrationCommit, 7, 0, 1, 100);
     PageStats::recordActiveNow(PageEvent::FirstTouch, 7, 0, 1);
-    ASSERT_EQ(PageStats::active(), nullptr);
+    ASSERT_EQ(Telemetry::current().pages, nullptr);
 }
 
 TEST(PageStats, CountsEventsGloballyAndPerPage)
 {
     PageStats ps;
-    ps.attach();
+    const Telemetry::Scope attached({.pages = &ps});
     PageStats::recordActive(PageEvent::FirstTouch, 1, cpuDeviceId, 1, 10);
     PageStats::recordActive(PageEvent::FirstTouch, 2, cpuDeviceId, 2, 20);
     PageStats::recordActive(PageEvent::DftmDenial, 2, cpuDeviceId, 2, 20);
-    ps.detach();
 
     EXPECT_EQ(ps.eventCount(PageEvent::FirstTouch), 2u);
     EXPECT_EQ(ps.eventCount(PageEvent::DftmDenial), 1u);
@@ -70,14 +71,13 @@ TEST(PageStats, PingPongWithinTheWindowIsChurn)
     cfg.enabled = true;
     cfg.churnWindow = 1000;
     PageStats ps(cfg);
-    ps.attach();
+    const Telemetry::Scope attached({.pages = &ps});
     // Page 5: CPU -> GPU1 -> GPU2 -> GPU1. The third commit returns
     // the page to GPU1, 100 ticks after it left GPU1: churn.
     PageStats::recordActive(PageEvent::MigrationCommit, 5, 0, 1, 100);
     PageStats::recordActive(PageEvent::MigrationCommit, 5, 1, 2, 200);
     EXPECT_EQ(ps.churnEvents(), 0u);
     PageStats::recordActive(PageEvent::MigrationCommit, 5, 2, 1, 300);
-    ps.detach();
 
     EXPECT_EQ(ps.churnEvents(), 1u);
     EXPECT_EQ(ps.churnOf(5), 1u);
@@ -90,12 +90,11 @@ TEST(PageStats, ReturnOutsideTheWindowIsNotChurn)
     cfg.enabled = true;
     cfg.churnWindow = 50;
     PageStats ps(cfg);
-    ps.attach();
+    const Telemetry::Scope attached({.pages = &ps});
     PageStats::recordActive(PageEvent::MigrationCommit, 5, 0, 1, 0);
     PageStats::recordActive(PageEvent::MigrationCommit, 5, 1, 2, 10);
     // Returns to GPU1 90 ticks after leaving it: outside the window.
     PageStats::recordActive(PageEvent::MigrationCommit, 5, 2, 1, 100);
-    ps.detach();
 
     EXPECT_EQ(ps.churnEvents(), 0u);
     EXPECT_EQ(ps.churnOf(5), 0u);
@@ -104,22 +103,20 @@ TEST(PageStats, ReturnOutsideTheWindowIsNotChurn)
 TEST(PageStats, OneWayMigrationIsNeverChurn)
 {
     PageStats ps;
-    ps.attach();
+    const Telemetry::Scope attached({.pages = &ps});
     // A page marching forward never returns anywhere.
     PageStats::recordActive(PageEvent::MigrationCommit, 9, 0, 1, 10);
     PageStats::recordActive(PageEvent::MigrationCommit, 9, 1, 2, 20);
     PageStats::recordActive(PageEvent::MigrationCommit, 9, 2, 3, 30);
-    ps.detach();
     EXPECT_EQ(ps.churnEvents(), 0u);
 }
 
 TEST(PageStats, ReuseDistanceSpansConsecutiveCommits)
 {
     PageStats ps;
-    ps.attach();
+    const Telemetry::Scope attached({.pages = &ps});
     PageStats::recordActive(PageEvent::MigrationCommit, 3, 0, 1, 100);
     PageStats::recordActive(PageEvent::MigrationCommit, 3, 1, 2, 400);
-    ps.detach();
 
     const PageStatsSummary s = ps.summary();
     EXPECT_EQ(s.reuseDistance.count(), 1u);
@@ -129,12 +126,11 @@ TEST(PageStats, ReuseDistanceSpansConsecutiveCommits)
 TEST(PageStats, ResidencyTimelineIsSeededWithTheFirstHome)
 {
     PageStats ps;
-    ps.attach();
+    const Telemetry::Scope attached({.pages = &ps});
     PageStats::recordActive(PageEvent::FirstTouch, 8, cpuDeviceId, 2, 50);
     PageStats::recordActive(PageEvent::MigrationCommit, 8, cpuDeviceId,
                             2, 120);
     PageStats::recordActive(PageEvent::MigrationCommit, 8, 2, 3, 500);
-    ps.detach();
 
     const PageStatsSummary s = ps.summary();
     ASSERT_EQ(s.hotPages.size(), 1u);
@@ -157,7 +153,7 @@ TEST(PageStats, TopTablesAreSortedAndDeterministic)
     cfg.enabled = true;
     cfg.topN = 2;
     PageStats ps(cfg);
-    ps.attach();
+    const Telemetry::Scope attached({.pages = &ps});
     // Page 10: 1 commit; page 11: 3 commits (1 churn); page 12: 2.
     PageStats::recordActive(PageEvent::MigrationCommit, 10, 0, 1, 10);
     PageStats::recordActive(PageEvent::MigrationCommit, 11, 0, 1, 10);
@@ -165,7 +161,6 @@ TEST(PageStats, TopTablesAreSortedAndDeterministic)
     PageStats::recordActive(PageEvent::MigrationCommit, 11, 2, 1, 30);
     PageStats::recordActive(PageEvent::MigrationCommit, 12, 0, 2, 10);
     PageStats::recordActive(PageEvent::MigrationCommit, 12, 2, 3, 20);
-    ps.detach();
 
     const PageStatsSummary s = ps.summary();
     EXPECT_EQ(s.pagesMigrated, 3u);
@@ -188,15 +183,17 @@ TEST(PageStats, TopTablesAreSortedAndDeterministic)
 TEST(PageStats, AttachNestsLifo)
 {
     PageStats outer, inner;
-    outer.attach();
-    PageStats::recordActive(PageEvent::FirstTouch, 1, 0, 1, 5);
-    inner.attach();
-    EXPECT_EQ(PageStats::active(), &inner);
-    PageStats::recordActive(PageEvent::FirstTouch, 2, 0, 1, 6);
-    inner.detach();
-    EXPECT_EQ(PageStats::active(), &outer);
-    outer.detach();
-    EXPECT_EQ(PageStats::active(), nullptr);
+    {
+        const Telemetry::Scope outer_scope({.pages = &outer});
+        PageStats::recordActive(PageEvent::FirstTouch, 1, 0, 1, 5);
+        {
+            const Telemetry::Scope inner_scope({.pages = &inner});
+            EXPECT_EQ(Telemetry::current().pages, &inner);
+            PageStats::recordActive(PageEvent::FirstTouch, 2, 0, 1, 6);
+        }
+        EXPECT_EQ(Telemetry::current().pages, &outer);
+    }
+    EXPECT_EQ(Telemetry::current().pages, nullptr);
 
     EXPECT_EQ(outer.eventCount(PageEvent::FirstTouch), 1u);
     EXPECT_EQ(inner.eventCount(PageEvent::FirstTouch), 1u);
@@ -212,10 +209,9 @@ TEST(PageStats, RecordNowReadsTheInjectedClock)
 
     PageStats ps;
     ps.setClock(&e);
-    ps.attach();
+    const Telemetry::Scope attached({.pages = &ps});
     PageStats::recordActiveNow(PageEvent::MigrationCommit, 4,
                                cpuDeviceId, 1);
-    ps.detach();
 
     const PageStatsSummary s = ps.summary();
     ASSERT_EQ(s.hotPages.size(), 1u);

@@ -1,10 +1,11 @@
 /**
  * @file
- * Unit tests for the causal fault spans (obs/span.hh): sink
- * attachment, stage-mark ordering and clamping, critical-path
- * aggregation — and an integration rig proving a FaultId survives the
- * whole IOMMU -> driver -> CPMS batch -> PMC -> replay path with a
- * complete, monotone span tree and no orphans.
+ * Unit tests for the causal fault spans (obs/span.hh): the no-op
+ * guards when the spans slot is empty, stage-mark ordering and
+ * clamping, critical-path aggregation — and an integration rig
+ * proving a FaultId survives the whole IOMMU -> driver -> CPMS batch
+ * -> PMC -> replay path with a complete, monotone span tree and no
+ * orphans.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +29,7 @@ using obs::Stage;
 
 TEST(FaultSpans, NothingActiveByDefault)
 {
-    EXPECT_EQ(FaultSpans::active(), nullptr);
+    EXPECT_EQ(obs::Telemetry::current().spans, nullptr);
     // Static guards are safe no-ops without a sink.
     FaultSpans::markActive(1, Stage::Walk, 100);
     FaultSpans::completeActive(1, 200);
@@ -37,28 +38,27 @@ TEST(FaultSpans, NothingActiveByDefault)
 TEST(FaultSpans, AttachDetachRestoresPrevious)
 {
     FaultSpans outer;
-    outer.attach();
-    EXPECT_EQ(FaultSpans::active(), &outer);
     {
-        FaultSpans inner;
-        inner.attach();
-        EXPECT_EQ(FaultSpans::active(), &inner);
-        inner.detach();
+        const obs::Telemetry::Scope outer_scope({.spans = &outer});
+        EXPECT_EQ(obs::Telemetry::current().spans, &outer);
+        {
+            FaultSpans inner;
+            const obs::Telemetry::Scope inner_scope({.spans = &inner});
+            EXPECT_EQ(obs::Telemetry::current().spans, &inner);
+        }
+        EXPECT_EQ(obs::Telemetry::current().spans, &outer);
     }
-    EXPECT_EQ(FaultSpans::active(), &outer);
-    outer.detach();
-    EXPECT_EQ(FaultSpans::active(), nullptr);
+    EXPECT_EQ(obs::Telemetry::current().spans, nullptr);
 }
 
 TEST(FaultSpans, InvalidFaultIdIsIgnored)
 {
     FaultSpans spans;
-    spans.attach();
+    const obs::Telemetry::Scope attached({.spans = &spans});
     FaultSpans::markActive(invalidFaultId, Stage::Walk, 50);
     FaultSpans::completeActive(invalidFaultId, 60);
     EXPECT_EQ(spans.faultsStarted(), 0u);
     EXPECT_EQ(spans.completedFaults().size(), 0u);
-    spans.detach();
 }
 
 TEST(FaultSpans, CompleteFaultRecordsOrderedStages)
@@ -201,7 +201,7 @@ TEST(FaultSpansIntegration, CpmsBatchedFaultsFormCompleteSpanTrees)
     Rig rig(cfg);
 
     obs::FaultSpans spans;
-    spans.attach();
+    const obs::Telemetry::Scope attached({.spans = &spans});
 
     // Four GPUs fault four distinct CPU-resident pages, staggered so
     // the early faults genuinely wait for the batch to fill.
@@ -217,7 +217,6 @@ TEST(FaultSpansIntegration, CpmsBatchedFaultsFormCompleteSpanTrees)
         });
     }
     rig.engine.run();
-    spans.detach();
 
     EXPECT_EQ(replies, 4u);
     EXPECT_EQ(rig.driver->batchesProcessed, 1u);
@@ -268,7 +267,7 @@ TEST(FaultSpansIntegration, BoundedPmcSurfacesTransferQueueTime)
                      /*max_concurrent=*/1};
 
     obs::FaultSpans spans;
-    spans.attach();
+    const obs::Telemetry::Scope attached({.spans = &spans});
     const FaultId f1 = spans.beginFault(1, 10, 0);
     const FaultId f2 = spans.beginFault(2, 11, 0);
 
@@ -283,7 +282,6 @@ TEST(FaultSpansIntegration, BoundedPmcSurfacesTransferQueueTime)
     }, f2);
     EXPECT_EQ(bounded.queueDepth(), 2u);
     rig.engine.run();
-    spans.detach();
 
     EXPECT_EQ(done, 2u);
     EXPECT_EQ(bounded.transfersDeferred, 1u);

@@ -11,24 +11,26 @@
 #include "src/sim/engine.hh"
 
 using griffin::Tick;
+using griffin::obs::Telemetry;
 using griffin::obs::TimeSeries;
+using griffin::obs::faultServiced;
 using griffin::sim::Engine;
 
 using Series = TimeSeries::Series;
 
 TEST(TimeSeries, StaticGuardsAreNoOpsWhenNothingIsAttached)
 {
-    ASSERT_EQ(TimeSeries::active(), nullptr);
+    ASSERT_EQ(Telemetry::current().series, nullptr);
     TimeSeries::countActive(Series::Migrations);
-    TimeSeries::faultActive(42.0);
-    ASSERT_EQ(TimeSeries::active(), nullptr);
+    faultServiced(42);
+    ASSERT_EQ(Telemetry::current().series, nullptr);
 }
 
 TEST(TimeSeries, EventsLandInTheirIntervalRow)
 {
     Engine e;
     TimeSeries ts(100);
-    ts.attach();
+    const Telemetry::Scope attached({.series = &ts});
     ts.start(e);
     e.schedule(10, [] { TimeSeries::countActive(Series::Migrations); });
     e.schedule(150, [] {
@@ -37,7 +39,6 @@ TEST(TimeSeries, EventsLandInTheirIntervalRow)
     e.schedule(250, [] { TimeSeries::countActive(Series::Shootdowns); });
     e.run();
     ts.stop();
-    ts.detach();
 
     // Boundary rows [0,100) and [100,200), plus the final partial
     // [200,250) flushed by stop().
@@ -55,17 +56,16 @@ TEST(TimeSeries, TotalsReconcileWithTheRowSums)
 {
     Engine e;
     TimeSeries ts(50);
-    ts.attach();
+    const Telemetry::Scope attached({.series = &ts});
     ts.start(e);
     for (Tick t = 5; t < 300; t += 7) {
         e.schedule(t, [] {
             TimeSeries::countActive(Series::Migrations);
-            TimeSeries::faultActive(10.0);
+            faultServiced(10);
         });
     }
     e.run();
     ts.stop();
-    ts.detach();
 
     std::uint64_t migrations = 0, faults = 0;
     for (const auto &row : ts.rows()) {
@@ -82,14 +82,13 @@ TEST(TimeSeries, StopIsIdempotent)
 {
     Engine e;
     TimeSeries ts(100);
-    ts.attach();
+    const Telemetry::Scope attached({.series = &ts});
     ts.start(e);
     e.schedule(30, [] { TimeSeries::countActive(Series::Migrations); });
     e.run();
     ts.stop();
     const std::size_t rows = ts.rows().size();
     ts.stop(); // must not add another row
-    ts.detach();
     EXPECT_EQ(ts.rows().size(), rows);
     EXPECT_EQ(ts.total(Series::Migrations), 1u);
 }
@@ -98,15 +97,14 @@ TEST(TimeSeries, FaultPercentilesAreNearestRank)
 {
     Engine e;
     TimeSeries ts(1000);
-    ts.attach();
+    const Telemetry::Scope attached({.series = &ts});
     ts.start(e);
     e.schedule(10, [] {
         for (int i = 1; i <= 20; ++i)
-            TimeSeries::faultActive(double(i));
+            faultServiced(Tick(i));
     });
     e.run();
     ts.stop();
-    ts.detach();
 
     ASSERT_EQ(ts.rows().size(), 1u);
     const auto &row = ts.rows()[0];
@@ -122,7 +120,7 @@ TEST(TimeSeries, LinkUtilIsTheMeanBusyFractionPerInterval)
     double busy = 0.0;
     TimeSeries ts(100);
     ts.setLinkBusyProbe([&busy] { return busy; }, 2);
-    ts.attach();
+    const Telemetry::Scope attached({.series = &ts});
     ts.start(e);
     // 50 busy cycles land in the first interval; 2 wires over 100
     // ticks give 200 wire-ticks of capacity -> 0.25.
@@ -130,7 +128,6 @@ TEST(TimeSeries, LinkUtilIsTheMeanBusyFractionPerInterval)
     e.schedule(150, [] { TimeSeries::countActive(Series::Migrations); });
     e.run();
     ts.stop();
-    ts.detach();
 
     ASSERT_GE(ts.rows().size(), 2u);
     EXPECT_DOUBLE_EQ(ts.rows()[0].linkUtil, 0.25);
@@ -141,12 +138,11 @@ TEST(TimeSeries, SummaryCarriesTickRowsAndTotals)
 {
     Engine e;
     TimeSeries ts(100);
-    ts.attach();
+    const Telemetry::Scope attached({.series = &ts});
     ts.start(e);
     e.schedule(10, [] { TimeSeries::countActive(Series::Migrations); });
     e.run();
     ts.stop();
-    ts.detach();
 
     const TimeSeries::Summary s = ts.summary();
     EXPECT_EQ(s.tick, Tick(100));

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "src/obs/json.hh"
-#include "src/obs/metrics.hh"
+#include "src/obs/telemetry.hh"
 #include "src/obs/trace.hh"
 
 using namespace griffin;
@@ -299,14 +299,15 @@ TEST(TraceArgs, FormatsAllValueKinds)
 
 TEST(Metrics, AttachDetachMirrorsTraceSession)
 {
-    EXPECT_EQ(obs::Metrics::active(), nullptr);
+    // The latency slot nests the way a TraceSession attach does.
+    EXPECT_EQ(obs::Telemetry::current().latency, nullptr);
     {
-        obs::Metrics m;
-        m.attach();
-        EXPECT_EQ(obs::Metrics::active(), &m);
-        m.latency.faultLatency.sample(100.0);
-        EXPECT_EQ(obs::Metrics::active()->latency.faultLatency.count(),
+        obs::LatencyHistograms m;
+        const obs::Telemetry::Scope attached({.latency = &m});
+        EXPECT_EQ(obs::Telemetry::current().latency, &m);
+        obs::faultServiced(100);
+        EXPECT_EQ(obs::Telemetry::current().latency->faultLatency.count(),
                   1u);
     }
-    EXPECT_EQ(obs::Metrics::active(), nullptr);
+    EXPECT_EQ(obs::Telemetry::current().latency, nullptr);
 }

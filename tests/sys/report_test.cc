@@ -503,3 +503,38 @@ TEST(RunReportJson, HostProfileSectionAppearsOnlyWhenEnabled)
     ASSERT_NE(hp, nullptr);
     EXPECT_DOUBLE_EQ(hp->find("events")->asNumber(), 2000.0);
 }
+
+TEST(ReportRuns, ReadsDocumentsBareArraysAndBareRuns)
+{
+    using obs::json::Value;
+    const auto doc = Value::parse(
+        R"({"schema_version":3,"runs":[{"label":"a"},{"x":1}]})");
+    ASSERT_TRUE(doc);
+    const auto runs = reportRuns(*doc);
+    ASSERT_TRUE(runs);
+    ASSERT_EQ(runs->size(), 2u);
+    EXPECT_EQ((*runs)[0].first, "a");
+    EXPECT_EQ((*runs)[1].first, "run1"); // unlabelled: named by index
+    EXPECT_EQ((*runs)[1].second, &doc->find("runs")->at(1));
+
+    const auto bare = Value::parse(R"([{"label":"b"}])");
+    ASSERT_TRUE(reportRuns(*bare));
+    EXPECT_EQ(reportRuns(*bare)->at(0).first, "b");
+
+    const auto single = Value::parse(R"({"label":"c","cycles":5})");
+    const auto one = reportRuns(*single);
+    ASSERT_TRUE(one);
+    ASSERT_EQ(one->size(), 1u);
+    EXPECT_EQ(one->at(0).second, &*single);
+
+    EXPECT_FALSE(reportRuns(*Value::parse(R"({"schema_version":3})")));
+    EXPECT_FALSE(reportRuns(*Value::parse(R"({"runs":{"label":"d"}})")));
+}
+
+TEST(LoadReport, NamesTheToolAndPathOnFailure)
+{
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(loadReport("/nonexistent/report.json", "griffin-test"));
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "griffin-test: cannot open /nonexistent/report.json\n");
+}

@@ -21,8 +21,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,22 +29,6 @@
 #include "src/sys/report.hh"
 
 namespace {
-
-std::optional<griffin::obs::json::Value>
-loadReport(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is) {
-        std::cerr << "griffin-compare: cannot open " << path << "\n";
-        return std::nullopt;
-    }
-    std::ostringstream text;
-    text << is.rdbuf();
-    auto doc = griffin::obs::json::Value::parse(text.str());
-    if (!doc)
-        std::cerr << "griffin-compare: " << path << ": parse error\n";
-    return doc;
-}
 
 void
 usage()
@@ -121,8 +103,8 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const auto ref = loadReport(files[0]);
-    const auto cur = loadReport(files[1]);
+    const auto ref = sys::loadReport(files[0], "griffin-compare");
+    const auto cur = sys::loadReport(files[1], "griffin-compare");
     if (!ref || !cur)
         return 2;
 

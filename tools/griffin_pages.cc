@@ -24,10 +24,7 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,22 +35,6 @@ namespace {
 
 using griffin::obs::json::Value;
 
-std::optional<Value>
-loadReport(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is) {
-        std::cerr << "griffin-pages: cannot open " << path << "\n";
-        return std::nullopt;
-    }
-    std::ostringstream text;
-    text << is.rdbuf();
-    auto doc = Value::parse(text.str());
-    if (!doc)
-        std::cerr << "griffin-pages: " << path << ": parse error\n";
-    return doc;
-}
-
 void
 usage()
 {
@@ -63,27 +44,6 @@ usage()
            "  top        hot-page table [--n=N] [--by=migrations|churn]\n"
            "  churn      churn counts and the thrashing table\n"
            "options: --run=LABEL  --n=N  --by=migrations|churn  --csv\n";
-}
-
-/** The runs of a report document as (label, run) pairs. */
-std::vector<std::pair<std::string, const Value *>>
-runsOf(const Value &doc)
-{
-    std::vector<std::pair<std::string, const Value *>> out;
-    const Value *runs = doc.find("runs");
-    if (!runs) {
-        if (doc.find("label")) // bare single-run object
-            out.emplace_back(doc.find("label")->asString(), &doc);
-        return out;
-    }
-    for (std::size_t i = 0; i < runs->size(); ++i) {
-        const Value &run = runs->at(i);
-        const Value *label = run.find("label");
-        out.emplace_back(label ? label->asString()
-                               : "run" + std::to_string(i),
-                         &run);
-    }
-    return out;
 }
 
 double
@@ -196,7 +156,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const auto doc = loadReport(reportFile);
+    const auto doc = sys::loadReport(reportFile, "griffin-pages");
     if (!doc)
         return 2;
 
@@ -209,7 +169,7 @@ main(int argc, char **argv)
                   << sys::reportSchemaVersion << "\n";
     }
 
-    auto runs = runsOf(*doc);
+    auto runs = sys::reportRuns(*doc).value_or(std::vector<sys::ReportRun>{});
     if (runs.empty()) {
         std::cerr << "griffin-pages: no runs in " << reportFile << "\n";
         return 2;

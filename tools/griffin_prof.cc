@@ -31,10 +31,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,22 +45,6 @@ namespace {
 using griffin::obs::HostProfile;
 using griffin::obs::json::Value;
 
-std::optional<Value>
-loadReport(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is) {
-        std::cerr << "griffin-prof: cannot open " << path << "\n";
-        return std::nullopt;
-    }
-    std::ostringstream text;
-    text << is.rdbuf();
-    auto doc = Value::parse(text.str());
-    if (!doc)
-        std::cerr << "griffin-prof: " << path << ": parse error\n";
-    return doc;
-}
-
 void
 usage()
 {
@@ -73,27 +54,6 @@ usage()
            "  top        hottest component;event buckets [--n=N]\n"
            "  folded     merged folded stacks for flamegraph tools\n"
            "options: --run=LABEL  --n=N  --csv\n";
-}
-
-/** The runs of a report document as (label, run) pairs. */
-std::vector<std::pair<std::string, const Value *>>
-runsOf(const Value &doc)
-{
-    std::vector<std::pair<std::string, const Value *>> out;
-    const Value *runs = doc.find("runs");
-    if (!runs) {
-        if (doc.find("label")) // bare single-run object
-            out.emplace_back(doc.find("label")->asString(), &doc);
-        return out;
-    }
-    for (std::size_t i = 0; i < runs->size(); ++i) {
-        const Value &run = runs->at(i);
-        const Value *label = run.find("label");
-        out.emplace_back(label ? label->asString()
-                               : "run" + std::to_string(i),
-                         &run);
-    }
-    return out;
 }
 
 std::string
@@ -164,7 +124,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const auto doc = loadReport(reportFile);
+    const auto doc = sys::loadReport(reportFile, "griffin-prof");
     if (!doc)
         return 2;
 
@@ -177,7 +137,7 @@ main(int argc, char **argv)
                   << sys::reportSchemaVersion << "\n";
     }
 
-    auto runs = runsOf(*doc);
+    auto runs = sys::reportRuns(*doc).value_or(std::vector<sys::ReportRun>{});
     if (runs.empty()) {
         std::cerr << "griffin-prof: no runs in " << reportFile << "\n";
         return 2;
