@@ -3,7 +3,7 @@
  * The CI perf-regression gate workload set: a pinned, deterministic
  * trio of workloads (MT, BFS, SC) run under both policies at a fixed
  * scale and seed. The emitted --report JSON is compared against the
- * committed BENCH_*.json references with griffin-compare; because the
+ * committed BENCH_*.json references with `griffin compare`; because the
  * simulator is fully deterministic, any drift is a real behaviour
  * change, not noise.
  *
@@ -82,7 +82,7 @@ main(int argc, char **argv)
     bench::emit(table, opt);
     std::cout << "(pinned gate config: scale=64 seed=42; compare the "
                  "--report output against BENCH_*.json with "
-                 "griffin-compare)\n";
+                 "griffin compare)\n";
     bench::emitHostSummary(results, opt);
     return 0;
 }

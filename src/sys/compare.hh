@@ -1,7 +1,7 @@
 /**
  * @file
- * Cross-run report comparison: the library behind the griffin-compare
- * CLI and the CI perf-regression gate.
+ * Cross-run report comparison: the library behind `griffin compare`
+ * and the CI perf-regression gate.
  *
  * A report document is what the benches write with --report=FILE:
  * {"runs": [{label, config, result, counters, histograms,

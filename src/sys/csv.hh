@@ -1,7 +1,7 @@
 /**
  * @file
  * RFC-4180 CSV field quoting, shared by every CSV writer (Table::csv
- * and the griffin-pages / griffin-compare / griffin-prof CLIs). Sweep
+ * and the griffin compare / pages / prof subcommands). Sweep
  * labels routinely embed the flag syntax that produced them (e.g.
  * "fabric=a,b"), so unquoted emission would silently shift columns.
  */

@@ -29,10 +29,10 @@
  *    byte-identical when re-run under a parallel sweep / under the
  *    naive reference scheduler (sim/ref_queue.hh).
  *
- * runFuzzBatch() is the harness the fuzz CLI, the pinned-corpus ctest
- * and the bench replay all share: it runs each scenario serially,
- * applies every result oracle, then re-runs the batch at --jobs=N and
- * on the reference queue for the differential oracles.
+ * runFuzzBatch() is the harness `griffin fuzz` and the pinned-corpus
+ * ctest share: it runs each scenario serially, applies every result
+ * oracle, then re-runs the batch at --jobs=N and on the reference
+ * queue for the differential oracles.
  */
 
 #ifndef GRIFFIN_SYS_ORACLE_HH

@@ -89,7 +89,7 @@ std::string asciiBar(double value, double max_value, int width = 40);
  *    per-run page_stats / timeseries sections.
  *  - 3: adds the optional per-run host_profile section (deterministic
  *    "counts" plus the nondeterministic, warn-only "host" subtree).
- * Consumers (sys::compare, griffin-compare, griffin-pages) warn — not
+ * Consumers (sys::compare, griffin compare / pages / prof) warn — not
  * fail — on a version they do not know.
  */
 inline constexpr std::uint64_t reportSchemaVersion = 3;
@@ -126,7 +126,7 @@ obs::json::Value hostProfileJson(const obs::HostProfile &hp);
 
 /**
  * Rebuild a HostProfile from a "host_profile" section produced by
- * hostProfileJson (griffin-prof, sweep post-processing, tests).
+ * hostProfileJson (griffin prof, sweep post-processing, tests).
  * @return nullopt if @p v does not have the expected shape.
  */
 std::optional<obs::HostProfile>

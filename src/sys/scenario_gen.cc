@@ -244,7 +244,7 @@ Scenario::reproCommand() const
     char buf[48];
     std::snprintf(buf, sizeof(buf), "--seed=0x%llx --seeds=1",
                   static_cast<unsigned long long>(seed));
-    std::string cmd = std::string("griffin-fuzz ") + buf;
+    std::string cmd = std::string("griffin fuzz ") + buf;
     if (!pinned.empty()) {
         cmd += " --pin=";
         for (std::size_t i = 0; i < pinned.size(); ++i)

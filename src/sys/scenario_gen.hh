@@ -51,7 +51,7 @@ struct Scenario
     /** One-line human-readable knob dump for failure reports. */
     std::string describe() const;
 
-    /** One-line griffin-fuzz invocation that replays this scenario. */
+    /** One-line griffin fuzz invocation that replays this scenario. */
     std::string reproCommand() const;
 };
 
@@ -79,7 +79,7 @@ Scenario makeScenario(std::uint64_t seed,
  * The pinned fuzz corpus: 16 seeds chosen to cover both policies,
  * every GPU count, chaos on and off, and the telemetry sections.
  * tests/integration/fuzz_corpus_test.cc runs them under every oracle
- * on every ctest invocation; bench/fuzz_corpus_replay.cc replays them
+ * on every ctest invocation; `griffin fuzz --corpus` replays them
  * with a per-seed result table. Grow-only: appending a seed is cheap,
  * replacing one silently retires the regression it was pinned for.
  */

@@ -2,7 +2,7 @@
  * @file
  * The pinned fuzz corpus as a regression suite: every corpus seed runs
  * under the full oracle battery (sys/oracle.hh) on every ctest
- * invocation. The 200-seed sweep lives in CI (griffin-fuzz --seeds=200)
+ * invocation. The 200-seed sweep lives in CI (griffin fuzz --seeds=200)
  * where its wall clock is acceptable; this test keeps the tier-1 suite
  * fast while still exercising the whole fuzz stack.
  */

@@ -3,7 +3,7 @@
  * Unit tests for sys/compare: threshold-spec parsing, metric aliasing
  * and dotted-path lookup (including the literal-key fallback for
  * counter names), and the pass/fail semantics of compareReports — the
- * library behind griffin-compare and the CI perf-regression gate.
+ * library behind griffin compare and the CI perf-regression gate.
  */
 
 #include <gtest/gtest.h>
@@ -195,7 +195,7 @@ TEST(CompareReports, DuplicateLabelsAreFatal)
 {
     // Two runs sharing a label make every per-label lookup ambiguous;
     // the comparison must refuse a verdict rather than silently
-    // matching one of the pair (griffin-compare exits 2 on fatal).
+    // matching one of the pair (griffin compare exits 2 on fatal).
     Value extra = Value::object();
     extra["label"] = "MT/griffin";
     Value result = Value::object();

@@ -120,7 +120,7 @@ TEST(ScenarioGen, ReproCommandNamesSeedAndPins)
 {
     const Scenario s = makeScenario(0x2a, {"chaos", "telemetry"});
     EXPECT_EQ(s.reproCommand(),
-              "griffin-fuzz --seed=0x2a --seeds=1 --pin=chaos,telemetry");
+              "griffin fuzz --seed=0x2a --seeds=1 --pin=chaos,telemetry");
 }
 
 TEST(ScenarioGen, CorpusCoversTheKnobSpace)

@@ -1,8 +1,8 @@
 /**
  * @file
- * griffin-compare: diff two JSON run reports and gate on regressions.
+ * griffin compare: diff two JSON run reports and gate on regressions.
  *
- *   griffin-compare REF.json CUR.json
+ *   griffin compare REF.json CUR.json
  *       [--fail-on METRIC:[+|-]P%]... [--warn-on METRIC:[+|-]P%]...
  *       [--verdict=FILE] [--csv] [--quiet]
  *
@@ -24,87 +24,41 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/json.hh"
 #include "src/sys/compare.hh"
-#include "src/sys/report.hh"
+#include "tools/cli.hh"
 
-namespace {
-
-void
-usage()
-{
-    std::cerr << "usage: griffin-compare REF.json CUR.json"
-                 " [--fail-on METRIC:[+|-]P%]..."
-                 " [--warn-on METRIC:[+|-]P%]..."
-                 " [--verdict=FILE] [--csv] [--quiet]\n"
-                 "  e.g. griffin-compare ref.json cur.json"
-                 " --fail-on fault_p95:+5% --fail-on cycles:+3%\n";
-}
-
-} // namespace
+namespace griffin::cli {
 
 int
-main(int argc, char **argv)
+compareMain(const Args &args)
 {
-    using namespace griffin;
-
-    std::vector<std::string> files;
     std::vector<sys::Threshold> thresholds;
+    const auto threshold = [&](bool warnOnly) {
+        return [&thresholds, warnOnly](const std::string &spec) {
+            auto t = sys::parseThreshold(spec);
+            if (!t) {
+                throw Exit{2, "bad threshold \"" + spec +
+                                  "\" (want METRIC:[+|-]P%)"};
+            }
+            t->warnOnly = warnOnly;
+            thresholds.push_back(std::move(*t));
+        };
+    };
     std::string verdictFile;
     bool quiet = false;
     bool csv = false;
+    const Args files = parseFlags(
+        args, {{"--fail-on", nullptr, threshold(false)},
+               {"--warn-on", nullptr, threshold(true)},
+               {"--verdict", nullptr,
+                [&](const std::string &v) { verdictFile = v; }},
+               {"--csv", &csv},
+               {"--quiet", &quiet}});
+    if (files.size() != 2)
+        throw usageError("want REF.json CUR.json");
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string spec;
-        bool warn_only = false;
-        if (arg == "--fail-on" && i + 1 < argc) {
-            spec = argv[++i];
-        } else if (arg.rfind("--fail-on=", 0) == 0) {
-            spec = arg.substr(10);
-        } else if (arg == "--warn-on" && i + 1 < argc) {
-            spec = argv[++i];
-            warn_only = true;
-        } else if (arg.rfind("--warn-on=", 0) == 0) {
-            spec = arg.substr(10);
-            warn_only = true;
-        } else if (arg == "--csv") {
-            csv = true;
-            continue;
-        } else if (arg.rfind("--verdict=", 0) == 0) {
-            verdictFile = arg.substr(10);
-            continue;
-        } else if (arg == "--quiet" || arg == "-q") {
-            quiet = true;
-            continue;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "griffin-compare: unknown flag " << arg << "\n";
-            usage();
-            return 2;
-        } else {
-            files.push_back(arg);
-            continue;
-        }
-        auto t = sys::parseThreshold(spec);
-        if (!t) {
-            std::cerr << "griffin-compare: bad threshold \"" << spec
-                      << "\" (want METRIC:[+|-]P%)\n";
-            return 2;
-        }
-        t->warnOnly = warn_only;
-        thresholds.push_back(std::move(*t));
-    }
-
-    if (files.size() != 2) {
-        usage();
-        return 2;
-    }
-
-    const auto ref = sys::loadReport(files[0], "griffin-compare");
-    const auto cur = sys::loadReport(files[1], "griffin-compare");
+    const auto ref = sys::loadReport(files[0], "griffin compare");
+    const auto cur = sys::loadReport(files[1], "griffin compare");
     if (!ref || !cur)
         return 2;
 
@@ -113,11 +67,8 @@ main(int argc, char **argv)
 
     if (!verdictFile.empty()) {
         std::ofstream os(verdictFile);
-        if (!os) {
-            std::cerr << "griffin-compare: cannot write " << verdictFile
-                      << "\n";
-            return 2;
-        }
+        if (!os)
+            throw Exit{2, "cannot write " + verdictFile};
         os << result.verdictJson().dump(2) << "\n";
     }
 
@@ -177,3 +128,5 @@ main(int argc, char **argv)
         return 2;
     return result.pass ? 0 : 1;
 }
+
+} // namespace griffin::cli

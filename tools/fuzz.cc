@@ -1,8 +1,8 @@
 /**
  * @file
- * griffin-fuzz: randomized differential testing for the simulator.
+ * griffin fuzz: randomized differential testing for the simulator.
  *
- *   griffin-fuzz [--seeds=N] [--seed=S] [--jobs=N] [--batch=K]
+ *   griffin fuzz [--seeds=N] [--seed=S] [--jobs=N] [--batch=K]
  *                [--duration=SECS] [--shrink] [--pin=KNOB[,KNOB...]]
  *                [--corpus] [--list-knobs] [--describe] [--quiet]
  *
@@ -23,7 +23,8 @@
  *                 prints the minimized repro
  *  --pin=A,B      pin the named knobs to defaults up front (replay of
  *                 a shrunk repro)
- *  --corpus       run the 16 pinned corpus seeds instead of a range
+ *  --corpus       run the 16 pinned corpus seeds instead of a range,
+ *                 with a per-seed result table
  *  --describe     print each scenario without running it
  *  --list-knobs   print the shrinkable knob names
  *
@@ -35,41 +36,18 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "src/sys/oracle.hh"
 #include "src/sys/scenario_gen.hh"
+#include "tools/cli.hh"
+
+namespace griffin::cli {
 
 namespace {
-
-void
-usage()
-{
-    std::cerr
-        << "usage: griffin-fuzz [--seeds=N] [--seed=S] [--jobs=N]"
-           " [--batch=K] [--duration=SECS]\n"
-           "                    [--shrink] [--pin=KNOB[,KNOB...]]"
-           " [--corpus] [--describe]\n"
-           "                    [--list-knobs] [--quiet]\n"
-           "  e.g. griffin-fuzz --seeds=200 --jobs=8\n"
-           "       griffin-fuzz --seed=0x2a --seeds=1 --shrink\n";
-}
-
-std::uint64_t
-parseNum(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-    if (end == text.c_str() || *end != '\0') {
-        std::cerr << "griffin-fuzz: bad value for " << flag << ": \""
-                  << text << "\"\n";
-        std::exit(2);
-    }
-    return v;
-}
 
 std::vector<std::string>
 splitList(const std::string &text)
@@ -90,7 +68,7 @@ splitList(const std::string &text)
 }
 
 void
-printFailure(const griffin::sys::ScenarioVerdict &verdict)
+printFailure(const sys::ScenarioVerdict &verdict)
 {
     for (const auto &f : verdict.findings) {
         std::printf("FAIL seed=0x%llx oracle=%s\n",
@@ -104,13 +82,37 @@ printFailure(const griffin::sys::ScenarioVerdict &verdict)
     std::printf("repro: %s\n", verdict.scenario.reproCommand().c_str());
 }
 
+/** One row of the --corpus table: the scenario and how it ran. */
+void
+addCorpusRow(sys::Table &table, const sys::ScenarioVerdict &v)
+{
+    const auto &s = v.scenario;
+    const auto &r = v.result;
+    char seedbuf[24];
+    std::snprintf(seedbuf, sizeof(seedbuf), "0x%llx",
+                  static_cast<unsigned long long>(s.seed));
+    table.addRow(
+        {seedbuf, s.workload,
+         s.config.policy == sys::PolicyKind::Griffin ? "griffin"
+                                                     : "first-touch",
+         std::to_string(s.config.numGpus),
+         s.config.chaos.enabled() ? "on" : "off",
+         v.ran ? std::to_string(r.cycles) : "-",
+         v.ran ? sys::Table::num(r.stats.get("pageTable.migrations"), 0)
+               : "-",
+         v.ran ? sys::Table::num(r.localFraction() * 100.0, 1) : "-",
+         v.ok() ? "clean"
+                : v.findings.empty() ? "did not run"
+                                     : v.findings[0].oracle});
+}
+
 /** True when the scenario built from (seed, pinned) still fails. */
 bool
 stillFails(std::uint64_t seed, const std::vector<std::string> &pinned,
-           const griffin::sys::FuzzOptions &options)
+           const sys::FuzzOptions &options)
 {
-    const auto verdicts = griffin::sys::runFuzzBatch(
-        {griffin::sys::makeScenario(seed, pinned)}, options);
+    const auto verdicts = sys::runFuzzBatch(
+        {sys::makeScenario(seed, pinned)}, options);
     return !verdicts[0].ok();
 }
 
@@ -121,11 +123,11 @@ stillFails(std::uint64_t seed, const std::vector<std::string> &pinned,
  */
 void
 shrinkSeed(std::uint64_t seed, std::vector<std::string> pinned,
-           const griffin::sys::FuzzOptions &options)
+           const sys::FuzzOptions &options)
 {
     std::printf("shrinking seed 0x%llx...\n",
                 static_cast<unsigned long long>(seed));
-    for (const std::string &knob : griffin::sys::scenarioKnobs()) {
+    for (const std::string &knob : sys::scenarioKnobs()) {
         if (std::find(pinned.begin(), pinned.end(), knob) !=
             pinned.end())
             continue;
@@ -139,7 +141,7 @@ shrinkSeed(std::uint64_t seed, std::vector<std::string> pinned,
                         knob.c_str());
         }
     }
-    const auto scenario = griffin::sys::makeScenario(seed, pinned);
+    const auto scenario = sys::makeScenario(seed, pinned);
     std::printf("shrunk: %s\n", scenario.reproCommand().c_str());
     std::printf("        %s\n", scenario.describe().c_str());
 }
@@ -147,86 +149,76 @@ shrinkSeed(std::uint64_t seed, std::vector<std::string> pinned,
 } // namespace
 
 int
-main(int argc, char **argv)
+fuzzMain(const Args &args)
 {
-    using namespace griffin;
-
     std::uint64_t seeds = 16;
     std::uint64_t firstSeed = 1;
     std::uint64_t batch = 16;
     std::uint64_t durationSecs = 0;
+    sys::FuzzOptions options;
+    std::uint64_t jobs = options.jobs;
     bool shrink = false;
     bool corpus = false;
     bool describeOnly = false;
+    bool listKnobs = false;
     bool quiet = false;
     std::vector<std::string> pinned;
-    sys::FuzzOptions options;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&arg](const char *prefix) {
-            return arg.substr(std::string(prefix).size());
-        };
-        if (arg.rfind("--seeds=", 0) == 0) {
-            seeds = parseNum("--seeds", value("--seeds="));
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            firstSeed = parseNum("--seed", value("--seed="));
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            options.jobs =
-                unsigned(parseNum("--jobs", value("--jobs=")));
-        } else if (arg.rfind("--batch=", 0) == 0) {
-            batch = parseNum("--batch", value("--batch="));
-            if (batch == 0) {
-                std::cerr << "griffin-fuzz: --batch must be > 0\n";
-                return 2;
-            }
-        } else if (arg.rfind("--duration=", 0) == 0) {
-            durationSecs =
-                parseNum("--duration", value("--duration="));
-        } else if (arg.rfind("--pin=", 0) == 0) {
-            for (const std::string &knob :
-                 splitList(value("--pin="))) {
-                if (!sys::isScenarioKnob(knob)) {
-                    std::cerr << "griffin-fuzz: unknown knob \""
-                              << knob << "\" (see --list-knobs)\n";
-                    return 2;
-                }
-                pinned.push_back(knob);
-            }
-        } else if (arg == "--shrink") {
-            shrink = true;
-        } else if (arg == "--corpus") {
-            corpus = true;
-        } else if (arg == "--describe") {
-            describeOnly = true;
-        } else if (arg == "--quiet" || arg == "-q") {
-            quiet = true;
-        } else if (arg == "--list-knobs") {
-            for (const std::string &knob : sys::scenarioKnobs())
-                std::cout << knob << "\n";
-            return 0;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            std::cerr << "griffin-fuzz: unknown flag " << arg << "\n";
-            usage();
-            return 2;
-        }
+    constexpr std::uint64_t maxU64 =
+        std::numeric_limits<std::uint64_t>::max();
+    const auto number = [](const char *name, std::uint64_t &out,
+                           std::uint64_t lo, std::uint64_t hi) {
+        return Flag{name, nullptr, [=, &out](const std::string &v) {
+                        out = parseNumber(name, v, lo, hi, 0);
+                    }};
+    };
+    // The wall clock counts in signed nanoseconds; stay inside it.
+    const std::uint64_t maxSecs =
+        std::chrono::duration_cast<std::chrono::seconds>(
+            std::chrono::steady_clock::duration::max())
+            .count();
+    const Args positional = parseFlags(
+        args,
+        {number("--seeds", seeds, 0, maxU64),
+         number("--seed", firstSeed, 0, maxU64),
+         number("--jobs", jobs, 0, std::numeric_limits<unsigned>::max()),
+         number("--batch", batch, 1, maxU64),
+         number("--duration", durationSecs, 0, maxSecs),
+         {"--pin", nullptr,
+          [&](const std::string &v) {
+              for (const std::string &knob : splitList(v)) {
+                  if (!sys::isScenarioKnob(knob))
+                      throw Exit{2, "unknown knob \"" + knob +
+                                        "\" (see --list-knobs)"};
+                  pinned.push_back(knob);
+              }
+          }},
+         {"--shrink", &shrink},
+         {"--corpus", &corpus},
+         {"--describe", &describeOnly},
+         {"--list-knobs", &listKnobs},
+         {"--quiet", &quiet}});
+    if (!positional.empty())
+        throw usageError("unexpected argument " + positional[0]);
+    if (listKnobs) {
+        for (const std::string &knob : sys::scenarioKnobs())
+            std::cout << knob << "\n";
+        return 0;
     }
+    options.jobs = unsigned(jobs);
 
-    // Assemble the seed schedule. --duration keeps drawing fresh
-    // seeds past the schedule until the wall budget runs out.
-    std::vector<std::uint64_t> schedule;
-    if (corpus) {
-        schedule = sys::fuzzCorpusSeeds();
-    } else {
-        for (std::uint64_t s = 0; s < seeds; ++s)
-            schedule.push_back(firstSeed + s);
-    }
+    // The seed schedule: the corpus, or --seeds seeds from --seed.
+    // --duration keeps drawing fresh seeds past the schedule until the
+    // wall budget runs out.
+    const std::vector<std::uint64_t> &corpusSeeds = sys::fuzzCorpusSeeds();
+    const std::uint64_t scheduled = corpus ? corpusSeeds.size() : seeds;
+    const auto scheduledSeed = [&](std::uint64_t i) {
+        return corpus ? corpusSeeds[i] : firstSeed + i;
+    };
 
     if (describeOnly) {
-        for (const std::uint64_t seed : schedule) {
+        for (std::uint64_t i = 0; i < scheduled; ++i) {
+            const std::uint64_t seed = scheduledSeed(i);
             const auto sc = sys::makeScenario(seed, pinned);
             std::printf("seed=0x%llx %s\n",
                         static_cast<unsigned long long>(seed),
@@ -246,15 +238,15 @@ main(int argc, char **argv)
     std::uint64_t ran = 0;
     std::uint64_t failed = 0;
     std::vector<std::uint64_t> failingSeeds;
-    std::size_t cursor = 0;
+    std::uint64_t cursor = 0;
     std::uint64_t nextFresh = firstSeed + seeds;
 
-    while (cursor < schedule.size() || (durationSecs > 0 && !expired())) {
+    while (cursor < scheduled || (durationSecs > 0 && !expired())) {
         std::vector<sys::Scenario> scenarios;
         while (scenarios.size() < batch) {
             std::uint64_t seed;
-            if (cursor < schedule.size()) {
-                seed = schedule[cursor++];
+            if (cursor < scheduled) {
+                seed = scheduledSeed(cursor++);
             } else if (durationSecs > 0) {
                 seed = nextFresh++;
             } else {
@@ -266,6 +258,14 @@ main(int argc, char **argv)
             break;
 
         const auto verdicts = sys::runFuzzBatch(scenarios, options);
+        if (corpus) {
+            sys::Table table({"seed", "workload", "policy", "gpus",
+                              "chaos", "cycles", "migrations", "local%",
+                              "verdict"});
+            for (const auto &v : verdicts)
+                addCorpusRow(table, v);
+            std::cout << table.str();
+        }
         for (const auto &v : verdicts) {
             ++ran;
             if (v.ok())
@@ -278,7 +278,7 @@ main(int argc, char **argv)
             std::printf("fuzz: %llu scenarios, %llu failed\n",
                         static_cast<unsigned long long>(ran),
                         static_cast<unsigned long long>(failed));
-        if (durationSecs > 0 && expired() && cursor >= schedule.size())
+        if (durationSecs > 0 && expired() && cursor >= scheduled)
             break;
     }
 
@@ -288,3 +288,5 @@ main(int argc, char **argv)
 
     return failed == 0 ? 0 : 1;
 }
+
+} // namespace griffin::cli
