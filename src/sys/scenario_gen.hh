@@ -14,7 +14,7 @@
  * never perturbs what the other knobs draw. A failing seed shrinks by
  * re-running with knobs pinned one at a time, keeping each pin that
  * preserves the failure — the surviving unpinned knobs are the
- * minimal trigger. See tools/griffin_fuzz.cc and DESIGN.md §15.
+ * minimal trigger. See tools/fuzz.cc (griffin fuzz) and DESIGN.md §15.
  */
 
 #ifndef GRIFFIN_SYS_SCENARIO_GEN_HH

@@ -149,8 +149,8 @@ openReport(ReportQuery &query, const char *tool, const Args &args,
         schema ? std::uint64_t(schema->asNumber()) : 1;
     if (!sys::knownReportSchemaVersion(version)) {
         std::cerr << tool << ": warning: report schema_version "
-                  << version << " is not one this build reads (1-"
-                  << sys::reportSchemaVersion << ")\n";
+                  << version << " > known "
+                  << sys::reportSchemaVersion << "\n";
     }
 
     query.runs = sys::reportRuns(query.doc).value_or(
