@@ -43,14 +43,17 @@ Dpc::addCounts(DeviceId gpu, const std::vector<gpu::PageCount> &counts)
     const unsigned g = gpuIndex(gpu);
     assert(g < _numGpus);
     for (const auto &pc : counts) {
-        auto [it, inserted] = _pages.try_emplace(pc.page);
-        PageState &st = it->second;
-        if (inserted) {
+        auto it = _pages.find(pc.page);
+        if (it == _pages.end()) {
+            // A dropped page's node comes back vectors and all.
+            it = _stock.insert(_pages, pc.page);
+            PageState &st = it->second;
             st.filtered.assign(_numGpus, 0.0);
             st.previous.assign(_numGpus, 0.0);
             st.pending.assign(_numGpus, 0);
+            st.lastClass = -1;
         }
-        st.pending[g] += pc.count;
+        it->second.pending[g] += pc.count;
     }
 }
 
@@ -73,7 +76,7 @@ Dpc::endPeriod(const mem::PageTable &pt)
             any_alive = any_alive || st.filtered[g] >= gcThreshold;
         }
         if (!any_alive) {
-            it = _pages.erase(it);
+            it = _stock.retire(_pages, it);
             continue;
         }
 

@@ -25,6 +25,7 @@
 #include "src/core/griffin_config.hh"
 #include "src/gpu/access_counter.hh"
 #include "src/mem/page_table.hh"
+#include "src/sim/node_stock.hh"
 #include "src/sim/types.hh"
 
 namespace griffin::sim {
@@ -113,10 +114,14 @@ class Dpc
         int lastClass = -1;
     };
 
+    using Pages = std::unordered_map<PageId, PageState>;
+
     unsigned _numGpus;
     GriffinConfig _config;
     const sim::Engine *_clock;
-    std::unordered_map<PageId, PageState> _pages;
+    Pages _pages;
+    /** Nodes of dropped pages, reused by addCounts(). */
+    sim::NodeStock<Pages> _stock;
 
     unsigned gpuIndex(DeviceId gpu) const { return gpu - 1; }
 

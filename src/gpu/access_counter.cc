@@ -31,10 +31,10 @@ AccessCounter::record(PageId page)
             if (it->second < coldest->second)
                 coldest = it;
         }
-        _table.erase(coldest);
+        _stock.retire(_table, coldest);
         ++capacityEvictions;
     }
-    _table.emplace(page, 1);
+    _stock.insert(_table, page)->second = 1;
 }
 
 std::vector<PageCount>
@@ -44,7 +44,8 @@ AccessCounter::collectTop(std::size_t max_pages)
     all.reserve(_table.size());
     for (const auto &[page, count] : _table)
         all.push_back(PageCount{page, count});
-    _table.clear();
+    for (auto it = _table.begin(); it != _table.end();)
+        it = _stock.retire(_table, it);
 
     std::sort(all.begin(), all.end(), [](const auto &a, const auto &b) {
         if (a.count != b.count)

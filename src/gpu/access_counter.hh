@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/sim/node_stock.hh"
 #include "src/sim/types.hh"
 
 namespace griffin::gpu {
@@ -67,9 +68,13 @@ class AccessCounter
     /** @} */
 
   private:
+    using Table = std::unordered_map<PageId, std::uint32_t>;
+
     std::size_t _capacity;
     std::uint32_t _maxCount;
-    std::unordered_map<PageId, std::uint32_t> _table;
+    Table _table;
+    /** Nodes of evicted and collected entries, reused by record(). */
+    sim::NodeStock<Table> _stock;
 };
 
 } // namespace griffin::gpu

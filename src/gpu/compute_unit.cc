@@ -15,11 +15,19 @@ ComputeUnit::ComputeUnit(sim::Engine &engine, CuMemoryInterface &memory,
     assert(config.maxWavefronts > 0);
 }
 
+std::size_t
+ComputeUnit::inflightOps() const
+{
+    return std::size_t(std::count_if(
+        _wfStates.begin(), _wfStates.end(),
+        [](const WfState &wf) { return wf.inFlight; }));
+}
+
 void
 ComputeUnit::startWorkgroup(wl::Workgroup wg, sim::EventFn on_done)
 {
     assert(!_wgActive && "CU runs one workgroup at a time");
-    assert(_inflight.empty());
+    assert(inflightOps() == 0);
 
     _wgActive = true;
     _wg = std::move(wg);
@@ -81,28 +89,26 @@ ComputeUnit::issueOp(std::size_t wf_index)
     const wl::MemOp &op = _wg.wavefronts[wf_index].ops[wf.pc];
 
     const std::uint64_t seq = _nextSeq++;
-    _inflight.emplace(seq, wf_index);
+    wf.seq = seq;
     wf.inFlight = true;
     ++opsIssued;
 
     _memory.cuAccess(_cuId, op.vaddr, op.isWrite,
-                     [this, seq] { onOpDone(seq); });
+                     [this, wf_index, seq] { onOpDone(wf_index, seq); });
 }
 
 void
-ComputeUnit::onOpDone(std::uint64_t seq)
+ComputeUnit::onOpDone(std::size_t wf_index, std::uint64_t seq)
 {
     GHPROF_SCOPE("cu", "op_done");
-    auto it = _inflight.find(seq);
-    if (it == _inflight.end()) {
-        // The op was discarded by flushPipeline(); the reply is stale.
+    // A reply whose op flushPipeline() discarded is stale. Its
+    // wavefront may have re-issued since (another seq), or it belongs
+    // to an earlier, larger workgroup (index out of range).
+    if (wf_index >= _wfStates.size())
         return;
-    }
-    const std::size_t wf_index = it->second;
-    _inflight.erase(it);
-
     WfState &wf = _wfStates[wf_index];
-    assert(wf.inFlight);
+    if (!wf.inFlight || wf.seq != seq)
+        return;
     wf.inFlight = false;
     ++opsCompleted;
 
@@ -154,14 +160,13 @@ ComputeUnit::flushPipeline()
 
     // Discard every in-flight transaction: replies become stale and
     // the wavefronts replay the same pc after resume().
-    for (const auto &[seq, wf_index] : _inflight) {
-        WfState &wf = _wfStates[wf_index];
-        assert(wf.inFlight);
+    for (WfState &wf : _wfStates) {
+        if (!wf.inFlight)
+            continue;
         wf.inFlight = false;
         wf.pendingIssue = true;
         ++opsDiscarded;
     }
-    _inflight.clear();
 }
 
 void

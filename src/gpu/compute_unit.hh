@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/engine.hh"
@@ -73,7 +72,7 @@ class ComputeUnit
     bool paused() const { return _paused; }
 
     /** Outstanding memory transactions right now. */
-    std::size_t inflightOps() const { return _inflight.size(); }
+    std::size_t inflightOps() const;
 
     /**
      * Begin executing @p wg. Must be idle. @p on_done fires when every
@@ -111,6 +110,13 @@ class ComputeUnit
         bool finished = false;
         /** Issue was deferred because the CU was paused. */
         bool pendingIssue = false;
+        /**
+         * Sequence number of the op in flight. A wavefront has at most
+         * one, so a reply is current only if it names this seq while
+         * inFlight holds; anything else was discarded by
+         * flushPipeline() and is stale.
+         */
+        std::uint64_t seq = 0;
     };
 
     sim::Engine &_engine;
@@ -127,13 +133,12 @@ class ComputeUnit
     unsigned _runningWavefronts = 0;
     std::size_t _finishedWavefronts = 0;
 
+    /** Issue counter; unique per CU, across workgroups too. */
     std::uint64_t _nextSeq = 0;
-    /** seq -> wavefront index, for staleness filtering after a flush. */
-    std::unordered_map<std::uint64_t, std::size_t> _inflight;
 
     void tryIssue(std::size_t wf_index);
     void issueOp(std::size_t wf_index);
-    void onOpDone(std::uint64_t seq);
+    void onOpDone(std::size_t wf_index, std::uint64_t seq);
     void finishWavefront(std::size_t wf_index);
 };
 

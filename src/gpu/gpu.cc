@@ -127,27 +127,26 @@ Gpu::cuAccess(unsigned cu_id, Addr vaddr, bool is_write, sim::EventFn done)
     if (_probe)
         _probe(_engine.now(), _id, page);
 
-    // One heap box carries the access (callback included) through the
-    // whole chain; each hop captures {this, pointer}, which stays
-    // inside the event's inline storage.
-    auto req = std::make_unique<CuAccessReq>(
-        CuAccessReq{cu_id, vaddr, page, is_write, std::move(done)});
+    // The access (callback included) waits in a slot for the whole
+    // chain; each hop captures {this, slot}.
+    const sim::SlotId s =
+        _accesses.acquire(cu_id, vaddr, page, is_write, std::move(done));
 
     // L1 TLB.
-    _engine.schedule(_l1Tlbs[cu_id].latency(),
-                     [this, r = std::move(req)]() mutable {
+    _engine.schedule(_l1Tlbs[cu_id].latency(), [this, s] {
         GHPROF_SCOPE("gpu", "l1_tlb");
-        if (auto loc = _l1Tlbs[r->cuId].lookup(r->page)) {
-            haveTranslation(*loc, std::move(r));
+        const CuAccessReq &r = _accesses[s];
+        if (auto loc = _l1Tlbs[r.cuId].lookup(r.page)) {
+            haveTranslation(*loc, s);
             return;
         }
         // L2 TLB.
-        _engine.schedule(_l2Tlb.latency(),
-                         [this, r = std::move(r)]() mutable {
+        _engine.schedule(_l2Tlb.latency(), [this, s] {
             GHPROF_SCOPE("gpu", "l2_tlb");
-            if (auto loc = _l2Tlb.lookup(r->page)) {
-                _l1Tlbs[r->cuId].fill(r->page, *loc);
-                haveTranslation(*loc, std::move(r));
+            const CuAccessReq &r = _accesses[s];
+            if (auto loc = _l2Tlb.lookup(r.page)) {
+                _l1Tlbs[r.cuId].fill(r.page, *loc);
+                haveTranslation(*loc, s);
                 return;
             }
             // IOMMU over the fabric. The miss time here is the span
@@ -155,25 +154,24 @@ Gpu::cuAccess(unsigned cu_id, Addr vaddr, bool is_write, sim::EventFn done)
             ++xlatRequestsSent;
             const Tick miss_at = _engine.now();
             _network.send(_id, cpuDeviceId, ic::MessageSizes::xlatRequest,
-                          [this, miss_at, r = std::move(r)]() mutable {
+                          [this, miss_at, s] {
                 GHPROF_SCOPE("gpu", "xlat_request");
-                const PageId page = r->page;
-                const bool is_write = r->isWrite;
-                _iommu.request(_id, page, is_write,
-                               [this, r = std::move(r)]
-                               (xlat::XlatReply reply) mutable {
+                const CuAccessReq &r = _accesses[s];
+                _iommu.request(_id, r.page, r.isWrite,
+                               [this, s](xlat::XlatReply reply) {
                     // Remote translations are never cached in the GPU
                     // TLBs (paper SS II-B). A cacheable reply is also
                     // fenced against migration: if the page went into
                     // migration while the reply crossed the fabric,
                     // the shootdown already ran and filling now would
                     // plant a stale entry nothing will invalidate.
+                    const CuAccessReq &r = _accesses[s];
                     if (reply.cacheable &&
-                        !_iommu.pageMigrating(r->page)) {
-                        _l1Tlbs[r->cuId].fill(r->page, reply.location);
-                        _l2Tlb.fill(r->page, reply.location);
+                        !_iommu.pageMigrating(r.page)) {
+                        _l1Tlbs[r.cuId].fill(r.page, reply.location);
+                        _l2Tlb.fill(r.page, reply.location);
                     }
-                    haveTranslation(reply.location, std::move(r));
+                    haveTranslation(reply.location, s);
                 },
                 miss_at);
             });
@@ -182,35 +180,37 @@ Gpu::cuAccess(unsigned cu_id, Addr vaddr, bool is_write, sim::EventFn done)
 }
 
 void
-Gpu::haveTranslation(DeviceId location, CuAccessPtr r)
+Gpu::haveTranslation(DeviceId location, sim::SlotId s)
 {
     if (location == _id) {
         ++localAccesses;
-        enterDataPhase(r->page);
-        localAccess(std::move(r));
+        enterDataPhase(_accesses[s].page);
+        localAccess(s);
     } else {
         ++remoteAccesses;
         obs::TimeSeries::countActive(
             obs::TimeSeries::Series::DcaAccesses);
-        _router.remoteAccess(_id, location, r->vaddr, r->isWrite,
-                             std::move(r->done));
+        CuAccessReq r = _accesses.take(s);
+        _router.remoteAccess(_id, location, r.vaddr, r.isWrite,
+                             std::move(r.done));
     }
 }
 
 void
-Gpu::finishLocal(CuAccessPtr r)
+Gpu::finishLocal(sim::SlotId s)
 {
-    leaveDataPhase(r->page);
-    r->done();
+    CuAccessReq r = _accesses.take(s);
+    leaveDataPhase(r.page);
+    r.done();
 }
 
 void
-Gpu::localAccess(CuAccessPtr req)
+Gpu::localAccess(sim::SlotId s)
 {
-    mem::Cache &l1 = _l1s[req->cuId];
-    _engine.schedule(l1.latency(), [this, &l1, r = std::move(req)]() mutable {
+    _engine.schedule(_l1s[_accesses[s].cuId].latency(), [this, s] {
         GHPROF_SCOPE("gpu", "l1_cache");
-        const auto r1 = l1.access(r->vaddr, r->isWrite);
+        const CuAccessReq &r = _accesses[s];
+        const auto r1 = _l1s[r.cuId].access(r.vaddr, r.isWrite);
         if (r1.writeback) {
             // Dirty L1 victim drains into the L2 asynchronously.
             const Addr wb = r1.writebackAddr;
@@ -223,32 +223,28 @@ Gpu::localAccess(CuAccessPtr req)
             });
         }
         if (r1.hit) {
-            finishLocal(std::move(r));
+            finishLocal(s);
             return;
         }
 
         // L1 miss: cross the XBar to the shared L2.
-        _engine.schedule(_config.xbarLatency + _l2.latency(),
-                         [this, r = std::move(r)]() mutable {
+        _engine.schedule(_config.xbarLatency + _l2.latency(), [this, s] {
             GHPROF_SCOPE("gpu", "l2_cache");
-            const auto r2 = _l2.access(r->vaddr, r->isWrite);
+            const CuAccessReq &r = _accesses[s];
+            const auto r2 = _l2.access(r.vaddr, r.isWrite);
             if (r2.writeback)
                 _dram.access(_engine.now(), r2.writebackAddr,
                              _config.lineBytes, true);
             if (r2.hit) {
                 _engine.schedule(_config.xbarLatency,
-                                 [this, r = std::move(r)]() mutable {
-                    finishLocal(std::move(r));
-                });
+                                 [this, s] { finishLocal(s); });
                 return;
             }
             // L2 miss: local HBM (write-allocate reads the line).
-            const Tick ready = _dram.access(_engine.now(), r->vaddr,
+            const Tick ready = _dram.access(_engine.now(), r.vaddr,
                                             _config.lineBytes, false);
             _engine.scheduleAt(ready + _config.xbarLatency,
-                               [this, r = std::move(r)]() mutable {
-                finishLocal(std::move(r));
-            });
+                               [this, s] { finishLocal(s); });
         });
     });
 }
@@ -268,8 +264,7 @@ Gpu::leaveDataPhase(PageId page)
 {
     auto it = _dataPhase.find(page);
     assert(it != _dataPhase.end() && it->second > 0);
-    if (--it->second == 0)
-        _dataPhase.erase(it);
+    --it->second;
     maybeFinishDrain();
 }
 
@@ -279,7 +274,8 @@ Gpu::drainSatisfied() const
     if (!_drainSet)
         return true;
     for (const PageId page : *_drainSet) {
-        if (_dataPhase.count(page))
+        auto it = _dataPhase.find(page);
+        if (it != _dataPhase.end() && it->second > 0)
             return false;
     }
     return true;
@@ -450,17 +446,24 @@ Gpu::flushCachesForPages(const std::vector<PageId> &pages)
 std::vector<PageCount>
 Gpu::collectAccessCounts()
 {
-    std::unordered_map<PageId, std::uint32_t> merged;
-    for (auto &se : _ses) {
-        for (const auto &pc : se.counter().collectTop(
-                 _config.accessCounterTopN)) {
-            merged[pc.page] += pc.count;
-        }
-    }
     std::vector<PageCount> out;
-    out.reserve(merged.size());
-    for (const auto &[page, count] : merged)
-        out.push_back(PageCount{page, count});
+    out.reserve(_ses.size() * _config.accessCounterTopN);
+    for (auto &se : _ses) {
+        const auto top = se.counter().collectTop(_config.accessCounterTopN);
+        out.insert(out.end(), top.begin(), top.end());
+    }
+    // Merge the SEs' reports: one entry per page, counts summed.
+    std::sort(out.begin(), out.end(), [](const auto &a, const auto &b) {
+        return a.page < b.page;
+    });
+    std::size_t merged = 0;
+    for (const PageCount &pc : out) {
+        if (merged > 0 && out[merged - 1].page == pc.page)
+            out[merged - 1].count += pc.count;
+        else
+            out[merged++] = pc;
+    }
+    out.resize(merged);
     std::sort(out.begin(), out.end(), [](const auto &a, const auto &b) {
         if (a.count != b.count)
             return a.count > b.count;

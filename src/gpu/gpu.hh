@@ -26,6 +26,7 @@
 #include "src/mem/cache.hh"
 #include "src/mem/dram.hh"
 #include "src/sim/engine.hh"
+#include "src/sim/slot_pool.hh"
 #include "src/sim/types.hh"
 #include "src/workloads/trace.hh"
 #include "src/xlat/iommu.hh"
@@ -209,7 +210,11 @@ class Gpu : public CuMemoryInterface
     std::deque<wl::Workgroup> _wgQueue;
     sim::EventFn _wgDoneCb;
 
-    /** Pages with in-flight post-translation accesses, with counts. */
+    /**
+     * In-flight post-translation accesses per page. A page's entry
+     * stays at count 0 once its accesses drain, so a busy page does
+     * not cost a map node per access.
+     */
     std::unordered_map<PageId, std::uint32_t> _dataPhase;
 
     /** Active ACUD drain, if any. */
@@ -226,10 +231,10 @@ class Gpu : public CuMemoryInterface
     void onWorkgroupDone(unsigned cu_idx);
 
     /**
-     * One CU access in flight through the translation + data path.
-     * The whole chain (TLB hops, IOMMU round trip, cache hops) shares
-     * this single heap box; every hop's lambda captures just
-     * {this, pointer}, which fits a sim::InlineEvent inline.
+     * One CU access in flight through the translation + data path. It
+     * lives in _accesses from cuAccess() until the data returns (local)
+     * or the access leaves for the router (remote); every hop's event
+     * captures just {this, slot}.
      */
     struct CuAccessReq
     {
@@ -239,12 +244,12 @@ class Gpu : public CuMemoryInterface
         bool isWrite;
         sim::EventFn done;
     };
-    using CuAccessPtr = std::unique_ptr<CuAccessReq>;
+    sim::SlotPool<CuAccessReq> _accesses;
 
-    void haveTranslation(DeviceId location, CuAccessPtr r);
-    void localAccess(CuAccessPtr r);
+    void haveTranslation(DeviceId location, sim::SlotId slot);
+    void localAccess(sim::SlotId slot);
     /** End of the local data phase: leave the page, run done. */
-    void finishLocal(CuAccessPtr r);
+    void finishLocal(sim::SlotId slot);
     bool drainSatisfied() const;
     void maybeFinishDrain();
 };

@@ -33,15 +33,17 @@ Rdma::serve(Addr addr, bool is_write, DeviceId reply_to,
         : ic::MessageSizes::dcaReadReply;
 
     // The two continuations (requester's done + the data-phase exit)
-    // share one box; the service hops below capture only the wrapper.
-    sim::EventFn finish =
-        sim::boxed([this, reply_to, reply_bytes, done = std::move(done),
-                    leave = std::move(leave_data_phase)]() mutable {
-            GHPROF_SCOPE("rdma", "dca_finish");
-            if (leave)
-                leave();
-            _network.send(_self, reply_to, reply_bytes, std::move(done));
-        });
+    // wait in a slot; the service hops below capture {this, slot}.
+    const sim::SlotId s =
+        _inService.acquire(reply_to, reply_bytes, std::move(done),
+                           std::move(leave_data_phase));
+    sim::EventFn finish = [this, s] {
+        GHPROF_SCOPE("rdma", "dca_finish");
+        Service sv = _inService.take(s);
+        if (sv.leaveDataPhase)
+            sv.leaveDataPhase();
+        _network.send(_self, sv.replyTo, sv.replyBytes, std::move(sv.done));
+    };
 
     // Per-line DCA service spans. CatDca is off by default — remote
     // traffic is per-cache-line and would dominate the trace.

@@ -17,6 +17,7 @@
 #include "src/mem/cache.hh"
 #include "src/mem/dram.hh"
 #include "src/sim/engine.hh"
+#include "src/sim/slot_pool.hh"
 #include "src/sim/types.hh"
 
 namespace griffin::gpu {
@@ -64,6 +65,16 @@ class Rdma
     mem::Cache &_l2;
     mem::Dram &_dram;
     unsigned _lineBytes;
+
+    /** An access in service: where its reply goes and what runs then. */
+    struct Service
+    {
+        DeviceId replyTo;
+        std::uint64_t replyBytes;
+        sim::EventFn done;
+        sim::EventFn leaveDataPhase;
+    };
+    sim::SlotPool<Service> _inService;
 };
 
 } // namespace griffin::gpu

@@ -100,13 +100,15 @@ Network::send(DeviceId src, DeviceId dst, std::uint64_t bytes,
                      "link" + std::to_string(dst) + ".down", "xfer",
                      down_start, _links[dst].nextFree(dirDown), args);
     }
-    // The receiver's completion callback runs as this event; the scope
-    // attributes it (and any un-scoped work it does) to the network
-    // unless the callback opens its own, more specific scope.
-    _engine.scheduleAt(at_dst, sim::boxed([fn = std::move(deliver)] {
+    // The receiver's completion callback waits in a slot and runs as
+    // this event; the scope attributes it (and any un-scoped work it
+    // does) to the network unless the callback opens its own, more
+    // specific scope.
+    const sim::SlotId slot = _onWire.acquire(std::move(deliver));
+    _engine.scheduleAt(at_dst, [this, slot] {
         GHPROF_SCOPE("network", "deliver");
-        fn();
-    }));
+        _onWire.take(slot)();
+    });
 }
 
 } // namespace griffin::ic

@@ -19,6 +19,7 @@
 
 #include "src/interconnect/link.hh"
 #include "src/sim/engine.hh"
+#include "src/sim/slot_pool.hh"
 #include "src/sim/types.hh"
 
 namespace griffin::sys {
@@ -92,6 +93,8 @@ class Network
     sim::Engine &_engine;
     std::vector<Link> _links;
     sys::FaultInjector *_injector = nullptr;
+    /** The deliver callbacks of the messages on the wire. */
+    sim::SlotPool<sim::EventFn> _onWire;
 };
 
 } // namespace griffin::ic

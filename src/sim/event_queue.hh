@@ -47,8 +47,9 @@ namespace griffin::sim {
 /**
  * Callback type executed when an event fires: a move-only callable
  * with inline capture storage. A capture that does not fit (e.g. a
- * lambda capturing another event) is a compile error; box it with
- * sim::boxed() — see inline_fn.hh.
+ * lambda capturing another event) is a compile error; keep the state
+ * in a sim::SlotPool and capture the slot, or on a cold path box it
+ * with sim::boxed() — see inline_fn.hh.
  */
 using InlineEvent = InlineFn<void()>;
 using EventFn = InlineEvent;

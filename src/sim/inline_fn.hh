@@ -14,17 +14,18 @@
  *    entry itself; there is no heap fallback, so the dispatch path
  *    performs zero allocations by construction;
  *  - callables that do NOT fit fail to compile with a static_assert
- *    pointing at sim::boxed(). The size budget is a checked contract,
- *    not a heuristic: growing a hot lambda past the line is an
- *    explicit, reviewable decision at the call site.
+ *    pointing at sim::SlotPool and sim::boxed(). The size budget is a
+ *    checked contract, not a heuristic: growing a hot lambda past the
+ *    line is an explicit, reviewable decision at the call site.
  *
- * A capture that is genuinely large (or that captures another
- * InlineFn — a continuation chain can never nest inside its own
- * fixed-size buffer) is boxed once with sim::boxed(), which moves it
- * behind a unique_ptr and captures the 8-byte pointer instead. That
- * costs one allocation at the *capturing* site — exactly what
- * std::function silently did — while the dominant schedule shapes
- * ([this] continuations, scalar captures) stay allocation-free.
+ * State that must outlive one event, and in particular another
+ * InlineFn (a continuation can never nest inside a buffer of its own
+ * size), lives in a sim::SlotPool owned by the component that carries
+ * the request; each hop captures {this, slot}. Every per-op path does
+ * this, so the dominant schedule shapes ([this] continuations, scalar
+ * captures, slot indices) are allocation-free. sim::boxed() remains
+ * for cold paths (drains, ACUD, kernel completion, trace-on spans): it
+ * moves the callable behind a unique_ptr, one allocation per use.
  */
 
 #ifndef GRIFFIN_SIM_INLINE_FN_HH
@@ -69,8 +70,8 @@ class InlineFn<R(Args...)>
     {
         static_assert(sizeof(D) <= capacity,
                       "capture too large for InlineFn's inline storage: "
-                      "shrink the capture or wrap the callable in "
-                      "sim::boxed()");
+                      "keep the state in a sim::SlotPool and capture the "
+                      "slot, or on a cold path wrap it in sim::boxed()");
         static_assert(alignof(D) <= alignment,
                       "capture over-aligned for InlineFn storage");
         static_assert(std::is_nothrow_move_constructible_v<D>,
@@ -167,11 +168,11 @@ class InlineFn<R(Args...)>
 
 /**
  * Move @p fn behind a unique_ptr and return an 8-byte callable that
- * forwards to it. Use at call sites whose capture cannot fit an
- * InlineFn inline — typically a lambda that captures a continuation
- * (itself an InlineFn) plus context. For a continuation *chain*,
- * prefer boxing the shared per-request state once and letting each
- * hop capture the pointer, so the whole chain costs one allocation.
+ * forwards to it: one heap allocation per call. Use it only on cold
+ * paths whose capture cannot fit an InlineFn inline, typically a
+ * wrapper around a continuation (itself an InlineFn) that fires once
+ * per drain, migration batch or kernel. Per-request state on a hot
+ * path belongs in a sim::SlotPool instead (see slot_pool.hh).
  */
 template <typename F>
 auto

@@ -190,36 +190,41 @@ MultiGpuSystem::remoteAccess(DeviceId requester, DeviceId owner,
         ? ic::MessageSizes::dcaWriteRequest
         : ic::MessageSizes::dcaReadRequest;
 
-    if (obs::Telemetry::current().latency) {
-        const Tick begin = _engine.now();
-        done = sim::boxed([this, begin, done = std::move(done)] {
-            if (auto *lat = obs::Telemetry::current().latency)
-                lat->remoteAccessLatency.sample(
-                    double(_engine.now() - begin));
-            done();
-        });
-    }
-
+    const sim::SlotId s = _dca.acquire(addr, _engine.now(), requester,
+                                       owner, is_write, std::move(done));
     _network->send(requester, owner, req_bytes,
-                   sim::boxed([this, requester, owner, addr, is_write,
-                               done = std::move(done)]() mutable {
-        if (owner == cpuDeviceId) {
-            if (_griffinPolicy) {
-                _griffinPolicy->noteCpuDcaAccess(
-                    addr >> _config.gpu.pageShift);
-            }
-            _cpuRdma->serve(addr, is_write, requester, std::move(done));
-            return;
-        }
-        // A GPU owner also feeds the ACUD drain bookkeeping: the
-        // access occupies the page's data phase while it is in the
-        // owner's memory hierarchy.
-        gpu::Gpu *g = _gpus[owner - 1].get();
-        const PageId page = addr >> _config.gpu.pageShift;
-        g->rdma().serve(addr, is_write, requester, std::move(done),
-                        [g, page] { g->enterDataPhase(page); },
-                        [g, page] { g->leaveDataPhase(page); });
-    }));
+                   [this, s] { serveDca(s); });
+}
+
+void
+MultiGpuSystem::serveDca(sim::SlotId s)
+{
+    const DcaAccess &d = _dca[s];
+    const PageId page = d.addr >> _config.gpu.pageShift;
+    if (d.owner == cpuDeviceId) {
+        if (_griffinPolicy)
+            _griffinPolicy->noteCpuDcaAccess(page);
+        _cpuRdma->serve(d.addr, d.isWrite, d.requester,
+                        [this, s] { finishDca(s); });
+        return;
+    }
+    // A GPU owner also feeds the ACUD drain bookkeeping: the access
+    // occupies the page's data phase while it is in the owner's
+    // memory hierarchy.
+    gpu::Gpu *g = _gpus[d.owner - 1].get();
+    g->rdma().serve(d.addr, d.isWrite, d.requester,
+                    [this, s] { finishDca(s); },
+                    [g, page] { g->enterDataPhase(page); },
+                    [g, page] { g->leaveDataPhase(page); });
+}
+
+void
+MultiGpuSystem::finishDca(sim::SlotId s)
+{
+    DcaAccess d = _dca.take(s);
+    if (auto *lat = obs::Telemetry::current().latency)
+        lat->remoteAccessLatency.sample(double(_engine.now() - d.begin));
+    d.done();
 }
 
 void

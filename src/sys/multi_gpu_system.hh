@@ -33,6 +33,7 @@
 #include "src/obs/telemetry.hh"
 #include "src/obs/timeseries.hh"
 #include "src/sim/engine.hh"
+#include "src/sim/slot_pool.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/watchdog.hh"
 #include "src/sys/chaos.hh"
@@ -206,6 +207,27 @@ class MultiGpuSystem : public gpu::RemoteRouter
     const sim::Engine *_prevLogClock = nullptr;
 
     bool _ran = false;
+
+    /**
+     * One DCA access, in _dca from remoteAccess() until the reply
+     * lands at the requester. The start tick makes the remote-access
+     * latency timer a field instead of a wrapper around done.
+     */
+    struct DcaAccess
+    {
+        Addr addr;
+        Tick begin;
+        DeviceId requester;
+        DeviceId owner;
+        bool isWrite;
+        sim::EventFn done;
+    };
+    sim::SlotPool<DcaAccess> _dca;
+
+    /** The request reached the owner: hand it to the owner's RDMA. */
+    void serveDca(sim::SlotId slot);
+    /** The reply landed at the requester. */
+    void finishDca(sim::SlotId slot);
 
     /** Launch kernel @p k of @p workload, or stop when none is left. */
     void launchKernel(wl::Workload &workload, unsigned k);

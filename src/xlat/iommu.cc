@@ -37,34 +37,36 @@ Iommu::request(DeviceId requester, PageId page, bool is_write, XlatDone done,
 
     if (origin == maxTick)
         origin = _engine.now();
-    // The request (callback included) rides through the whole pipeline
-    // in one heap box; every hop below captures just the pointer.
-    auto req = std::make_unique<Request>(
-        Request{requester, page, is_write, std::move(done), origin});
+    // The request (callback included) waits in a slot through the
+    // whole pipeline; every hop below captures just {this, slot}.
+    const sim::SlotId s =
+        _requests.acquire(requester, page, is_write, std::move(done), origin);
 
     // IOTLB probe first; a hit skips the walk entirely.
-    _engine.schedule(_iotlb.latency(), [this, r = std::move(req)] {
+    _engine.schedule(_iotlb.latency(), [this, s] {
         GHPROF_SCOPE("iommu", "iotlb");
+        const Request &r = _requests[s];
         // A page under migration must park even on what would be an
         // IOTLB hit; blockPage() purges the entry, so a lookup hit
         // implies the page is stable.
-        if (auto loc = _iotlb.lookup(r->page)) {
+        if (auto loc = _iotlb.lookup(r.page)) {
             ++iotlbHits;
-            reply(*r, XlatReply{*loc, *loc == r->requester});
+            reply(s, XlatReply{*loc, *loc == r.requester});
             return;
         }
         // Coalesce with a queued or in-flight walk of the same page:
         // the walkers resolve a page once, however many requesters
         // pile up behind it (this matters after a migration, when
         // every wavefront of every GPU re-faults the page at once).
-        auto [it, first] = _walkWaiters.try_emplace(r->page);
-        it->second.push_back(std::move(*r));
-        if (first) {
-            _walkQueue.push_back(it->first);
-            startWalks();
-        } else {
+        auto it = _walkWaiters.find(r.page);
+        if (it != _walkWaiters.end()) {
             ++walksCoalesced;
+            it->second.push_back(s);
+            return;
         }
+        _waiterStock.insert(_walkWaiters, r.page)->second.push_back(s);
+        _walkQueue.push_back(r.page);
+        startWalks();
     });
 }
 
@@ -81,8 +83,8 @@ Iommu::startWalks()
         // zero-length queue stage.
         auto it = _walkWaiters.find(page);
         assert(it != _walkWaiters.end());
-        for (Request &req : it->second)
-            req.walkStart = _engine.now();
+        for (const sim::SlotId s : it->second)
+            _requests[s].walkStart = _engine.now();
         Tick latency = _config.walkLatency;
         if (_injector && _injector->stallWalker()) {
             // Injected walker stall: the walk simply takes longer;
@@ -114,18 +116,20 @@ Iommu::finishWalk(PageId page)
     startWalks();
 
     auto it = _walkWaiters.find(page);
-    assert(it != _walkWaiters.end());
-    std::vector<Request> waiters = std::move(it->second);
-    _walkWaiters.erase(it);
-    for (auto &req : waiters) {
-        req.walkEnd = _engine.now();
-        resolve(std::move(req));
+    assert(it != _walkWaiters.end() && _resolving.empty());
+    _resolving.swap(it->second);
+    _waiterStock.retire(_walkWaiters, it);
+    for (const sim::SlotId s : _resolving) {
+        _requests[s].walkEnd = _engine.now();
+        resolve(s);
     }
+    _resolving.clear();
 }
 
 void
-Iommu::resolve(Request req)
+Iommu::resolve(sim::SlotId s)
 {
+    Request &req = _requests[s];
     mem::PageInfo &pi = _pageTable.info(req.page);
 
     if (pi.migrating) {
@@ -137,7 +141,7 @@ Iommu::resolve(Request req)
                             .add("gpu", req.requester)
                             .add("page", req.page));
         }
-        _parked[req.page].push_back(std::move(req));
+        _parked[req.page].push_back(s);
         return;
     }
 
@@ -147,7 +151,7 @@ Iommu::resolve(Request req)
         // an abort can never re-enter the migration machinery.
         ++dcaRedirects;
         ++fallbackRedirects;
-        reply(req, XlatReply{cpuDeviceId, false});
+        reply(s, XlatReply{cpuDeviceId, false});
         return;
     }
 
@@ -165,7 +169,7 @@ Iommu::resolve(Request req)
                 obs::faultRaised(requester, page, req.origin,
                                  req.walkStart, req.walkEnd, _engine.now());
             req.fid = fid;
-            _parked[page].push_back(std::move(req));
+            _parked[page].push_back(s);
             GLOG(Trace, "iommu: fault page " << page << " -> gpu "
                                              << requester);
             _faultHandler->onPageFault(requester, page, fid);
@@ -180,7 +184,7 @@ Iommu::resolve(Request req)
             }
             // DCA to CPU memory: translation is never cacheable, so
             // the policy sees the next access too (second touch).
-            reply(req, XlatReply{cpuDeviceId, false});
+            reply(s, XlatReply{cpuDeviceId, false});
         }
         return;
     }
@@ -188,30 +192,21 @@ Iommu::resolve(Request req)
     // GPU-resident page: cache it in the IOTLB and answer. The GPU
     // may cache the translation only if the page is local to it.
     _iotlb.fill(req.page, pi.location);
-    reply(req, XlatReply{pi.location, pi.location == req.requester});
+    reply(s, XlatReply{pi.location, pi.location == req.requester});
 }
 
 void
-Iommu::reply(Request &req, XlatReply rep)
+Iommu::reply(sim::SlotId s, XlatReply rep)
 {
-    auto done = std::move(req.done);
-    const FaultId fid = req.fid;
-    if (fid == invalidFaultId) {
-        _network.send(cpuDeviceId, req.requester, ic::MessageSizes::xlatReply,
-                      sim::boxed([done = std::move(done), rep] {
-                          done(rep);
-                      }));
-        return;
-    }
-    // This reply retires a fault: close the span when it lands at the
-    // requester, where the stalled wavefront actually resumes.
-    const DeviceId requester = req.requester;
-    _network.send(
-        cpuDeviceId, requester, ic::MessageSizes::xlatReply,
-        sim::boxed([this, done = std::move(done), rep, fid, requester] {
-            obs::faultResumed(fid, requester, _engine.now());
-            done(rep);
-        }));
+    _network.send(cpuDeviceId, _requests[s].requester,
+                  ic::MessageSizes::xlatReply, [this, s, rep] {
+        Request req = _requests.take(s);
+        // A reply that retires a fault closes its span here, where the
+        // stalled wavefront actually resumes.
+        if (req.fid != invalidFaultId)
+            obs::faultResumed(req.fid, req.requester, _engine.now());
+        req.done(rep);
+    });
 }
 
 void
@@ -231,10 +226,10 @@ Iommu::onMigrationDone(PageId page)
     auto it = _parked.find(page);
     if (it == _parked.end())
         return;
-    std::vector<Request> waiters = std::move(it->second);
+    std::vector<sim::SlotId> waiters = std::move(it->second);
     _parked.erase(it);
-    for (auto &req : waiters)
-        resolve(std::move(req));
+    for (const sim::SlotId s : waiters)
+        resolve(s);
 }
 
 } // namespace griffin::xlat

@@ -29,6 +29,8 @@
 #include "src/interconnect/switch.hh"
 #include "src/mem/page_table.hh"
 #include "src/sim/engine.hh"
+#include "src/sim/node_stock.hh"
+#include "src/sim/slot_pool.hh"
 #include "src/sim/types.hh"
 #include "src/xlat/fault_handler.hh"
 #include "src/xlat/tlb.hh"
@@ -58,9 +60,9 @@ struct XlatReply
 
 /**
  * Completion callback of a translation request. Move-only with inline
- * capture storage (see sim::InlineFn): requesters typically capture a
- * per-access state pointer, which fits inline; a wrapper that captures
- * another XlatDone must go through sim::boxed().
+ * capture storage (see sim::InlineFn): requesters capture the slot
+ * of their per-access state, which fits inline; the IOMMU keeps the
+ * callback in its own request slot until the reply lands.
  */
 using XlatDone = sim::InlineFn<void(XlatReply)>;
 
@@ -177,6 +179,11 @@ class Iommu
     /** @} */
 
   private:
+    /**
+     * One translation request, in _requests from arrival until its
+     * reply lands at the requester. The walk queue, the parked lists
+     * and every hop's event hold its slot index.
+     */
     struct Request
     {
         DeviceId requester;
@@ -202,18 +209,25 @@ class Iommu
     FaultHandler *_faultHandler = nullptr;
     sys::FaultInjector *_injector = nullptr;
 
+    using Waiters = std::unordered_map<PageId, std::vector<sim::SlotId>>;
+
+    sim::SlotPool<Request> _requests;
     /** Pages queued for a walk, FCFS; waiters held in _walkWaiters. */
     std::deque<PageId> _walkQueue;
     /** Requests waiting on a queued or in-flight walk, per page. */
-    std::unordered_map<PageId, std::vector<Request>> _walkWaiters;
+    Waiters _walkWaiters;
+    /** Nodes of finished walks, each holding an empty vector. */
+    sim::NodeStock<Waiters> _waiterStock;
+    /** The waiters of the walk finishWalk() is resolving. */
+    std::vector<sim::SlotId> _resolving;
     unsigned _busyWalkers = 0;
-    std::unordered_map<PageId, std::vector<Request>> _parked;
+    Waiters _parked;
 
     void startWalks();
     void finishWalk(PageId page);
-    void resolve(Request req);
-    /** Consumes req.done (the request is retired by the reply). */
-    void reply(Request &req, XlatReply rep);
+    void resolve(sim::SlotId slot);
+    /** Send the reply; the slot is released when it lands. */
+    void reply(sim::SlotId slot, XlatReply rep);
 };
 
 } // namespace griffin::xlat

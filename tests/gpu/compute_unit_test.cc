@@ -215,3 +215,66 @@ TEST(ComputeUnit, BackToBackWorkgroups)
     EXPECT_EQ(retired, 2);
     EXPECT_EQ(cu.workgroupsRetired, 2u);
 }
+
+TEST(ComputeUnit, StaleReplyDuringReissueIsIgnored)
+{
+    // The discarded op's reply lands after resume(), while the same
+    // wavefront's re-issued op is in flight: it must not complete the
+    // re-issued op early, and that op completes exactly once.
+    sim::Engine engine;
+    StubMemory memory(engine);
+    memory.latency = 50;
+    ComputeUnit cu(engine, memory, 0, CuConfig{16, 1});
+    cu.startWorkgroup(makeWorkgroup(1, 2), nullptr);
+    engine.runUntil(10); // op 0 issued at 1, its reply lands at 51
+    cu.flushPipeline();
+    cu.resume();         // re-issued at 11, its reply lands at 61
+    engine.runUntil(55);
+    EXPECT_EQ(memory.inflight, 1u);
+    EXPECT_EQ(cu.inflightOps(), 1u);
+    EXPECT_EQ(cu.opsCompleted, 0u) << "stale reply completed the op";
+    EXPECT_EQ(memory.accesses.size(), 2u);
+
+    engine.run();
+    EXPECT_EQ(cu.opsCompleted, 2u);
+    EXPECT_EQ(cu.opsDiscarded, 1u);
+    EXPECT_EQ(cu.opsIssued, cu.opsCompleted + cu.opsDiscarded);
+    EXPECT_EQ(memory.accesses.size(), 3u);
+    EXPECT_EQ(cu.workgroupsRetired, 1u);
+}
+
+TEST(ComputeUnit, StaleReplyAfterSmallerNextWorkgroupIsIgnored)
+{
+    // Four wavefronts' ops are discarded with their replies far out;
+    // the replays finish, and a one-wavefront workgroup is running
+    // when the stale replies land, three of them naming a wavefront
+    // index it does not have.
+    sim::Engine engine;
+    StubMemory memory(engine);
+    memory.latency = 1000;
+    ComputeUnit cu(engine, memory, 0, CuConfig{16, 1});
+    int retired = 0;
+    cu.startWorkgroup(makeWorkgroup(4, 1), [&] {
+        ++retired;
+        memory.latency = 2000; // in flight across the stale replies
+        cu.startWorkgroup(makeWorkgroup(1, 1), [&] { ++retired; });
+    });
+    engine.runUntil(10);
+    cu.flushPipeline();
+    EXPECT_EQ(cu.opsDiscarded, 4u);
+    memory.latency = 10;
+    cu.resume();
+    engine.runUntil(500);
+    EXPECT_EQ(retired, 1);
+    EXPECT_EQ(cu.inflightOps(), 1u);
+
+    engine.runUntil(1500); // the four stale replies have landed
+    EXPECT_EQ(cu.opsCompleted, 4u);
+    EXPECT_EQ(cu.inflightOps(), 1u);
+
+    engine.run();
+    EXPECT_EQ(retired, 2);
+    EXPECT_EQ(cu.opsCompleted, 5u);
+    EXPECT_EQ(cu.opsIssued, cu.opsCompleted + cu.opsDiscarded);
+    EXPECT_EQ(cu.workgroupsRetired, 2u);
+}
