@@ -17,7 +17,7 @@ Cache::Cache(const CacheConfig &config) : _config(config)
     _numSets = unsigned(config.sizeBytes /
                         (std::uint64_t(config.lineBytes) * config.assoc));
     assert(_numSets > 0);
-    _lines.resize(std::size_t(_numSets) * config.assoc);
+    _store.resize(std::size_t(_numSets) * config.assoc * 2);
 }
 
 Addr
@@ -26,28 +26,23 @@ Cache::lineAddr(Addr addr) const
     return addr >> _lineShift;
 }
 
-unsigned
-Cache::setIndex(Addr addr) const
+std::size_t
+Cache::setBase(Addr addr) const
 {
-    return unsigned(lineAddr(addr) % _numSets);
+    return std::size_t(lineAddr(addr) % _numSets) * _config.assoc * 2;
 }
 
-Cache::Line *
-Cache::findLine(Addr addr)
+int
+Cache::findWay(const std::uint64_t *set, Addr line) const
 {
-    const Addr tag = lineAddr(addr);
-    Line *set = &_lines[std::size_t(setIndex(addr)) * _config.assoc];
+    // A way matches when its tag word, dirty bit aside, is this line's
+    // valid tag.
+    const std::uint64_t want = (line << flagBits) | validBit;
     for (unsigned way = 0; way < _config.assoc; ++way) {
-        if (set[way].valid && set[way].tag == tag)
-            return &set[way];
+        if ((set[way] & ~dirtyBit) == want)
+            return int(way);
     }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(Addr addr) const
-{
-    return const_cast<Cache *>(this)->findLine(addr);
+    return -1;
 }
 
 Cache::AccessResult
@@ -56,10 +51,15 @@ Cache::access(Addr addr, bool is_write)
     AccessResult result;
     ++_useClock;
 
-    if (Line *line = findLine(addr)) {
+    const Addr line = lineAddr(addr);
+    std::uint64_t *tags = &_store[setBase(addr)];
+    std::uint64_t *lastUse = tags + _config.assoc;
+    const std::uint64_t dirty = is_write ? dirtyBit : 0;
+
+    if (const int way = findWay(tags, line); way >= 0) {
         ++hits;
-        line->lastUse = _useClock;
-        line->dirty = line->dirty || is_write;
+        lastUse[way] = _useClock;
+        tags[way] |= dirty;
         result.hit = true;
         return result;
     }
@@ -67,86 +67,85 @@ Cache::access(Addr addr, bool is_write)
     ++misses;
 
     // Pick a victim: an invalid way if one exists, else true LRU.
-    Line *set = &_lines[std::size_t(setIndex(addr)) * _config.assoc];
-    Line *victim = &set[0];
+    unsigned victim = 0;
     for (unsigned way = 0; way < _config.assoc; ++way) {
-        if (!set[way].valid) {
-            victim = &set[way];
+        if (!(tags[way] & validBit)) {
+            victim = way;
             break;
         }
-        if (set[way].lastUse < victim->lastUse)
-            victim = &set[way];
+        if (lastUse[way] < lastUse[victim])
+            victim = way;
     }
 
-    if (victim->valid) {
+    const std::uint64_t old = tags[victim];
+    if (old & validBit) {
         ++evictions;
-        if (victim->dirty) {
+        if (old & dirtyBit) {
             ++writebacks;
             result.writeback = true;
-            result.writebackAddr = victim->tag << _lineShift;
+            result.writebackAddr = (old >> flagBits) << _lineShift;
         }
     }
 
-    victim->tag = lineAddr(addr);
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->lastUse = _useClock;
+    tags[victim] = (line << flagBits) | validBit | dirty;
+    lastUse[victim] = _useClock;
     return result;
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    return findLine(addr) != nullptr;
+    return findWay(&_store[setBase(addr)], lineAddr(addr)) >= 0;
+}
+
+template <typename Pred>
+Cache::FlushResult
+Cache::invalidateIf(Pred pred)
+{
+    FlushResult result;
+    const std::size_t assoc = _config.assoc;
+    for (std::size_t base = 0; base < _store.size(); base += 2 * assoc) {
+        for (std::size_t way = base; way < base + assoc; ++way) {
+            const std::uint64_t tag = _store[way];
+            if (!(tag & validBit) || !pred(tag >> flagBits))
+                continue;
+            _store[way] = 0;
+            ++result.linesInvalidated;
+            if (tag & dirtyBit) {
+                ++result.dirtyWritebacks;
+                ++writebacks;
+            }
+        }
+    }
+    return result;
 }
 
 Cache::FlushResult
 Cache::flushPages(const std::vector<PageId> &pages, unsigned page_shift)
 {
     assert(std::is_sorted(pages.begin(), pages.end()));
-    FlushResult result;
     const unsigned page_line_shift = page_shift - _lineShift;
-    for (Line &line : _lines) {
-        if (!line.valid)
-            continue;
-        const PageId page = line.tag >> page_line_shift;
-        if (!std::binary_search(pages.begin(), pages.end(), page))
-            continue;
-        line.valid = false;
-        ++result.linesInvalidated;
-        if (line.dirty) {
-            ++result.dirtyWritebacks;
-            ++writebacks;
-            line.dirty = false;
-        }
-    }
-    return result;
+    return invalidateIf([&](Addr line) {
+        return std::binary_search(pages.begin(), pages.end(),
+                                  PageId(line >> page_line_shift));
+    });
 }
 
 Cache::FlushResult
 Cache::flushAll()
 {
-    FlushResult result;
-    for (Line &line : _lines) {
-        if (!line.valid)
-            continue;
-        line.valid = false;
-        ++result.linesInvalidated;
-        if (line.dirty) {
-            ++result.dirtyWritebacks;
-            ++writebacks;
-            line.dirty = false;
-        }
-    }
-    return result;
+    return invalidateIf([](Addr) { return true; });
 }
 
 std::uint64_t
 Cache::validLines() const
 {
     std::uint64_t count = 0;
-    for (const Line &line : _lines)
-        count += line.valid ? 1 : 0;
+    const std::size_t assoc = _config.assoc;
+    for (std::size_t base = 0; base < _store.size(); base += 2 * assoc) {
+        for (std::size_t way = base; way < base + assoc; ++way)
+            count += _store[way] & validBit;
+    }
     return count;
 }
 

@@ -7,6 +7,11 @@
  * Selective per-page flushing is a first-class operation because both
  * the baseline migration path and Griffin's ACUD need to purge exactly
  * the lines of the pages being migrated (paper SS III-D).
+ *
+ * Storage is one array, set-major: each set holds its ways' tag words,
+ * (lineAddr << 2) | dirty << 1 | valid, followed by the same ways' LRU
+ * stamps. A lookup scans one set's tag words (8 bytes per way) and
+ * touches the stamps only on a hit or a fill.
  */
 
 #ifndef GRIFFIN_MEM_CACHE_HH
@@ -85,24 +90,28 @@ class Cache
     /** @} */
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
+    static constexpr std::uint64_t validBit = 1;
+    static constexpr std::uint64_t dirtyBit = 2;
+    static constexpr unsigned flagBits = 2;
 
     CacheConfig _config;
     unsigned _numSets;
     unsigned _lineShift;
-    std::vector<Line> _lines; // numSets * assoc, set-major
+    /**
+     * numSets blocks of 2 * assoc words: the set's tag words, then its
+     * lastUse stamps (one allocation for the whole cache).
+     */
+    std::vector<std::uint64_t> _store;
     std::uint64_t _useClock = 0;
 
     Addr lineAddr(Addr addr) const;
-    unsigned setIndex(Addr addr) const;
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    /** Index in _store of @p addr's set (its first tag word). */
+    std::size_t setBase(Addr addr) const;
+    /** Way of @p set holding line @p line, or -1 on a miss. */
+    int findWay(const std::uint64_t *set, Addr line) const;
+    /** Invalidate every valid line @p pred accepts (by line address). */
+    template <typename Pred>
+    FlushResult invalidateIf(Pred pred);
 };
 
 } // namespace griffin::mem

@@ -7,7 +7,7 @@
  * feel slow" turns into numbers a perf PR can gate on.
  *
  * Attribution model:
- *  - sim::EventQueue::runOne() brackets every dispatched event with
+ *  - sim::EventQueue's dispatch brackets every event it runs with
  *    beginDispatch()/endDispatch() when the prof slot is set; the
  *    sum of those brackets is the *measured dispatch wall time*.
  *  - Instrumented event bodies open RAII scopes (GHPROF_SCOPE) naming
@@ -139,13 +139,17 @@ struct HostProfile
 class HostProfiler
 {
   private:
-    /** One live scope on the (intrusive, stack-allocated) stack. */
+    /**
+     * One live scope on the (intrusive, stack-allocated) stack. No
+     * member initialisers: a Scope with no profiler attached never
+     * writes its frame.
+     */
     struct Frame
     {
-        const char *component = nullptr;
-        const char *event = nullptr;
-        std::uint64_t childNs = 0;
-        Frame *parent = nullptr;
+        const char *component;
+        const char *event;
+        std::uint64_t childNs;
+        Frame *parent;
     };
 
   public:
@@ -154,7 +158,7 @@ class HostProfiler
     HostProfiler(const HostProfiler &) = delete;
     HostProfiler &operator=(const HostProfiler &) = delete;
 
-    /** @name Dispatch bracket (sim::EventQueue::runOne) @{ */
+    /** @name Dispatch bracket (sim::EventQueue's dispatch) @{ */
     void beginDispatch();
     void endDispatch();
     /** @} */
@@ -192,9 +196,7 @@ class HostProfiler
         {
             if (!_prof)
                 return;
-            _frame.component = component;
-            _frame.event = event;
-            _frame.parent = _prof->_top;
+            _frame = Frame{component, event, 0, _prof->_top};
             _prof->_top = &_frame;
             // First scope of a dispatch claims the dispatch bracket:
             // its component absorbs the bracket's own self time.
@@ -227,8 +229,13 @@ class HostProfiler
 
       private:
         HostProfiler *_prof;
+        /** Written only when a profiler is attached. */
         Frame _frame;
-        std::chrono::steady_clock::time_point _begin;
+        union
+        {
+            /** Written only when a profiler is attached. */
+            std::chrono::steady_clock::time_point _begin;
+        };
     };
 
   private:
@@ -260,7 +267,7 @@ class HostProfiler
         _buckets;
 
     /** Sentinel frame representing the current dispatch bracket. */
-    Frame _rootFrame;
+    Frame _rootFrame{};
     Frame *_top = nullptr;
     std::chrono::steady_clock::time_point _dispatchBegin;
 

@@ -16,6 +16,10 @@ Engine::run()
     // previous run must not make this run return immediately.
     _stopRequested = false;
     for (;;) {
+        // Per-tick work: settle the queue, fire due hooks, run the
+        // tick's first event and check the watchdog. None of it can
+        // change until time advances, so the rest of the tick's events
+        // run back to back, checking only for a stop request.
         const Tick next = _queue.nextTime();
         if (next == maxTick)
             break; // drained
@@ -30,6 +34,8 @@ Engine::run()
             if (_watchdog)
                 msg += "\nprobe snapshot:\n" + _watchdog->snapshot();
             throw WatchdogError(msg);
+        }
+        while (!_stopRequested && _queue.runSameTick()) {
         }
         if (_stopRequested)
             break;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.hh"
@@ -41,17 +42,31 @@ class Engine
     /** Current simulated time in cycles. */
     Tick now() const { return _queue.now(); }
 
-    /** Schedule @p fn to run @p delay cycles from now. */
-    void schedule(Tick delay, EventFn fn) { _queue.schedule(delay, std::move(fn)); }
+    /**
+     * Schedule @p fn to run @p delay cycles from now. @p fn is built in
+     * place in its queue entry (see EventQueue::schedule()).
+     */
+    template <typename F>
+    void
+    schedule(Tick delay, F &&fn)
+    {
+        _queue.schedule(delay, std::forward<F>(fn));
+    }
 
     /** Schedule @p fn at absolute time @p when. */
-    void scheduleAt(Tick when, EventFn fn) { _queue.scheduleAt(when, std::move(fn)); }
+    template <typename F>
+    void
+    scheduleAt(Tick when, F &&fn)
+    {
+        _queue.scheduleAt(when, std::forward<F>(fn));
+    }
 
     /** Arm a cancellable timeout @p delay cycles from now. */
+    template <typename F>
     TimerId
-    scheduleTimeout(Tick delay, EventFn fn)
+    scheduleTimeout(Tick delay, F &&fn)
     {
-        return _queue.scheduleTimeout(delay, std::move(fn));
+        return _queue.scheduleTimeout(delay, std::forward<F>(fn));
     }
 
     /** Cancel a timeout armed with scheduleTimeout(). */

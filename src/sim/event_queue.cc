@@ -23,25 +23,58 @@ EventQueue::enableReferenceMode()
     _refMode = true;
 }
 
-void
-EventQueue::scheduleAt(Tick when, EventFn fn)
+Tick
+EventQueue::clampToNow(Tick when) const
 {
-    if (when < _now) {
-        // A component computed an absolute time that already passed —
-        // diagnose loudly, then clamp so time stays monotone.
-        GLOG(Warn, "scheduleAt(" << when << ") is in the past (now "
-                                 << _now << "); clamping to now");
-        when = _now;
-    }
-    Entry e;
-    e.when = when;
-    e.seq = _nextSeq++;
-    e.fn = std::move(fn);
-    insert(std::move(e));
+    // A component computed an absolute time that already passed —
+    // diagnose loudly, then clamp so time stays monotone.
+    GLOG(Warn, "scheduleAt(" << when << ") is in the past (now " << _now
+                             << "); clamping to now");
+    return _now;
 }
 
-TimerId
-EventQueue::scheduleTimeout(Tick delay, EventFn fn)
+EventQueue::Entry &
+EventQueue::claim(Tick when, std::uint32_t timer_slot1,
+                  std::uint32_t timer_gen)
+{
+    if (_size == 0) {
+        // The queue is empty: drop any tombstone residue and re-anchor
+        // the ladder window at the current time, restoring the
+        // invariant that resident ticks span less than one window.
+        resetWindow();
+    }
+    ++_size;
+    const std::uint64_t seq = _nextSeq++;
+    if (!_refMode) {
+        if (when == _now)
+            return _ring.emplace_back(when, seq, timer_slot1, timer_gen);
+        if (when < _windowEnd) {
+            assert(when > _now && when >= _windowBase);
+            const std::size_t idx = when & (ladderBuckets - 1);
+            setBit(idx);
+            return _ladder[idx].v.emplace_back(when, seq, timer_slot1,
+                                               timer_gen);
+        }
+    }
+    // A heap entry cannot be built in place: pushing it reorders the
+    // heap. Build it here and file it once the callback is in.
+    _staged = Entry(when, seq, timer_slot1, timer_gen);
+    return _staged;
+}
+
+void
+EventQueue::fileStaged()
+{
+    if (_refMode) {
+        _ref.push(std::move(_staged));
+        return;
+    }
+    _spill.push_back(std::move(_staged));
+    std::push_heap(_spill.begin(), _spill.end(), Later{});
+}
+
+std::uint32_t
+EventQueue::armTimerSlot()
 {
     std::uint32_t slot;
     if (!_freeTimerSlots.empty()) {
@@ -51,18 +84,18 @@ EventQueue::scheduleTimeout(Tick delay, EventFn fn)
         slot = static_cast<std::uint32_t>(_timerSlots.size());
         _timerSlots.emplace_back();
     }
-    TimerSlot &s = _timerSlots[slot];
-    s.fn = std::move(fn);
-    const TimerId id = (TimerId(s.gen) << 32) | slot;
     ++_pendingTimerCount;
+    return slot;
+}
 
-    Entry e;
-    e.when = _now + delay;
-    e.seq = _nextSeq++;
-    e.timerSlot1 = slot + 1;
-    e.timerGen = s.gen;
-    insert(std::move(e));
-    return id;
+TimerId
+EventQueue::fileTimer(std::uint32_t slot, Tick when)
+{
+    const std::uint32_t gen = _timerSlots[slot].gen;
+    Entry &e = claim(when, slot + 1, gen);
+    if (&e == &_staged)
+        fileStaged();
+    return (TimerId(gen) << 32) | slot;
 }
 
 void
@@ -89,7 +122,7 @@ EventQueue::cancelTimeout(TimerId id)
 
     // O(1): destroy the callback and invalidate the queue entry via
     // the generation bump. The entry itself is now a tombstone that
-    // front-pruning (settle) or amortized compaction reclaims.
+    // the pops, settle() or amortized compaction reclaim.
     releaseTimerSlot(slot);
     --_pendingTimerCount;
     --_size;
@@ -99,47 +132,10 @@ EventQueue::cancelTimeout(TimerId id)
         // Everything left is tombstones; reclaim them all right now so
         // an idle queue holds no memory for cancelled work.
         resetWindow();
-    } else {
-        settle();
-        if (_deadEntries > 64 && _deadEntries > _size)
-            compact();
+    } else if (_deadEntries > 64 && _deadEntries > _size) {
+        compact();
     }
     return true;
-}
-
-void
-EventQueue::insert(Entry &&e)
-{
-    if (_size == 0) {
-        // The queue is empty: drop any tombstone residue and re-anchor
-        // the ladder window at the current time, restoring the
-        // invariant that resident ticks span less than one window.
-        resetWindow();
-    }
-    ++_size;
-    if (_refMode) {
-        _ref.push(std::move(e));
-        return;
-    }
-    if (e.when == _now) {
-        _ring.push_back(std::move(e));
-        return;
-    }
-    if (e.when < _windowEnd) {
-        pushBucket(std::move(e));
-        return;
-    }
-    _spill.push_back(std::move(e));
-    std::push_heap(_spill.begin(), _spill.end(), Later{});
-}
-
-void
-EventQueue::pushBucket(Entry &&e)
-{
-    assert(e.when > _now && e.when >= _windowBase && e.when < _windowEnd);
-    const std::size_t idx = e.when & (ladderBuckets - 1);
-    _ladder[idx].v.push_back(std::move(e));
-    setBit(idx);
 }
 
 int
@@ -170,24 +166,15 @@ EventQueue::nextBucketIndex() const
 void
 EventQueue::migrateBucket(std::size_t idx)
 {
-    // The ring is drained; hand it the whole bucket (one tick's FIFO,
-    // already in schedule order). Swapping vectors recycles whichever
-    // capacity the ring built up over previous ticks.
-    assert(_ringHead == _ring.size());
+    // The batch and the ring are spent; the bucket (one tick's FIFO,
+    // already in schedule order) becomes the batch. Swapping vectors
+    // recycles whichever capacity the batch built up.
+    assert(_batchHead == _batch.size() && _ringHead == _ring.size());
     Bucket &bk = _ladder[idx];
-    _ring.clear();
-    _ringHead = 0;
-    if (bk.head == 0) {
-        _ring.swap(bk.v);
-    } else {
-        _ring.insert(
-            _ring.end(),
-            std::make_move_iterator(bk.v.begin() +
-                                    static_cast<std::ptrdiff_t>(bk.head)),
-            std::make_move_iterator(bk.v.end()));
-        bk.v.clear();
-        bk.head = 0;
-    }
+    _batch.clear();
+    _batch.swap(bk.v);
+    _batchHead = bk.head;
+    bk.head = 0;
     clearBit(idx);
 }
 
@@ -221,52 +208,35 @@ EventQueue::slideWindow()
     }
 }
 
-void
-EventQueue::compactRing()
-{
-    _ring.erase(_ring.begin(),
-                _ring.begin() + static_cast<std::ptrdiff_t>(_ringHead));
-    _ringHead = 0;
-}
-
 Tick
-EventQueue::nextTime() const
+EventQueue::nextTime()
 {
-    if (_size == 0)
-        return maxTick;
-    if (_refMode)
-        return _ref.top().when;
-    // settle() keeps the front of the pop order live after every
-    // mutation, so each tier's front reports an exact time. (An entry
-    // behind a ring/bucket front may be a tombstone, but it shares its
-    // tick with the live front by construction.)
-    if (_ringHead < _ring.size())
-        return _ring[_ringHead].when;
-    const int b = nextBucketIndex();
-    if (b >= 0) {
-        const Bucket &bk = _ladder[static_cast<std::size_t>(b)];
-        return bk.v[bk.head].when;
-    }
-    assert(!_spill.empty());
-    return _spill.front().when;
+    return _size == 0 ? maxTick : settle().when;
 }
 
-void
+const EventQueue::Entry &
 EventQueue::settle()
 {
-    if (_size == 0)
-        return;
+    assert(_size > 0);
     if (_refMode) {
-        while (!_ref.empty() && !alive(_ref.top())) {
+        while (!alive(_ref.top())) {
             _ref.pop();
             --_deadEntries;
         }
-        return;
+        return _ref.top();
     }
     for (;;) {
+        // The batch may be dispatching: only advance its head.
+        if (_batchHead < _batch.size()) {
+            if (alive(_batch[_batchHead]))
+                return _batch[_batchHead];
+            ++_batchHead;
+            --_deadEntries;
+            continue;
+        }
         if (_ringHead < _ring.size()) {
             if (alive(_ring[_ringHead]))
-                return;
+                return _ring[_ringHead];
             ++_ringHead;
             --_deadEntries;
             if (_ringHead == _ring.size()) {
@@ -275,15 +245,11 @@ EventQueue::settle()
             }
             continue;
         }
-        if (!_ring.empty()) {
-            _ring.clear();
-            _ringHead = 0;
-        }
         const int b = nextBucketIndex();
         if (b >= 0) {
             Bucket &bk = _ladder[static_cast<std::size_t>(b)];
             if (alive(bk.v[bk.head]))
-                return;
+                return bk.v[bk.head];
             ++bk.head;
             --_deadEntries;
             if (bk.head == bk.v.size()) {
@@ -293,15 +259,13 @@ EventQueue::settle()
             }
             continue;
         }
-        if (!_spill.empty()) {
-            if (alive(_spill.front()))
-                return;
-            std::pop_heap(_spill.begin(), _spill.end(), Later{});
-            _spill.pop_back();
-            --_deadEntries;
-            continue;
-        }
-        return;
+        // size() > 0, so a live entry remains in the spill.
+        assert(!_spill.empty());
+        if (alive(_spill.front()))
+            return _spill.front();
+        std::pop_heap(_spill.begin(), _spill.end(), Later{});
+        _spill.pop_back();
+        --_deadEntries;
     }
 }
 
@@ -314,7 +278,10 @@ EventQueue::resetWindow()
         _deadEntries = 0;
         return;
     }
-    if (_deadEntries > 0 || _ringHead < _ring.size()) {
+    if (_deadEntries > 0) {
+        // Every resident entry is a tombstone. The batch may be
+        // dispatching, so its suffix is skipped, not erased.
+        _batchHead = _batch.size();
         _ring.clear();
         _ringHead = 0;
         for (std::size_t w = 0; w < bitmapWords; ++w) {
@@ -346,16 +313,20 @@ EventQueue::compact()
         return;
     }
 
+    // Batch: filter the unconsumed suffix only. The consumed prefix
+    // holds the entry whose callback may be running right now.
+    _batch.erase(
+        std::remove_if(_batch.begin() +
+                           static_cast<std::ptrdiff_t>(_batchHead),
+                       _batch.end(), isDead),
+        _batch.end());
+
     // Ring: order-preserving filter of the un-consumed suffix.
-    if (_ringHead < _ring.size()) {
-        if (_ringHead > 0)
-            compactRing();
-        _ring.erase(std::remove_if(_ring.begin(), _ring.end(), isDead),
-                    _ring.end());
-    } else if (!_ring.empty()) {
-        _ring.clear();
-        _ringHead = 0;
-    }
+    _ring.erase(_ring.begin(),
+                _ring.begin() + static_cast<std::ptrdiff_t>(_ringHead));
+    _ringHead = 0;
+    _ring.erase(std::remove_if(_ring.begin(), _ring.end(), isDead),
+                _ring.end());
 
     // Ladder: the same per bucket; an emptied bucket clears its bit.
     for (std::size_t w = 0; w < bitmapWords; ++w) {
@@ -392,7 +363,8 @@ EventQueue::residentEntries() const
 {
     if (_refMode)
         return _ref.size();
-    std::size_t total = (_ring.size() - _ringHead) + _spill.size();
+    std::size_t total = (_batch.size() - _batchHead) +
+                        (_ring.size() - _ringHead) + _spill.size();
     for (std::size_t w = 0; w < bitmapWords; ++w) {
         std::uint64_t word = _bits[w];
         while (word) {
@@ -406,75 +378,53 @@ EventQueue::residentEntries() const
     return total;
 }
 
-bool
-EventQueue::runOne()
+EventQueue::Entry *
+EventQueue::popSameTick()
 {
-    if (_size == 0)
-        return false;
-
-    Entry entry;
-    if (_refMode) {
-        // The reference heap pops in global (when, seq) order; skip
-        // any tombstone that reached the front between settles.
-        for (;;) {
-            entry = _ref.pop();
-            if (alive(entry))
-                break;
+    for (;;) {
+        while (_batchHead < _batch.size()) {
+            Entry &e = _batch[_batchHead++];
+            if (alive(e))
+                return &e;
             --_deadEntries;
         }
-    } else {
-        for (;;) {
-            if (_ringHead < _ring.size()) {
-                entry = std::move(_ring[_ringHead]);
-                ++_ringHead;
-                if (_ringHead == _ring.size()) {
-                    _ring.clear();
-                    _ringHead = 0;
-                } else if (_ringHead >= 64 &&
-                           _ringHead * 2 >= _ring.size()) {
-                    // A long same-tick cascade appends while it pops;
-                    // drop the consumed prefix so the ring's footprint
-                    // tracks the live tail, not the cascade length.
-                    compactRing();
-                }
-                if (!alive(entry)) {
-                    --_deadEntries;
-                    continue;
-                }
-                break;
-            }
-            const int b = nextBucketIndex();
-            if (b >= 0) {
-                migrateBucket(static_cast<std::size_t>(b));
-                continue;
-            }
-            if (!_spill.empty()) {
-                slideWindow();
-                continue;
-            }
-            assert(false && "size() > 0 but no live entry found");
-            return false;
+        if (_ringHead == _ring.size()) {
+            _ring.clear();
+            _ringHead = 0;
+            return nullptr;
         }
+        // The batch is spent and no callback runs from it: the ring's
+        // events become the next batch, the spent batch the new ring.
+        _batch.clear();
+        _batch.swap(_ring);
+        _batchHead = _ringHead;
+        _ringHead = 0;
     }
+}
 
-    assert(entry.when >= _now);
-    _now = entry.when;
-    ++_executed;
-    --_size;
-
-    // Move the callback out before dispatching so the callback can
-    // schedule further events (which mutates the tiers) while it runs.
-    EventFn fn;
-    if (entry.timerSlot1 != 0) {
-        // A live timer entry: the callback lives in the slot, and
-        // firing disarms the slot exactly like a cancel would.
-        fn = std::move(_timerSlots[entry.timerSlot1 - 1].fn);
-        releaseTimerSlot(entry.timerSlot1 - 1);
-        --_pendingTimerCount;
-    } else {
-        fn = std::move(entry.fn);
+EventQueue::Entry *
+EventQueue::popLive()
+{
+    for (;;) {
+        if (Entry *e = popSameTick())
+            return e;
+        const int b = nextBucketIndex();
+        if (b >= 0) {
+            migrateBucket(static_cast<std::size_t>(b));
+            continue;
+        }
+        if (_spill.empty())
+            return nullptr;
+        slideWindow();
     }
+}
 
+namespace {
+
+/** Call @p fn, inside a profiler dispatch bracket when one is attached. */
+void
+invoke(const EventFn &fn)
+{
     if (auto *prof = obs::Telemetry::current().prof) {
         // Bracket the dispatch so the profiler can attribute the
         // callback's wall time; end it even if the callback throws
@@ -484,18 +434,80 @@ EventQueue::runOne()
             fn();
         } catch (...) {
             prof->endDispatch();
-            settle();
             throw;
         }
         prof->endDispatch();
     } else {
         fn();
     }
-    settle();
+}
+
+} // namespace
+
+void
+EventQueue::dispatch(Entry &e)
+{
+    assert(e.when >= _now);
+    _now = e.when;
+    ++_executed;
+    --_size;
+
+    if (e.timerSlot1 == 0) {
+        invoke(e.fn);
+        // The entry stays where it is until a later pop recycles the
+        // batch; release its capture now.
+        e.fn = nullptr;
+    } else {
+        // A live timer entry: the callback lives in the slot, and
+        // firing disarms the slot exactly like a cancel would. The
+        // slot vector may grow while the callback runs, so it runs
+        // from a local.
+        const EventFn fn = std::move(_timerSlots[e.timerSlot1 - 1].fn);
+        releaseTimerSlot(e.timerSlot1 - 1);
+        --_pendingTimerCount;
+        invoke(fn);
+    }
     // A drained queue holds no live work: purge any tombstone residue
     // so empty() also means "no resident memory".
     if (_size == 0)
         resetWindow();
+}
+
+bool
+EventQueue::runOne()
+{
+    if (_size == 0)
+        return false;
+    if (_refMode) {
+        // The reference heap pops in global (when, seq) order; skip
+        // any tombstone that reached the front. The entry runs from a
+        // local: the heap may reorder while its callback runs.
+        for (;;) {
+            Entry e = _ref.pop();
+            if (alive(e)) {
+                dispatch(e);
+                return true;
+            }
+            --_deadEntries;
+        }
+    }
+    Entry *e = popLive();
+    assert(e && "size() > 0 but no live entry found");
+    dispatch(*e);
+    return true;
+}
+
+bool
+EventQueue::runSameTick()
+{
+    if (_size == 0)
+        return false;
+    if (_refMode)
+        return settle().when == _now && runOne();
+    Entry *e = popSameTick();
+    if (!e)
+        return false;
+    dispatch(*e);
     return true;
 }
 

@@ -10,12 +10,14 @@
  * schedule shapes the simulator actually produces (see DESIGN.md
  * "Scheduler internals"):
  *
- *  - a SAME-TICK RING: a FIFO of events for the current tick. Zero-
- *    delay continuations — the dominant shape in CU/GPU/dispatcher
- *    code — append here and pop in O(1) with no ordering work at all;
+ *  - a SAME-TICK tier: the BATCH (the current tick's FIFO, dispatched
+ *    in place) plus a RING that collects events scheduled for the
+ *    current tick while the batch runs. Zero-delay continuations — the
+ *    dominant shape in CU/GPU/dispatcher code — append to the ring in
+ *    O(1); when the batch is spent the ring becomes the next batch;
  *  - a LADDER of per-tick buckets covering a sliding window of the
  *    near future. An insert indexes its bucket directly (O(1)); when
- *    time reaches a bucket its vector is handed to the ring wholesale.
+ *    time reaches a bucket its vector becomes the batch wholesale.
  *    Within a bucket, append order IS schedule order, so FIFO-within-
  *    tick holds by construction;
  *  - a SPILL HEAP for events beyond the window (periodic-hook-scale
@@ -25,7 +27,8 @@
  *    seq) order, preserving the global FIFO contract.
  *
  * Event callbacks are sim::InlineFn (inline capture storage, no
- * per-event heap allocation); cancellable timeouts live in
+ * per-event heap allocation), built once in the tier that holds them
+ * and invoked where they lie; cancellable timeouts live in
  * generation-checked slots so cancelTimeout() is O(1) and destroys
  * the callback immediately.
  */
@@ -36,6 +39,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/sim/inline_fn.hh"
@@ -83,8 +87,16 @@ class EventQueue
      * Schedule @p fn to run @p delay ticks from now.
      * A zero delay runs the callback later in the current tick, after
      * all previously scheduled work for this tick.
+     *
+     * @p fn is any callable an EventFn accepts (or an EventFn rvalue);
+     * it is constructed directly in the queue entry that holds it.
      */
-    void schedule(Tick delay, EventFn fn) { scheduleAt(_now + delay, std::move(fn)); }
+    template <typename F>
+    void
+    schedule(Tick delay, F &&fn)
+    {
+        scheduleAt(_now + delay, std::forward<F>(fn));
+    }
 
     /**
      * Schedule @p fn at absolute time @p when. Scheduling in the past
@@ -93,7 +105,17 @@ class EventQueue
      * the event still executes (after all previously scheduled work
      * for the current tick).
      */
-    void scheduleAt(Tick when, EventFn fn);
+    template <typename F>
+    void
+    scheduleAt(Tick when, F &&fn)
+    {
+        if (when < _now)
+            when = clampToNow(when);
+        Entry &e = claim(when, 0, 0);
+        e.fn.emplace(std::forward<F>(fn));
+        if (&e == &_staged)
+            fileStaged();
+    }
 
     /**
      * Schedule @p fn like schedule(), but return a handle that
@@ -102,7 +124,14 @@ class EventQueue
      * the common path and cancelled on the common path: a cancelled
      * timeout neither fires nor extends the simulated end time.
      */
-    TimerId scheduleTimeout(Tick delay, EventFn fn);
+    template <typename F>
+    TimerId
+    scheduleTimeout(Tick delay, F &&fn)
+    {
+        const std::uint32_t slot = armTimerSlot();
+        _timerSlots[slot].fn.emplace(std::forward<F>(fn));
+        return fileTimer(slot, _now + delay);
+    }
 
     /**
      * Cancel a pending timeout in O(1). The callback is destroyed
@@ -123,19 +152,31 @@ class EventQueue
     /**
      * Time of the earliest pending event; maxTick when empty.
      * Cancelled timeouts never contribute: a timeout's deadline stops
-     * being reported the moment cancelTimeout() returns.
+     * being reported the moment cancelTimeout() returns. Not const:
+     * it first prunes cancelled tombstones off the front of the pop
+     * order (the queue's per-tick settle).
      */
-    Tick nextTime() const;
+    Tick nextTime();
 
     /** Number of pending events (cancelled timeouts excluded). */
     std::size_t size() const { return _size; }
 
     /**
-     * Execute the single earliest event.
+     * Execute the single earliest event. Callbacks run in place in the
+     * queue's storage, so neither this nor runSameTick() may be called
+     * from inside a callback.
      * @retval true an event was executed.
      * @retval false the queue was empty.
      */
     bool runOne();
+
+    /**
+     * Execute the earliest event if it is due at now(), without any
+     * per-tick work (settling, window slides). sim::Engine::run() calls
+     * runOne() for the first event of a tick and this for the rest.
+     * @retval false nothing (live) remains at now().
+     */
+    bool runSameTick();
 
     /** Run until the queue drains. @return the final simulated time. */
     Tick run();
@@ -190,6 +231,13 @@ class EventQueue
 
     struct Entry
     {
+        Entry() = default;
+        Entry(Tick w, std::uint64_t s, std::uint32_t slot1,
+              std::uint32_t gen)
+            : when(w), seq(s), timerSlot1(slot1), timerGen(gen)
+        {
+        }
+
         Tick when = 0;
         /** Global schedule order; ties on when resolve by seq. */
         std::uint64_t seq = 0;
@@ -232,7 +280,19 @@ class EventQueue
         EventFn fn;
     };
 
-    /** Tier 1: FIFO of events for the current tick. */
+    /**
+     * Tier 1a: the current tick's FIFO, dispatched in place from
+     * _batch[_batchHead - 1]. While a callback runs from it, nothing
+     * may insert into, reallocate, clear or reorder the consumed
+     * prefix [0, _batchHead): same-tick inserts go to _ring, and
+     * settle(), compact() and resetWindow() only advance _batchHead or
+     * filter the unconsumed suffix. Only the pop between dispatches
+     * clears it or swaps in a new tick.
+     */
+    std::vector<Entry> _batch;
+    std::size_t _batchHead = 0;
+
+    /** Tier 1b: events scheduled for now() while the batch runs. */
     std::vector<Entry> _ring;
     std::size_t _ringHead = 0;
 
@@ -245,6 +305,12 @@ class EventQueue
 
     /** Tier 3: min-heap of events at or beyond _windowEnd. */
     std::vector<Entry> _spill;
+
+    /**
+     * A spill or reference-heap entry while its callback is built: it
+     * is filed into its heap by fileStaged() once complete.
+     */
+    Entry _staged;
 
     /** Reference mode: one naive heap replaces all three tiers. */
     bool _refMode = false;
@@ -269,20 +335,45 @@ class EventQueue
                _timerSlots[e.timerSlot1 - 1].gen == e.timerGen;
     }
 
-    void insert(Entry &&e);
-    void pushBucket(Entry &&e);
+    /** Diagnose a past deadline; @return now(). */
+    Tick clampToNow(Tick when) const;
+    /**
+     * Count a new event at @p when (resetting an empty queue first) and
+     * return its entry, callback still empty. A ring or ladder entry is
+     * returned in place in its tier; a spill or reference-heap entry is
+     * returned as _staged, for fileStaged().
+     */
+    Entry &claim(Tick when, std::uint32_t timer_slot1,
+                 std::uint32_t timer_gen);
+    /** Push the completed _staged entry onto the spill or ref heap. */
+    void fileStaged();
+    /** Take a timer slot (its callback still to be set). */
+    std::uint32_t armTimerSlot();
+    /** Queue timer slot @p slot's entry at @p when; @return its id. */
+    TimerId fileTimer(std::uint32_t slot, Tick when);
     void setBit(std::size_t i) { _bits[i >> 6] |= 1ull << (i & 63); }
     void clearBit(std::size_t i) { _bits[i >> 6] &= ~(1ull << (i & 63)); }
     /** Earliest non-empty bucket in window scan order, or -1. */
     int nextBucketIndex() const;
-    /** Hand the whole bucket (one tick's FIFO) to the empty ring. */
+    /**
+     * The next live entry of the current tick, consumed from the batch
+     * (promoting the ring when the batch is spent); nullptr if none.
+     * Called between dispatches only.
+     */
+    Entry *popSameTick();
+    /** The next live entry overall, moving time's tiers forward. */
+    Entry *popLive();
+    /** Run @p e's callback (in place) and retire it. */
+    void dispatch(Entry &e);
+    /** Hand the whole bucket (one tick's FIFO) to the spent batch. */
     void migrateBucket(std::size_t idx);
     /** Re-anchor the window on the spill's earliest live event. */
     void slideWindow();
-    /** Drop consumed ring prefix once it dominates the vector. */
-    void compactRing();
-    /** Prune cancelled tombstones off the front of the pop order. */
-    void settle();
+    /**
+     * Prune cancelled tombstones off the front of the pop order and
+     * return the (live) front. Requires size() > 0.
+     */
+    const Entry &settle();
     /** Drop all tombstone residue and re-anchor the window at now. */
     void resetWindow();
     /** Erase every tombstone from every tier (amortized reclaim). */

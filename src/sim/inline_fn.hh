@@ -26,12 +26,20 @@
  * captures, slot indices) are allocation-free. sim::boxed() remains
  * for cold paths (drains, ACUD, kernel completion, trace-on spans): it
  * moves the callable behind a unique_ptr, one allocation per use.
+ *
+ * A capture that is trivially copyable and trivially destructible (a
+ * {this, slot} hop, a [this, wf, seq] completion, any lambda holding
+ * only pointers and scalars) is relocated with a fixed-size memcpy and
+ * never destroyed through the ops table: an event moves through the
+ * queue's tiers without an indirect call. Other captures keep their
+ * move constructor and destructor, called exactly once each.
  */
 
 #ifndef GRIFFIN_SIM_INLINE_FN_HH
 #define GRIFFIN_SIM_INLINE_FN_HH
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -58,6 +66,15 @@ class InlineFn<R(Args...)>
     /** Maximum supported capture alignment. */
     static constexpr std::size_t alignment = alignof(void *);
 
+    /**
+     * True when a capture of type @p F takes the trivial path: moved by
+     * memcpy of the inline buffer, with no destructor call.
+     */
+    template <typename F>
+    static constexpr bool trivialCapture =
+        std::is_trivially_copyable_v<std::decay_t<F>> &&
+        std::is_trivially_destructible_v<std::decay_t<F>>;
+
     InlineFn() noexcept = default;
     InlineFn(std::nullptr_t) noexcept {}
 
@@ -68,16 +85,7 @@ class InlineFn<R(Args...)>
                   std::is_invocable_r_v<R, D &, Args...>>>
     InlineFn(F &&fn)
     {
-        static_assert(sizeof(D) <= capacity,
-                      "capture too large for InlineFn's inline storage: "
-                      "keep the state in a sim::SlotPool and capture the "
-                      "slot, or on a cold path wrap it in sim::boxed()");
-        static_assert(alignof(D) <= alignment,
-                      "capture over-aligned for InlineFn storage");
-        static_assert(std::is_nothrow_move_constructible_v<D>,
-                      "InlineFn requires nothrow-movable captures");
-        ::new (static_cast<void *>(_buf)) D(std::forward<F>(fn));
-        _ops = opsFor<D>();
+        construct(std::forward<F>(fn));
     }
 
     InlineFn(InlineFn &&other) noexcept { moveFrom(other); }
@@ -102,6 +110,26 @@ class InlineFn<R(Args...)>
     InlineFn(const InlineFn &) = delete;
     InlineFn &operator=(const InlineFn &) = delete;
 
+    /**
+     * Replace the target with @p fn, built directly in this object's
+     * buffer: no temporary InlineFn, no relocation. An InlineFn
+     * argument (which must be an rvalue) is moved in instead.
+     */
+    template <typename F>
+    void
+    emplace(F &&fn)
+    {
+        using D = std::decay_t<F>;
+        reset();
+        if constexpr (std::is_same_v<D, InlineFn>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "InlineFn is move-only: pass it with std::move");
+            moveFrom(fn);
+        } else {
+            construct(std::forward<F>(fn));
+        }
+    }
+
     ~InlineFn() { reset(); }
 
     /** True when a target is set. */
@@ -118,6 +146,31 @@ class InlineFn<R(Args...)>
     }
 
   private:
+    /** Build @p fn in the (empty) buffer. */
+    template <typename F>
+    void
+    construct(F &&fn)
+    {
+        using D = std::decay_t<F>;
+        static_assert(std::is_invocable_r_v<R, D &, Args...>,
+                      "InlineFn target has the wrong signature");
+        static_assert(sizeof(D) <= capacity,
+                      "capture too large for InlineFn's inline storage: "
+                      "keep the state in a sim::SlotPool and capture the "
+                      "slot, or on a cold path wrap it in sim::boxed()");
+        static_assert(alignof(D) <= alignment,
+                      "capture over-aligned for InlineFn storage");
+        static_assert(std::is_nothrow_move_constructible_v<D>,
+                      "InlineFn requires nothrow-movable captures");
+        ::new (static_cast<void *>(_buf)) D(std::forward<F>(fn));
+        _ops = opsFor<D>();
+    }
+
+    /**
+     * Type-erased operations of one capture type. relocate and destroy
+     * are null for a trivial capture (see trivialCapture): the buffer
+     * is then memcpy'd and needs no destruction.
+     */
     struct Ops
     {
         R (*invoke)(void *, Args...);
@@ -127,27 +180,37 @@ class InlineFn<R(Args...)>
     };
 
     template <typename D>
+    static R
+    invokeAs(void *p, Args... args)
+    {
+        return (*static_cast<D *>(p))(std::forward<Args>(args)...);
+    }
+
+    template <typename D>
     static const Ops *
     opsFor()
     {
-        static constexpr Ops ops{
-            [](void *p, Args... args) -> R {
-                return (*static_cast<D *>(p))(
-                    std::forward<Args>(args)...);
-            },
-            [](void *dst, void *src) noexcept {
-                ::new (dst) D(std::move(*static_cast<D *>(src)));
-                static_cast<D *>(src)->~D();
-            },
-            [](void *p) noexcept { static_cast<D *>(p)->~D(); }};
-        return &ops;
+        if constexpr (trivialCapture<D>) {
+            static constexpr Ops ops{&invokeAs<D>, nullptr, nullptr};
+            return &ops;
+        } else {
+            static constexpr Ops ops{
+                &invokeAs<D>,
+                [](void *dst, void *src) noexcept {
+                    ::new (dst) D(std::move(*static_cast<D *>(src)));
+                    static_cast<D *>(src)->~D();
+                },
+                [](void *p) noexcept { static_cast<D *>(p)->~D(); }};
+            return &ops;
+        }
     }
 
     void
     reset() noexcept
     {
         if (_ops) {
-            _ops->destroy(_buf);
+            if (_ops->destroy)
+                _ops->destroy(_buf);
             _ops = nullptr;
         }
     }
@@ -156,7 +219,10 @@ class InlineFn<R(Args...)>
     moveFrom(InlineFn &other) noexcept
     {
         if (other._ops) {
-            other._ops->relocate(_buf, other._buf);
+            if (other._ops->relocate)
+                other._ops->relocate(_buf, other._buf);
+            else
+                std::memcpy(_buf, other._buf, capacity);
             _ops = other._ops;
             other._ops = nullptr;
         }

@@ -11,13 +11,15 @@
  *
  * Slots live in fixed-size chunks, so a reference to one stays valid
  * while the pool grows: a hop may hold it across a call that acquires
- * another slot. Released indices are reused most-recent first, so once
- * the pool covers a run's peak in-flight count it stops allocating.
+ * another slot. Each chunk also holds its slots' live flags. Released
+ * indices are reused most-recent first, so once the pool covers a
+ * run's peak in-flight count it stops allocating.
  */
 
 #ifndef GRIFFIN_SIM_SLOT_POOL_HH
 #define GRIFFIN_SIM_SLOT_POOL_HH
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -45,8 +47,8 @@ class SlotPool
 
     ~SlotPool()
     {
-        for (SlotId i = 0; i < _live.size(); ++i) {
-            if (_live[i])
+        for (SlotId i = 0; i < _slots; ++i) {
+            if (liveFlag(i))
                 at(i)->~T();
         }
     }
@@ -58,16 +60,17 @@ class SlotPool
     {
         SlotId i;
         if (_free.empty()) {
-            i = SlotId(_live.size());
-            if ((i & chunkMask) == 0)
+            i = _slots++;
+            if ((i & chunkMask) == 0) {
                 _chunks.push_back(std::make_unique_for_overwrite<Chunk>());
-            _live.push_back(false);
+                std::fill_n(_chunks.back()->live, chunkSlots, false);
+            }
         } else {
             i = _free.back();
             _free.pop_back();
         }
         ::new (raw(i)) T{std::forward<Args>(args)...};
-        _live[i] = true;
+        liveFlag(i) = true;
         ++_liveCount;
         return i;
     }
@@ -75,7 +78,7 @@ class SlotPool
     T &
     operator[](SlotId i)
     {
-        assert(i < _live.size() && _live[i] && "slot is not live");
+        assert(i < _slots && liveFlag(i) && "slot is not live");
         return *at(i);
     }
 
@@ -83,9 +86,9 @@ class SlotPool
     void
     release(SlotId i)
     {
-        assert(i < _live.size() && _live[i] && "releasing a free slot");
+        assert(i < _slots && liveFlag(i) && "releasing a free slot");
         at(i)->~T();
-        _live[i] = false;
+        liveFlag(i) = false;
         _free.push_back(i);
         --_liveCount;
     }
@@ -109,6 +112,8 @@ class SlotPool
     struct Chunk
     {
         alignas(T) unsigned char bytes[sizeof(T) * chunkSlots];
+        /** live[k]: slot k of this chunk holds a constructed T. */
+        bool live[chunkSlots];
     };
 
     void *
@@ -119,8 +124,15 @@ class SlotPool
 
     T *at(SlotId i) { return std::launder(static_cast<T *>(raw(i))); }
 
+    bool &
+    liveFlag(SlotId i)
+    {
+        return _chunks[i / chunkSlots]->live[i & chunkMask];
+    }
+
     std::vector<std::unique_ptr<Chunk>> _chunks;
-    std::vector<bool> _live;
+    /** Slots ever created: indices [0, _slots) have storage. */
+    SlotId _slots = 0;
     std::vector<SlotId> _free;
     std::size_t _liveCount = 0;
 };

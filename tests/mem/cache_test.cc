@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -206,3 +209,235 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheGeometry,
     ::testing::Values(std::make_tuple(16, 4), std::make_tuple(16, 1),
                       std::make_tuple(64, 8), std::make_tuple(256, 16)));
+
+// --- Differential test against the struct-of-lines model ------------
+// mem::Cache keeps each set as packed tag words plus a parallel array
+// of LRU stamps. RefCache below is the straightforward model it
+// replaced (one struct per line, same victim rule): any divergence in
+// a hit, a writeback address, a flush count or a statistic is a bug in
+// the packed layout.
+
+namespace {
+
+class RefCache
+{
+  public:
+    explicit RefCache(const CacheConfig &config)
+        : _assoc(config.assoc),
+          _lineShift(unsigned(std::countr_zero(config.lineBytes))),
+          _numSets(unsigned(config.sizeBytes /
+                            (std::uint64_t(config.lineBytes) *
+                             config.assoc))),
+          _lines(std::size_t(_numSets) * config.assoc)
+    {
+    }
+
+    Cache::AccessResult
+    access(Addr addr, bool is_write)
+    {
+        Cache::AccessResult result;
+        ++_useClock;
+        if (Line *line = find(addr)) {
+            ++hits;
+            line->lastUse = _useClock;
+            line->dirty = line->dirty || is_write;
+            result.hit = true;
+            return result;
+        }
+        ++misses;
+        Line *set = setOf(addr);
+        Line *victim = &set[0];
+        for (unsigned way = 0; way < _assoc; ++way) {
+            if (!set[way].valid) {
+                victim = &set[way];
+                break;
+            }
+            if (set[way].lastUse < victim->lastUse)
+                victim = &set[way];
+        }
+        if (victim->valid) {
+            ++evictions;
+            if (victim->dirty) {
+                ++writebacks;
+                result.writeback = true;
+                result.writebackAddr = victim->tag << _lineShift;
+            }
+        }
+        *victim = Line{addr >> _lineShift, true, is_write, _useClock};
+        return result;
+    }
+
+    bool probe(Addr addr) { return find(addr) != nullptr; }
+
+    Cache::FlushResult
+    flushPages(const std::vector<PageId> &pages, unsigned page_shift)
+    {
+        return invalidateIf([&](const Line &l) {
+            return std::binary_search(
+                pages.begin(), pages.end(),
+                PageId(l.tag >> (page_shift - _lineShift)));
+        });
+    }
+
+    Cache::FlushResult
+    flushAll()
+    {
+        return invalidateIf([](const Line &) { return true; });
+    }
+
+    std::uint64_t
+    validLines() const
+    {
+        std::uint64_t n = 0;
+        for (const Line &l : _lines)
+            n += l.valid ? 1 : 0;
+        return n;
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t writebacks = 0;
+
+  private:
+    struct Line
+    {
+        Addr tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t lastUse = 0;
+    };
+
+    unsigned _assoc;
+    unsigned _lineShift;
+    unsigned _numSets;
+    std::vector<Line> _lines;
+    std::uint64_t _useClock = 0;
+
+    Line *
+    setOf(Addr addr)
+    {
+        const Addr line = addr >> _lineShift;
+        return &_lines[std::size_t(line % _numSets) * _assoc];
+    }
+
+    Line *
+    find(Addr addr)
+    {
+        Line *set = setOf(addr);
+        for (unsigned way = 0; way < _assoc; ++way) {
+            if (set[way].valid && set[way].tag == addr >> _lineShift)
+                return &set[way];
+        }
+        return nullptr;
+    }
+
+    template <typename Pred>
+    Cache::FlushResult
+    invalidateIf(Pred pred)
+    {
+        Cache::FlushResult result;
+        for (Line &l : _lines) {
+            if (!l.valid || !pred(l))
+                continue;
+            l.valid = false;
+            ++result.linesInvalidated;
+            if (l.dirty) {
+                ++result.dirtyWritebacks;
+                ++writebacks;
+                l.dirty = false;
+            }
+        }
+        return result;
+    }
+};
+
+class CacheDifferential
+    : public ::testing::TestWithParam<std::tuple<CacheConfig, std::uint64_t>>
+{
+};
+
+} // namespace
+
+TEST_P(CacheDifferential, PackedTagsMatchTheLineModel)
+{
+    const auto [config, seed] = GetParam();
+    Cache cache(config);
+    RefCache ref(config);
+    sim::Rng rng(seed);
+
+    constexpr unsigned pageShift = 12;
+    // Addresses come from a footprint four times the cache, in 4 KB
+    // pages, so sets conflict, lines get evicted dirty, and page
+    // flushes find resident lines.
+    const std::uint64_t lines = 4 * config.sizeBytes / config.lineBytes;
+    const std::uint64_t pages =
+        std::max<std::uint64_t>(1, lines * config.lineBytes >> pageShift);
+    const Addr base = Addr(1) << 36;
+
+    for (int op = 0; op < 200000; ++op) {
+        // 90% accesses, 9.8% probes, 0.2% page flushes, and a full flush
+        // every 20,000 operations on average (rare enough that the L2
+        // fills and evicts between them).
+        const std::uint64_t kind = rng.nextBelow(20000);
+        if (kind < 18000) {
+            const Addr addr = base + rng.nextBelow(lines) * config.lineBytes +
+                              rng.nextBelow(config.lineBytes);
+            const bool write = rng.chance(0.3);
+            const auto got = cache.access(addr, write);
+            const auto want = ref.access(addr, write);
+            ASSERT_EQ(got.hit, want.hit) << "op " << op;
+            ASSERT_EQ(got.writeback, want.writeback) << "op " << op;
+            ASSERT_EQ(got.writebackAddr, want.writebackAddr) << "op " << op;
+        } else if (kind < 19960) {
+            const Addr addr = base + rng.nextBelow(lines) * config.lineBytes;
+            ASSERT_EQ(cache.probe(addr), ref.probe(addr)) << "op " << op;
+        } else if (kind < 19999) {
+            std::vector<PageId> flush;
+            const std::uint64_t n = 1 + rng.nextBelow(8);
+            for (std::uint64_t i = 0; i < n; ++i)
+                flush.push_back((base >> pageShift) + rng.nextBelow(pages));
+            std::sort(flush.begin(), flush.end());
+            flush.erase(std::unique(flush.begin(), flush.end()),
+                        flush.end());
+            const auto got = cache.flushPages(flush, pageShift);
+            const auto want = ref.flushPages(flush, pageShift);
+            ASSERT_EQ(got.linesInvalidated, want.linesInvalidated)
+                << "op " << op;
+            ASSERT_EQ(got.dirtyWritebacks, want.dirtyWritebacks)
+                << "op " << op;
+        } else {
+            const auto got = cache.flushAll();
+            const auto want = ref.flushAll();
+            ASSERT_EQ(got.linesInvalidated, want.linesInvalidated)
+                << "op " << op;
+            ASSERT_EQ(got.dirtyWritebacks, want.dirtyWritebacks)
+                << "op " << op;
+        }
+        if (op % 1000 == 0) {
+            ASSERT_EQ(cache.validLines(), ref.validLines()) << "op " << op;
+        }
+    }
+    EXPECT_EQ(cache.validLines(), ref.validLines());
+    EXPECT_EQ(cache.hits, ref.hits);
+    EXPECT_EQ(cache.misses, ref.misses);
+    EXPECT_EQ(cache.evictions, ref.evictions);
+    EXPECT_EQ(cache.writebacks, ref.writebacks);
+    EXPECT_GT(cache.hits, 0u);
+    EXPECT_GT(cache.evictions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    L1AndL2, CacheDifferential,
+    ::testing::Values(
+        std::make_tuple(CacheConfig{16 * 1024, 4, 64, 1}, std::uint64_t(1)),
+        std::make_tuple(CacheConfig{16 * 1024, 4, 64, 1}, std::uint64_t(2)),
+        std::make_tuple(CacheConfig{2 * 1024 * 1024, 16, 64, 20},
+                        std::uint64_t(3))),
+    [](const auto &info) {
+        std::string name = std::get<0>(info.param).assoc == 4
+                               ? "L1_16K_4way_seed"
+                               : "L2_2M_16way_seed";
+        name += std::to_string(std::get<1>(info.param));
+        return name;
+    });

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "src/sim/engine.hh"
 #include "src/sim/event_queue.hh"
 
 using griffin::Tick;
@@ -529,4 +531,162 @@ TEST(EventQueue, ManyEventsKeepTotalOrder)
     q.run();
     EXPECT_TRUE(monotonic);
     EXPECT_EQ(q.eventsExecuted(), 5000u);
+}
+
+// --- Mutation during in-place dispatch -------------------------------
+// Callbacks run from their slot in the current tick's batch, so while
+// one runs nothing may move or destroy that slot: not a same-tick
+// insert, not a cancel that empties the queue (resetWindow), not a
+// cancel storm that triggers compaction. Each scenario runs on the
+// tiered queue and the reference heap, through EventQueue::run()
+// (runOne) and through Engine::run() (runOne plus runSameTick), and
+// must produce one execution order. Captures are Canaries: moving one
+// zeroes the source and destroying one zeroes it, so a callback whose
+// slot moved or died under it records 0. (The entry's storage outlives
+// a destroyed entry, so the sanitizers alone would not see this.)
+
+namespace {
+
+struct Canary
+{
+    std::uint64_t v;
+    explicit Canary(std::uint64_t x) : v(x) {}
+    Canary(Canary &&o) noexcept : v(o.v) { poison(o); }
+    Canary &operator=(Canary &&) = delete;
+    ~Canary() { poison(*this); }
+
+    /** A volatile store: the compiler may not drop it as dead. */
+    static void
+    poison(Canary &c)
+    {
+        *static_cast<volatile std::uint64_t *>(&c.v) = 0;
+    }
+};
+
+struct ScriptRun
+{
+    std::vector<std::uint64_t> order;
+    std::vector<griffin::sim::TimerId> timers;
+    int budget = 0;
+};
+
+template <typename Script>
+void
+expectOrderMatchesReference(Script script)
+{
+    std::vector<std::vector<std::uint64_t>> orders;
+    for (const bool reference : {false, true}) {
+        for (const bool viaEngine : {false, true}) {
+            griffin::sim::Engine engine;
+            if (reference)
+                engine.queue().enableReferenceMode();
+            ScriptRun run;
+            script(engine.queue(), run);
+            if (viaEngine)
+                engine.run();
+            else
+                engine.queue().run();
+            EXPECT_TRUE(engine.queue().empty());
+            EXPECT_EQ(engine.queue().residentEntries(), 0u);
+            orders.push_back(std::move(run.order));
+        }
+    }
+    ASSERT_FALSE(orders[0].empty());
+    EXPECT_EQ(std::count(orders[0].begin(), orders[0].end(), 0u), 0)
+        << "a callback read a capture after its slot moved or died";
+    for (const auto &order : orders)
+        EXPECT_EQ(order, orders[0]);
+}
+
+/** One cascade node: schedules two same-tick children while it runs. */
+void
+cascadeNode(EventQueue &q, ScriptRun &r, std::uint64_t id)
+{
+    q.schedule(0, [&q, &r, c = Canary(id)] {
+        for (std::uint64_t k = 0; k < 2 && r.budget > 0; ++k, --r.budget)
+            cascadeNode(q, r, c.v * 2 + k);
+        if (c.v % 8 == 0) {
+            q.schedule(1 + c.v % 5, [&r, f = Canary(c.v + 100000)] {
+                r.order.push_back(f.v);
+            });
+        }
+        r.order.push_back(c.v);
+    });
+}
+
+} // namespace
+
+TEST(EventQueueInPlace, SameTickCascadeGrowsTheRingUnderARunningCallback)
+{
+    // Several hundred same-tick events, each scheduled by a running
+    // one: the ring reallocates many times while callbacks execute
+    // from the batch, and batches hand over generation by generation.
+    expectOrderMatchesReference([](EventQueue &q, ScriptRun &r) {
+        r.budget = 600;
+        q.schedule(7, [&q, &r] { cascadeNode(q, r, 1); });
+        q.schedule(7, [&r, c = Canary(99999)] { r.order.push_back(c.v); });
+    });
+}
+
+TEST(EventQueueInPlace, CancellingTheLastTimeoutEmptiesTheQueueMidDispatch)
+{
+    // The tick-10 batch holds the running event and a timeout behind
+    // it; cancelling that and the two later timeouts empties the queue,
+    // so resetWindow() runs while the callback still executes from the
+    // batch. The callback then schedules into the empty queue.
+    expectOrderMatchesReference([](EventQueue &q, ScriptRun &r) {
+        q.schedule(10, [&q, &r, c = Canary(1)] {
+            for (const auto id : r.timers)
+                EXPECT_TRUE(q.cancelTimeout(id));
+            r.order.push_back(q.empty() ? 5 : 6);
+            q.schedule(5, [&r, d = Canary(2)] { r.order.push_back(d.v); });
+            r.order.push_back(c.v);
+        });
+        r.timers.push_back(
+            q.scheduleTimeout(10, [&r] { r.order.push_back(997); }));
+        r.timers.push_back(
+            q.scheduleTimeout(500, [&r] { r.order.push_back(998); }));
+        r.timers.push_back(
+            q.scheduleTimeout(5000, [&r] { r.order.push_back(999); }));
+    });
+}
+
+TEST(EventQueueInPlace, CancelStormCompactsTheBatchUnderARunningCallback)
+{
+    // Three timeouts ahead of the running event in its tick's bucket
+    // are cancelled at tick 5, so the batch's consumed prefix holds
+    // tombstones before the running entry. Then 150 more, a third of
+    // them behind the running event in its batch and the rest in the
+    // ladder and the spill, plus live events on both sides. Cancelling
+    // those crosses the compaction threshold mid-dispatch: compact()
+    // must filter only the batch's unconsumed suffix.
+    expectOrderMatchesReference([](EventQueue &q, ScriptRun &r) {
+        for (std::uint64_t i = 0; i < 3; ++i) {
+            r.timers.push_back(q.scheduleTimeout(
+                20, [&r, i] { r.order.push_back(900 + i); }));
+        }
+        q.schedule(5, [&q, &r] {
+            for (std::size_t i = 0; i < 3; ++i)
+                EXPECT_TRUE(q.cancelTimeout(r.timers[i]));
+        });
+        q.schedule(20, [&q, &r, c = Canary(1)] {
+            for (std::size_t i = 3; i < r.timers.size(); ++i)
+                EXPECT_TRUE(q.cancelTimeout(r.timers[i]));
+            r.order.push_back(q.residentEntries() < 100 ? 2 : 3);
+            r.order.push_back(c.v);
+        });
+        for (std::uint64_t i = 0; i < 150; ++i) {
+            const Tick delay = i % 3 == 0 ? 20 : 20 + i * 40;
+            r.timers.push_back(q.scheduleTimeout(
+                delay, [&r, i] { r.order.push_back(1000 + i); }));
+        }
+        for (std::uint64_t i = 0; i < 5; ++i) {
+            q.schedule(20, [&r, c = Canary(10 + i)] {
+                r.order.push_back(c.v);
+            });
+            q.schedule(3000 + i, [&r, c = Canary(20 + i)] {
+                r.order.push_back(c.v);
+            });
+        }
+    });
 }
