@@ -1,12 +1,14 @@
 # Run one griffin CLI invocation and check how it ended:
 #
 #   cmake -DGRIFFIN=EXE -DSTATUS=N [-DSTDOUT=REGEX] [-DSTDERR=REGEX]
-#         [-DLINES=N] -P expect.cmake -- ARGS...
+#         [-DLINES=N] [-DGOLDEN=FILE [-DOUTPUT=FILE]]
+#         -P expect.cmake -- ARGS...
 #
 # STATUS is the exit code the invocation must return (an abort or a
 # signal never equals a number). STDOUT / STDERR are regexes the
 # stream must match ("^$" demands an empty stream); LINES is the exact
-# number of stdout lines.
+# number of stdout lines. GOLDEN is a file stdout must equal byte for
+# byte, or, with OUTPUT, the file the invocation writes there must.
 
 set(args "")
 set(afterDashes FALSE)
@@ -19,6 +21,9 @@ foreach(i RANGE ${last})
     endif()
 endforeach()
 
+if(DEFINED OUTPUT)
+    file(REMOVE "${OUTPUT}")
+endif()
 execute_process(COMMAND "${GRIFFIN}" ${args}
                 RESULT_VARIABLE status
                 OUTPUT_VARIABLE out
@@ -40,5 +45,15 @@ if(DEFINED LINES)
     list(LENGTH newlines count)
     if(NOT count EQUAL LINES)
         message(FATAL_ERROR "${count} stdout lines, want ${LINES}: ${what}")
+    endif()
+endif()
+if(DEFINED GOLDEN)
+    set(actual "${out}")
+    if(DEFINED OUTPUT)
+        file(READ "${OUTPUT}" actual)
+    endif()
+    file(READ "${GOLDEN}" want)
+    if(NOT actual STREQUAL want)
+        message(FATAL_ERROR "output differs from ${GOLDEN}: ${what}")
     endif()
 endif()

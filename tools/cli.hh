@@ -15,8 +15,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/obs/hostprof.hh"
 #include "src/obs/json.hh"
 #include "src/sys/report.hh"
 
@@ -40,20 +42,25 @@ struct Exit
 Exit usageError(std::string message);
 
 /**
- * One flag a subcommand accepts. A switch ("--csv") sets *toggle; any
- * other flag takes a value as "--name=VALUE" or "--name VALUE".
+ * One flag a subcommand accepts. A switch ("--csv") sets *toggle; a
+ * switch with a setter too ("--host-prof[=FILE]") also passes an
+ * optional "=VALUE" to it, and never takes the next word. Any other
+ * flag takes a value as "--name=VALUE" or "--name VALUE". Only a
+ * repeatable flag may be given more than once.
  */
 struct Flag
 {
     std::string name;
     bool *toggle = nullptr;
     std::function<void(const std::string &)> set = {};
+    bool repeatable = false;
 };
 
 /**
  * Apply @p flags to @p args ("-q" is short for "--quiet").
  * @return the positional arguments, in order.
- * @throws Exit on an unknown flag or a missing / unwanted value.
+ * @throws Exit on an unknown or repeated single-shot flag, or a
+ *         missing / unwanted value.
  */
 Args parseFlags(const Args &args, const std::vector<Flag> &flags);
 
@@ -66,6 +73,30 @@ Args parseFlags(const Args &args, const std::vector<Flag> &flags);
 std::uint64_t parseNumber(const std::string &flag, const std::string &text,
                           std::uint64_t lo, std::uint64_t hi,
                           int base = 10);
+
+/** A flag whose value parseNumber() stores into @p out. */
+template <typename T>
+Flag
+numberFlag(const char *name, T &out, std::uint64_t lo, std::uint64_t hi,
+           int base = 10)
+{
+    return {name, nullptr, [=, &out](const std::string &v) {
+                out = T(parseNumber(name, v, lo, hi, base));
+            }};
+}
+
+/** Labelled host profiles, as `griffin prof` renders them. */
+using HostProfiles = std::vector<std::pair<std::string, obs::HostProfile>>;
+
+/**
+ * The `griffin prof summarize` table: each profile's dispatches, host
+ * times, throughput, attribution and telemetry share, plus a TOTAL row
+ * when there are several.
+ */
+sys::Table profSummaryTable(const HostProfiles &profiles);
+
+/** The `griffin prof top` table: each profile's @p n heaviest buckets. */
+sys::Table profTopTable(const HostProfiles &profiles, unsigned n);
 
 /** A parsed `COMMAND REPORT.json [--run=LABEL] [--n=N] [--csv]`. */
 struct ReportQuery
@@ -89,13 +120,14 @@ struct ReportQuery
  * @p section.
  * @throws Exit 2 on a usage / IO / parse error or an unknown --run
  *         label, 1 when no selected run carries @p section (the hint
- *         names @p benchFlag, the bench flag that records it).
+ *         names @p runFlag, the `griffin run` flag that records it).
  */
 void openReport(ReportQuery &query, const char *tool, const Args &args,
                 const std::vector<std::string> &commands,
-                const char *section, const char *benchFlag,
+                const char *section, const char *runFlag,
                 std::vector<Flag> extra = {});
 
+int runMain(const Args &args);
 int compareMain(const Args &args);
 int pagesMain(const Args &args);
 int profMain(const Args &args);

@@ -48,8 +48,8 @@ compareMain(const Args &args)
     bool quiet = false;
     bool csv = false;
     const Args files = parseFlags(
-        args, {{"--fail-on", nullptr, threshold(false)},
-               {"--warn-on", nullptr, threshold(true)},
+        args, {{"--fail-on", nullptr, threshold(false), true},
+               {"--warn-on", nullptr, threshold(true), true},
                {"--verdict", nullptr,
                 [&](const std::string &v) { verdictFile = v; }},
                {"--csv", &csv},

@@ -166,12 +166,6 @@ fuzzMain(const Args &args)
 
     constexpr std::uint64_t maxU64 =
         std::numeric_limits<std::uint64_t>::max();
-    const auto number = [](const char *name, std::uint64_t &out,
-                           std::uint64_t lo, std::uint64_t hi) {
-        return Flag{name, nullptr, [=, &out](const std::string &v) {
-                        out = parseNumber(name, v, lo, hi, 0);
-                    }};
-    };
     // The wall clock counts in signed nanoseconds; stay inside it.
     const std::uint64_t maxSecs =
         std::chrono::duration_cast<std::chrono::seconds>(
@@ -179,11 +173,12 @@ fuzzMain(const Args &args)
             .count();
     const Args positional = parseFlags(
         args,
-        {number("--seeds", seeds, 0, maxU64),
-         number("--seed", firstSeed, 0, maxU64),
-         number("--jobs", jobs, 0, std::numeric_limits<unsigned>::max()),
-         number("--batch", batch, 1, maxU64),
-         number("--duration", durationSecs, 0, maxSecs),
+        {numberFlag("--seeds", seeds, 0, maxU64, 0),
+         numberFlag("--seed", firstSeed, 0, maxU64, 0),
+         numberFlag("--jobs", jobs, 0, std::numeric_limits<unsigned>::max(),
+                    0),
+         numberFlag("--batch", batch, 1, maxU64, 0),
+         numberFlag("--duration", durationSecs, 0, maxSecs, 0),
          {"--pin", nullptr,
           [&](const std::string &v) {
               for (const std::string &knob : splitList(v)) {
@@ -192,7 +187,8 @@ fuzzMain(const Args &args)
                                         "\" (see --list-knobs)"};
                   pinned.push_back(knob);
               }
-          }},
+          },
+          true},
          {"--shrink", &shrink},
          {"--corpus", &corpus},
          {"--describe", &describeOnly},

@@ -1,7 +1,7 @@
 /**
  * @file
  * griffin prof: query the host-side self-profile of a JSON run report
- * (written by a bench with --host-prof).
+ * (written by `griffin run` with --host-prof).
  *
  *   griffin prof summarize REPORT.json [--run=LABEL] [--csv]
  *   griffin prof top       REPORT.json [--run=LABEL] [--n=N] [--csv]
@@ -25,7 +25,7 @@
  * host_profile.host handling is for — this tool just displays them.
  *
  * Exit status: 0 OK, 1 the selected runs carry no host_profile section
- * (the bench ran without --host-prof), 2 usage / IO / parse error.
+ * (the run had no --host-prof), 2 usage / IO / parse error.
  */
 
 #include <algorithm>
@@ -64,15 +64,51 @@ addSummaryRow(sys::Table &table, const std::string &label,
 
 } // namespace
 
+sys::Table
+profSummaryTable(const HostProfiles &profiles)
+{
+    sys::Table table({"run", "dispatches", "wall_ms", "dispatch_ms",
+                      "Mevents/s", "attributed%", "obs%"});
+    HostProfile total;
+    for (const auto &[label, p] : profiles) {
+        addSummaryRow(table, label, p);
+        total.merge(p);
+    }
+    if (profiles.size() > 1)
+        addSummaryRow(table, "TOTAL", total);
+    return table;
+}
+
+sys::Table
+profTopTable(const HostProfiles &profiles, unsigned n)
+{
+    sys::Table table({"run", "bucket", "count", "self_ms", "share%"});
+    for (const auto &[label, p] : profiles) {
+        std::vector<HostProfile::Bucket> top = p.buckets;
+        std::sort(top.begin(), top.end(), [](const auto &a, const auto &b) {
+            return a.selfNs != b.selfNs ? a.selfNs > b.selfNs
+                                        : a.name() < b.name();
+        });
+        top.resize(std::min<std::size_t>(top.size(), n));
+        for (const auto &b : top) {
+            const double share =
+                p.dispatchNs > 0 ? double(b.selfNs) / double(p.dispatchNs)
+                                 : 0.0;
+            table.addRow({label, b.name(), std::to_string(b.count),
+                          ms(b.selfNs), sys::Table::num(share * 100.0, 1)});
+        }
+    }
+    return table;
+}
+
 int
 profMain(const Args &args)
 {
     ReportQuery q;
     openReport(q, "griffin prof", args, {"summarize", "top", "folded"},
                "host_profile", "--host-prof");
-    const unsigned topN = q.n ? q.n : 10;
 
-    std::vector<std::pair<std::string, HostProfile>> profiles;
+    HostProfiles profiles;
     for (const auto &[label, run] : q.runs) {
         auto profile = sys::hostProfileFromJson(*run->find("host_profile"));
         if (!profile) {
@@ -82,44 +118,10 @@ profMain(const Args &args)
         profiles.emplace_back(label, std::move(*profile));
     }
 
-    if (q.command == "summarize") {
-        sys::Table table({"run", "dispatches", "wall_ms",
-                          "dispatch_ms", "Mevents/s", "attributed%",
-                          "obs%"});
-        HostProfile total;
-        for (const auto &[label, p] : profiles) {
-            addSummaryRow(table, label, p);
-            total.merge(p);
-        }
-        if (profiles.size() > 1)
-            addSummaryRow(table, "TOTAL", total);
-        std::cout << (q.csv ? table.csv() : table.str());
-        return 0;
-    }
-
-    if (q.command == "top") {
-        sys::Table table({"run", "bucket", "count", "self_ms",
-                          "share%"});
-        for (const auto &[label, p] : profiles) {
-            std::vector<HostProfile::Bucket> top = p.buckets;
-            std::sort(top.begin(), top.end(),
-                      [](const auto &a, const auto &b) {
-                          return a.selfNs != b.selfNs
-                                     ? a.selfNs > b.selfNs
-                                     : a.name() < b.name();
-                      });
-            if (top.size() > topN)
-                top.resize(topN);
-            for (const auto &b : top) {
-                const double share =
-                    p.dispatchNs > 0
-                        ? double(b.selfNs) / double(p.dispatchNs)
-                        : 0.0;
-                table.addRow({label, b.name(), std::to_string(b.count),
-                              ms(b.selfNs),
-                              sys::Table::num(share * 100.0, 1)});
-            }
-        }
+    if (q.command != "folded") {
+        const sys::Table table = q.command == "summarize"
+                                     ? profSummaryTable(profiles)
+                                     : profTopTable(profiles, q.n ? q.n : 10);
         std::cout << (q.csv ? table.csv() : table.str());
         return 0;
     }

@@ -1,0 +1,337 @@
+/**
+ * @file
+ * griffin run: the front end over the experiment registry
+ * (experiments.cc) and the sweep harness every entry uses (run.hh).
+ *
+ * Exit status: 0 the entry ran, 2 usage error (an unknown entry, or a
+ * flag error caught before any output).
+ */
+
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <deque>
+#include <fstream>
+#include <iomanip>
+#include <iostream>
+#include <limits>
+#include <memory>
+
+#include <unistd.h>
+
+#include "src/obs/sampler.hh"
+#include "src/obs/trace.hh"
+#include "src/sim/log.hh"
+#include "tools/run.hh"
+
+namespace griffin::cli {
+
+Args
+parseRunFlags(const Args &args, RunOptions &opt)
+{
+    constexpr std::uint64_t maxU64 =
+        std::numeric_limits<std::uint64_t>::max();
+    const auto text = [](const char *name, std::string &out) {
+        return Flag{name, nullptr, [&out](const std::string &v) { out = v; }};
+    };
+    std::string chaosSpec;
+    std::optional<std::uint64_t> chaosSeed;
+    const Args positional = parseFlags(
+        args,
+        {// 0 would divide every footprint by zero downstream.
+         numberFlag("--scale", opt.workload.scaleDiv, 1, 1u << 20),
+         numberFlag("--seed", opt.workload.seed, 0, maxU64),
+         numberFlag("--jobs", opt.jobs, 1, 1024),
+         {"--csv", &opt.csv},
+         {"--workload", nullptr,
+          [&](const std::string &v) { opt.workloads.push_back(v); }, true},
+         text("--trace", opt.traceFile),
+         {"--trace-all", &opt.traceAll},
+         text("--report", opt.reportFile),
+         text("--samples", opt.samplesFile),
+         numberFlag("--sample", opt.samplePeriod, 0, maxU64),
+         {"--page-stats", &opt.pageStats},
+         numberFlag("--timeseries", opt.timeseriesTick, 0, maxU64),
+         {"--host-prof", &opt.hostProf,
+          [&](const std::string &v) { opt.hostProfFile = v; }},
+         numberFlag("--host-gate", opt.hostGate, 1, maxU64),
+         {"--progress", &opt.progress},
+         {"--log", nullptr,
+          [](const std::string &v) {
+              const Args levels{"error", "warn", "info", "trace"};
+              const auto it = std::find(levels.begin(), levels.end(), v);
+              if (it == levels.end())
+                  throw Exit{2, "bad value for --log: \"" + v +
+                                    "\" (want error|warn|info|trace)"};
+              sim::Log::setLevel(sim::LogLevel(it - levels.begin()));
+          }},
+         text("--chaos", chaosSpec),
+         numberFlag("--chaos-seed", chaosSeed, 0, maxU64),
+         {"--list", &opt.list}});
+    opt.hostProf |= opt.hostGate > 0; // the gate needs the profiler
+    if (!chaosSpec.empty()) {
+        opt.chaos = sys::ChaosConfig::parse(chaosSpec);
+        if (!opt.chaos)
+            throw Exit{2, "malformed --chaos spec \"" + chaosSpec +
+                              "\" (a rate in [0,1] or key=value pairs)"};
+        if (chaosSeed)
+            opt.chaos->seed = *chaosSeed;
+    } else if (chaosSeed) {
+        std::cerr << "warning: --chaos-seed without --chaos has no "
+                     "effect\n";
+    }
+    return positional;
+}
+
+void
+resolveSelection(const Experiment &e, const Args &args, RunOptions &opt)
+{
+    for (const std::string &pin : e.pins) {
+        const std::string flag = pin.substr(0, pin.find('='));
+        for (const std::string &arg : args) {
+            if (arg.substr(0, arg.find('=')) == flag)
+                throw usageError(e.name + " pins " + pin);
+        }
+    }
+    parseRunFlags(e.pins, opt);
+
+    const std::vector<std::string> &set =
+        e.workloads.empty() ? wl::workloadNames() : e.workloads;
+    for (const std::string &w : opt.workloads) {
+        if (std::find(set.begin(), set.end(), w) == set.end()) {
+            std::string names;
+            for (const std::string &s : set)
+                names += (names.empty() ? "" : " ") + s;
+            throw usageError("--workload " + w + ": " + e.name +
+                             " runs only " + names);
+        }
+    }
+    if (opt.workloads.empty())
+        opt.workloads = e.subset.empty() ? set : e.subset;
+}
+
+/**
+ * The invocation's observability outputs. Each run owns one slot,
+ * claimed in submission order by Sweep::add and filled by the run's
+ * worker thread alone, so no lock is needed. The destructor merges the
+ * slots in order and writes the files, then prints the host-time
+ * summary and applies --host-gate when any run was profiled.
+ */
+struct ObsState
+{
+    struct Slot
+    {
+        std::unique_ptr<obs::TraceSession> trace;
+        std::unique_ptr<obs::Sampler> sampler;
+        std::optional<obs::json::Value> report;
+        std::string samplesCsv;
+        obs::HostProfile hostProfile;
+    };
+
+    const RunOptions &opt;
+    /** A deque: slots never move while their runs are in flight. */
+    std::deque<Slot> slots;
+
+    ~ObsState();
+};
+
+ObsState::~ObsState()
+{
+    if (!opt.traceFile.empty()) {
+        std::vector<const obs::TraceSession *> sessions;
+        std::size_t events = 0;
+        for (const Slot &slot : slots) {
+            sessions.push_back(slot.trace.get());
+            events += slot.trace->eventCount();
+        }
+        std::ofstream os(opt.traceFile);
+        obs::TraceSession::writeMerged(os, sessions);
+        std::cerr << "trace: " << opt.traceFile << " (" << events
+                  << " events)\n";
+    }
+    if (!opt.reportFile.empty()) {
+        obs::json::Value runs = obs::json::Value::array();
+        for (Slot &slot : slots) {
+            if (slot.report)
+                runs.push(std::move(*slot.report));
+        }
+        std::ofstream os(opt.reportFile);
+        os << sys::reportDocument(std::move(runs)).dump(2) << "\n";
+        std::cerr << "report: " << opt.reportFile << "\n";
+    }
+    if (!opt.samplesFile.empty()) {
+        std::string csv;
+        for (const Slot &slot : slots)
+            csv += slot.samplesCsv;
+        if (csv.empty()) {
+            std::cerr << "samples: nothing sampled (is --sample=0?), "
+                      << "not writing " << opt.samplesFile << "\n";
+        } else {
+            std::ofstream os(opt.samplesFile);
+            os << csv;
+            std::cerr << "samples: " << opt.samplesFile << "\n";
+        }
+    }
+    if (!opt.hostProf)
+        return;
+
+    // The sweep-level profile: per-run profiles merged in slot
+    // (= submission) order, so bucket order never depends on
+    // completion order.
+    obs::HostProfile total;
+    for (const Slot &slot : slots) {
+        if (slot.hostProfile.enabled)
+            total.merge(slot.hostProfile);
+    }
+    if (!total.enabled) // no runs, as in tab03_workloads
+        return;
+    if (!opt.hostProfFile.empty()) {
+        std::ofstream os(opt.hostProfFile);
+        os << total.folded();
+        std::cerr << "host-prof: " << opt.hostProfFile << " ("
+                  << total.buckets.size() << " buckets, " << total.events
+                  << " dispatches)\n";
+    }
+
+    // Host wall times are machine-dependent, so the summary stays on
+    // stderr, out of the deterministic stdout contract, and the gate
+    // only warns.
+    const HostProfiles sweep{{"sweep", total}};
+    std::cerr << profSummaryTable(sweep).str()
+              << profTopTable(sweep, 5).str();
+    if (opt.hostGate > 0 && total.eventsPerSec() < double(opt.hostGate)) {
+        std::cerr << "WARNING: host throughput "
+                  << sys::Table::num(total.eventsPerSec(), 0)
+                  << " events/sec below --host-gate=" << opt.hostGate
+                  << " (soft gate: warning only)\n";
+    }
+}
+
+void
+Sweep::emit(const sys::Table &table, const std::string &note) const
+{
+    std::cout << table.str() << "\n";
+    if (opt.csv)
+        std::cout << "CSV:\n" << table.csv() << "\n";
+    std::cout << note;
+}
+
+std::size_t
+Sweep::add(const std::string &name, const sys::SystemConfig &scfg,
+           const std::string &dim,
+           std::function<void(sys::MultiGpuSystem &)> setup)
+{
+    const std::string label =
+        name + (scfg.policy == sys::PolicyKind::Griffin ? "/griffin"
+                                                        : "/first-touch") +
+        (dim.empty() ? "" : "/" + dim);
+
+    // Per-run sinks, created here so the slots keep submission order,
+    // attached and filled on the worker thread.
+    ObsState::Slot &s = _obs.slots.emplace_back();
+    if (!opt.traceFile.empty()) {
+        s.trace = std::make_unique<obs::TraceSession>(
+            opt.traceAll ? obs::allCategories : obs::defaultCategories);
+        s.trace->beginProcess(label);
+    }
+    if (opt.samplePeriod > 0 &&
+        (!opt.reportFile.empty() || !opt.samplesFile.empty()))
+        s.sampler = std::make_unique<obs::Sampler>();
+
+    sys::SweepJob job;
+    job.label = label;
+    job.config = scfg;
+    if (opt.chaos)
+        job.config.chaos = *opt.chaos;
+    job.config.pageStats.enabled |= opt.pageStats;
+    if (opt.timeseriesTick > 0)
+        job.config.timeseriesTick = opt.timeseriesTick;
+    job.config.hostProf |= opt.hostProf;
+    job.makeWorkload = [name, wcfg = opt.workload] {
+        return wl::makeWorkload(name, wcfg);
+    };
+    job.preRun = [&s, period = opt.samplePeriod,
+                  setup = std::move(setup)](sys::MultiGpuSystem &system) {
+        if (s.trace)
+            s.trace->attach();
+        if (s.sampler) {
+            system.registerProbes(*s.sampler);
+            s.sampler->start(system.engine(), period);
+        }
+        if (setup)
+            setup(system);
+    };
+    job.postRun = [&s, &opt = opt, label, scfg](
+                      sys::MultiGpuSystem &, const sys::RunResult &r) {
+        if (s.sampler)
+            s.sampler->stop();
+        if (s.trace)
+            s.trace->detach();
+        if (!opt.reportFile.empty())
+            s.report = sys::runReportJson(label, scfg, r, s.sampler.get());
+        if (!opt.samplesFile.empty() && s.sampler)
+            s.samplesCsv = "# " + label + "\n" + s.sampler->csv();
+        s.hostProfile = r.hostProfile;
+    };
+    return _runner.submit(std::move(job));
+}
+
+std::vector<sys::RunResult>
+Sweep::run()
+{
+    // Progress is stderr-only UI, and silent when stderr is a pipe so
+    // redirected logs don't fill with \r-rewritten lines.
+    if (opt.progress && isatty(fileno(stderr))) {
+        using clock = std::chrono::steady_clock;
+        _runner.setProgress([start = clock::now()](std::size_t done,
+                                                   std::size_t total) {
+            const std::chrono::duration<double> elapsed =
+                clock::now() - start;
+            std::fprintf(stderr,
+                         "\rsweep: %zu/%zu runs  %.1fs elapsed"
+                         "  ~%.1fs left %s",
+                         done, total, elapsed.count(),
+                         elapsed.count() * double(total - done) /
+                             double(done),
+                         done == total ? "\n" : "");
+        });
+    }
+    return _runner.run();
+}
+
+
+int
+runMain(const Args &args)
+{
+    RunOptions opt;
+    const Args names = parseRunFlags(args, opt);
+    if (opt.list) {
+        if (!names.empty())
+            throw usageError("--list takes no entry name");
+        for (const Experiment &e : experiments()) {
+            std::cout << std::left << std::setw(28) << e.name << "  "
+                      << e.paper;
+            for (const std::string &pin : e.pins)
+                std::cout << (&pin == &e.pins[0] ? " (pins " : " ") << pin;
+            std::cout << (e.pins.empty() ? "\n" : ")\n");
+        }
+        return 0;
+    }
+    if (names.size() != 1)
+        throw usageError("want one entry NAME (see griffin run --list)");
+    const auto &all = experiments();
+    const auto e = std::find_if(all.begin(), all.end(), [&](const auto &x) {
+        return x.name == names[0];
+    });
+    if (e == all.end())
+        throw Exit{2, "unknown entry " + names[0] +
+                          " (see griffin run --list)"};
+    resolveSelection(*e, args, opt);
+
+    ObsState obs{opt, {}}; // writes the files when the entry returns
+    Sweep sweep(opt, obs);
+    e->run(sweep);
+    return 0;
+}
+
+} // namespace griffin::cli
