@@ -114,8 +114,10 @@ BENCHMARK(BM_EventQueueTimerChurn)->Arg(1024)->Arg(16384);
 static void
 BM_EventQueueFarHorizonMix(benchmark::State &state)
 {
-    // Deadlines far beyond the ladder window land in the spill heap
-    // and migrate into buckets as the window slides over them.
+    // Deadlines far beyond the ladder window land in the spill heap.
+    // When the near future drains the window jumps to the spill's
+    // earliest deadline, then each roll moves the deadlines it now
+    // covers into their buckets.
     const std::size_t batch = std::size_t(state.range(0));
     for (auto _ : state) {
         sim::EventQueue q;
@@ -132,6 +134,37 @@ BM_EventQueueFarHorizonMix(benchmark::State &state)
                             std::int64_t(batch));
 }
 BENCHMARK(BM_EventQueueFarHorizonMix)->Arg(16384);
+
+static void
+BM_EventQueueFabricHop(benchmark::State &state)
+{
+    // Fabric deliveries: K concurrent chains, each re-scheduling
+    // 502-1023 ticks ahead (two link latencies plus serialization).
+    // The ladder is never empty, so only a window that rolls with time
+    // keeps these hops out of the spill heap.
+    const std::uint64_t chains = std::uint64_t(state.range(0));
+    const std::uint64_t hops = chains * 256;
+    for (auto _ : state) {
+        sim::EventQueue q;
+        std::uint64_t scheduled = 0;
+        std::uint32_t rng = 1;
+        sim::InlineFn<void()> step;
+        step = [&] {
+            if (scheduled == hops)
+                return;
+            ++scheduled;
+            rng = rng * 1664525u + 1013904223u;
+            q.schedule(502 + (rng >> 16) % 522, [&] { step(); });
+        };
+        for (std::uint64_t k = 0; k < chains; ++k)
+            step();
+        q.run();
+        benchmark::DoNotOptimize(rng);
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                            std::int64_t(hops));
+}
+BENCHMARK(BM_EventQueueFabricHop)->Arg(16)->Arg(256);
 
 static void
 BM_CacheAccess(benchmark::State &state)

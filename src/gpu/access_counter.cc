@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace griffin::gpu {
 
@@ -25,9 +26,12 @@ AccessCounter::record(PageId page)
     }
 
     if (_table.size() >= _capacity) {
-        // Replace the coldest entry; hardware would keep a min tree.
+        // Replace the coldest entry (the first with the smallest
+        // count); hardware would keep a min tree. Counts start at 1,
+        // so the first count-1 entry ends the scan.
         auto coldest = _table.begin();
-        for (auto it = _table.begin(); it != _table.end(); ++it) {
+        for (auto it = std::next(coldest);
+             coldest->second > 1 && it != _table.end(); ++it) {
             if (it->second < coldest->second)
                 coldest = it;
         }

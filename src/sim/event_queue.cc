@@ -69,6 +69,7 @@ EventQueue::fileStaged()
         _ref.push(std::move(_staged));
         return;
     }
+    ++_spillInserts;
     _spill.push_back(std::move(_staged));
     std::push_heap(_spill.begin(), _spill.end(), Later{});
 }
@@ -179,32 +180,27 @@ EventQueue::migrateBucket(std::size_t idx)
 }
 
 void
-EventQueue::slideWindow()
+EventQueue::rollWindow(Tick base)
 {
-    // Ring and ladder are empty; re-anchor the window on the spill's
-    // earliest live event and redistribute everything that now fits.
-    // Heap pops come out in (when, seq) order, so bucket append order
-    // stays schedule order.
-    while (!_spill.empty() && !alive(_spill.front())) {
-        std::pop_heap(_spill.begin(), _spill.end(), Later{});
-        _spill.pop_back();
-        --_deadEntries;
-    }
-    if (_spill.empty())
-        return;
-    _windowBase = _spill.front().when;
-    _windowEnd = _windowBase + ladderBuckets;
+    // The window becomes [base, base + N). The ladder holds no tick
+    // outside (base, old end) and the spill none below the old end, so
+    // every spill entry that now fits lands in an empty bucket; heap
+    // pops come out in (when, seq) order, and any later direct insert
+    // at the same tick has a larger seq, so bucket append order stays
+    // schedule order (DESIGN.md §14.1).
+    _windowBase = base;
+    _windowEnd = base + ladderBuckets;
     while (!_spill.empty() && _spill.front().when < _windowEnd) {
         std::pop_heap(_spill.begin(), _spill.end(), Later{});
-        Entry e = std::move(_spill.back());
-        _spill.pop_back();
-        if (!alive(e)) {
+        Entry &e = _spill.back();
+        if (alive(e)) {
+            const std::size_t idx = e.when & (ladderBuckets - 1);
+            _ladder[idx].v.push_back(std::move(e));
+            setBit(idx);
+        } else {
             --_deadEntries;
-            continue;
         }
-        const std::size_t idx = e.when & (ladderBuckets - 1);
-        _ladder[idx].v.push_back(std::move(e));
-        setBit(idx);
+        _spill.pop_back();
     }
 }
 
@@ -410,12 +406,20 @@ EventQueue::popLive()
             return e;
         const int b = nextBucketIndex();
         if (b >= 0) {
+            // Time moves to the bucket's tick: roll the window with it
+            // so the next 1023 ticks stay in the ladder.
+            const Bucket &bk = _ladder[static_cast<std::size_t>(b)];
+            const Tick t = bk.v.back().when;
             migrateBucket(static_cast<std::size_t>(b));
+            rollWindow(t);
             continue;
         }
+        // Ring and ladder are empty: jump to the spill's earliest entry.
+        // A tombstone there is dropped by the roll and the loop jumps
+        // again.
         if (_spill.empty())
             return nullptr;
-        slideWindow();
+        rollWindow(_spill.front().when);
     }
 }
 

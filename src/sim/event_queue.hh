@@ -15,16 +15,19 @@
  *    current tick while the batch runs. Zero-delay continuations — the
  *    dominant shape in CU/GPU/dispatcher code — append to the ring in
  *    O(1); when the batch is spent the ring becomes the next batch;
- *  - a LADDER of per-tick buckets covering a sliding window of the
- *    near future. An insert indexes its bucket directly (O(1)); when
- *    time reaches a bucket its vector becomes the batch wholesale.
- *    Within a bucket, append order IS schedule order, so FIFO-within-
- *    tick holds by construction;
- *  - a SPILL HEAP for events beyond the window (periodic-hook-scale
- *    delays, recovery deadlines). When the near future empties, the
- *    window slides to the spill's earliest event and everything
- *    inside the new window redistributes into the ladder in (when,
- *    seq) order, preserving the global FIFO contract.
+ *  - a LADDER of per-tick buckets covering a 1024-tick window that
+ *    rolls with time: when a bucket (tick t) becomes the batch, the
+ *    window becomes [t, t + 1024). An insert indexes its bucket
+ *    directly (O(1)); when time reaches a bucket its vector becomes
+ *    the batch wholesale. Within a bucket, append order IS schedule
+ *    order, so FIFO-within-tick holds by construction;
+ *  - a SPILL HEAP for the far future only: deadlines at or beyond the
+ *    window's end (periodic-hook-scale delays, recovery deadlines).
+ *    Each roll moves every spill entry the new window covers into its
+ *    (empty) bucket in (when, seq) order, so a tick's spilled events
+ *    precede its later direct inserts and the global FIFO contract
+ *    holds. When the near future empties, the window jumps to the
+ *    spill's earliest event the same way.
  *
  * Event callbacks are sim::InlineFn (inline capture storage, no
  * per-event heap allocation), built once in the tier that holds them
@@ -172,7 +175,7 @@ class EventQueue
 
     /**
      * Execute the earliest event if it is due at now(), without any
-     * per-tick work (settling, window slides). sim::Engine::run() calls
+     * per-tick work (settling, window rolls). sim::Engine::run() calls
      * runOne() for the first event of a tick and this for the rest.
      * @retval false nothing (live) remains at now().
      */
@@ -202,6 +205,12 @@ class EventQueue
      * tests assert this stays close to size().
      */
     std::size_t residentEntries() const;
+
+    /**
+     * Entries ever filed into the spill heap (far-future tier); the
+     * rolling window keeps this a small share of eventsExecuted().
+     */
+    std::uint64_t spillInserts() const { return _spillInserts; }
 
     /** Timer slots ever allocated (the free list recycles them). */
     std::size_t timerSlotsAllocated() const { return _timerSlots.size(); }
@@ -325,6 +334,7 @@ class EventQueue
     /** Cancelled-timeout tombstones still resident in a tier. */
     std::size_t _deadEntries = 0;
     std::size_t _pendingTimerCount = 0;
+    std::uint64_t _spillInserts = 0;
 
     std::vector<TimerSlot> _timerSlots;
     std::vector<std::uint32_t> _freeTimerSlots;
@@ -367,8 +377,12 @@ class EventQueue
     void dispatch(Entry &e);
     /** Hand the whole bucket (one tick's FIFO) to the spent batch. */
     void migrateBucket(std::size_t idx);
-    /** Re-anchor the window on the spill's earliest live event. */
-    void slideWindow();
+    /**
+     * Make the window [@p base, @p base + N) and move every spill
+     * entry it now covers into its bucket (tombstones are dropped).
+     * Requires the ladder to hold no tick outside (base, base + N).
+     */
+    void rollWindow(Tick base);
     /**
      * Prune cancelled tombstones off the front of the pop order and
      * return the (live) front. Requires size() > 0.

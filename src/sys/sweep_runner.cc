@@ -115,15 +115,4 @@ SweepRunner::run()
     return results;
 }
 
-obs::HostProfile
-SweepRunner::aggregateHostProfiles(const std::vector<RunResult> &results)
-{
-    obs::HostProfile total;
-    for (const RunResult &r : results) {
-        if (r.hostProfile.enabled)
-            total.merge(r.hostProfile);
-    }
-    return total;
-}
-
 } // namespace griffin::sys

@@ -108,16 +108,6 @@ class SweepRunner
         _progress = std::move(cb);
     }
 
-    /**
-     * Merge the per-run host profiles of @p results (in order) into
-     * one sweep-level profile: bucket names and counts deterministic
-     * for a fixed job list, host times summed across runs (CPU time,
-     * not elapsed wall, when runs overlapped under --jobs=N).
-     * enabled == false when no run carried a profile.
-     */
-    static obs::HostProfile
-    aggregateHostProfiles(const std::vector<RunResult> &results);
-
     /** Jobs submitted and not yet run. */
     std::size_t pending() const { return _jobs.size(); }
 

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+
 #include "src/gpu/access_counter.hh"
 
 using namespace griffin;
@@ -98,4 +103,88 @@ TEST(AccessCounter, PaperBudgetIs100Entries)
     for (PageId p = 0; p < 200; ++p)
         ac.record(p);
     EXPECT_EQ(ac.size(), 100u);
+}
+
+namespace {
+
+using Table = std::unordered_map<PageId, std::uint32_t>;
+
+/**
+ * record() with the victim scan it had before it stopped at the count
+ * floor: a full pass for the first entry with the smallest count.
+ */
+void
+recordWithFullScan(Table &table, PageId page, std::size_t capacity)
+{
+    if (auto it = table.find(page); it != table.end()) {
+        it->second = std::min<std::uint32_t>(it->second + 1, 0xff);
+        return;
+    }
+    if (table.size() >= capacity) {
+        auto coldest = table.begin();
+        for (auto it = table.begin(); it != table.end(); ++it) {
+            if (it->second < coldest->second)
+                coldest = it;
+        }
+        table.erase(coldest);
+    }
+    table.emplace(page, 1);
+}
+
+/**
+ * Fill a table with page p at counts[p] (records interleaved, so the
+ * count-1 entries scatter through the iteration order), then miss
+ * once: the evicted page must be the one the full scan picks.
+ */
+void
+expectFullScanVictim(const std::vector<std::uint32_t> &counts)
+{
+    AccessCounter ac(counts.size());
+    Table mirror;
+    const auto both = [&](PageId p) {
+        ac.record(p);
+        recordWithFullScan(mirror, p, counts.size());
+    };
+    const std::uint32_t rounds =
+        *std::max_element(counts.begin(), counts.end());
+    for (std::uint32_t r = 0; r < rounds; ++r) {
+        for (PageId p = 0; p < counts.size(); ++p) {
+            if (counts[p] > r)
+                both(p);
+        }
+    }
+    both(100000);
+    ASSERT_EQ(ac.capacityEvictions, 1u);
+
+    std::vector<std::pair<PageId, std::uint32_t>> want(mirror.begin(),
+                                                       mirror.end());
+    std::sort(want.begin(), want.end());
+    std::vector<std::pair<PageId, std::uint32_t>> got;
+    for (const auto &pc : ac.collectTop(counts.size()))
+        got.emplace_back(pc.page, pc.count);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want);
+}
+
+} // namespace
+
+TEST(AccessCounter, EarlyStopEvictsTheFullScanVictim)
+{
+    // All ones: the first entry in iteration order.
+    expectFullScanVictim(std::vector<std::uint32_t>(100, 1));
+    // No ones: the scan runs to the end for the first minimum.
+    std::vector<std::uint32_t> noOnes(100);
+    for (std::size_t i = 0; i < noOnes.size(); ++i)
+        noOnes[i] = 2 + std::uint32_t((i * 37) % 11);
+    expectFullScanVictim(noOnes);
+    // Mixed: a few count-1 entries among hotter ones, several layouts.
+    std::uint32_t rng = 7;
+    for (int trial = 0; trial < 20; ++trial) {
+        std::vector<std::uint32_t> mixed(100);
+        for (auto &c : mixed) {
+            rng = rng * 1664525u + 1013904223u;
+            c = (rng >> 24) % 16 == 0 ? 1 : 2 + (rng >> 16) % 30;
+        }
+        expectFullScanVictim(mixed);
+    }
 }

@@ -368,11 +368,11 @@ TEST(EventQueueStress, InterleavedEventsAndCancelsStayOrdered)
 }
 
 // --- Window-boundary properties ------------------------------------
-// The ladder covers a sliding 1024-tick window; events beyond it land
-// in the spill heap and redistribute into the ladder when the window
-// slides. Nothing about that seam may be observable: FIFO within a
-// tick, global time order, and nextTime() exactness all hold on both
-// sides of the boundary and across a slide.
+// The ladder covers a rolling 1024-tick window; events beyond it land
+// in the spill heap and move into the ladder when the window rolls (or
+// jumps) over them. Nothing about that seam may be observable: FIFO
+// within a tick, global time order, and nextTime() exactness all hold
+// on both sides of the boundary and across a roll.
 
 TEST(EventQueueWindow, FifoHoldsAcrossTheLadderSpillBoundary)
 {
@@ -401,7 +401,7 @@ TEST(EventQueueWindow, FifoHoldsAcrossTheLadderSpillBoundary)
 TEST(EventQueueWindow, SpillRedistributionPreservesFifoWithinTick)
 {
     // All 64 events share one far-future tick, so every one takes the
-    // spill -> slide -> ladder -> ring path; schedule order survives it.
+    // spill -> jump -> ladder -> ring path; schedule order survives it.
     EventQueue q;
     std::vector<int> order;
     for (int i = 0; i < 64; ++i)
@@ -415,7 +415,7 @@ TEST(EventQueueWindow, SpillRedistributionPreservesFifoWithinTick)
 TEST(EventQueueWindow, LateArrivalsAtARedistributedTickStayFifo)
 {
     // The first four events at tick 5000 spill; at tick 4000 the
-    // window has slid so 5000 is a ladder bucket, and four more events
+    // window has rolled so 5000 is a ladder bucket, and four more events
     // append there directly. Global schedule order must still win.
     EventQueue q;
     std::vector<int> order;
@@ -458,7 +458,7 @@ TEST(EventQueueWindow, NextTimeIsExactAfterCancelsAroundTheBoundary)
 TEST(EventQueueWindow, CancelledSpillTopDoesNotBlockTheSlide)
 {
     // The spill's earliest entry is a cancelled timeout: the window
-    // must slide to the first live event, not anchor on (or fire at)
+    // must jump to the first live event, not anchor on (or fire at)
     // the tombstone's deadline.
     EventQueue q;
     const auto dead = q.scheduleTimeout(2000, [] {});
@@ -469,13 +469,53 @@ TEST(EventQueueWindow, CancelledSpillTopDoesNotBlockTheSlide)
     EXPECT_EQ(firedAt, 3000u);
 }
 
+namespace {
+
+/**
+ * A randomized schedule for the tiered-vs-reference differential:
+ * plain events that fire spawn children at delays in [0, 4096) from
+ * inside their callbacks, so inserts land at every position of the
+ * rolling window and on both sides of its end.
+ */
+struct HopScript
+{
+    EventQueue &q;
+    std::vector<int> &order;
+    std::uint32_t rng = 77;
+    int children = 3000;
+    int nextId = 100000;
+
+    Tick
+    draw()
+    {
+        rng = rng * 1664525u + 1013904223u;
+        return (rng >> 20) & 4095;
+    }
+
+    void
+    fire(Tick delay, int id)
+    {
+        q.schedule(delay, [this, id] {
+            order.push_back(id);
+            if (children > 0) {
+                --children;
+                fire(draw(), nextId++);
+            }
+        });
+    }
+};
+
+} // namespace
+
 TEST(EventQueueWindow, TieredAndReferenceSchedulersAgreeOnOrder)
 {
-    // One randomized script — bursty delays straddling the window,
+    // One randomized script — bursty delays in [0, 4096) straddling
+    // the window, scheduled from the top level and from callbacks,
     // timer arms, cancels, partial drains — must fire callbacks in the
     // identical order on the tiered queue and on the naive reference
     // heap (the differential the fuzz oracles rely on).
     const auto script = [](EventQueue &q, std::vector<int> &order) {
+        HopScript hops{q, order};
         std::uint32_t rng = 2024;
         std::vector<griffin::sim::TimerId> timers;
         int id = 0;
@@ -486,7 +526,7 @@ TEST(EventQueueWindow, TieredAndReferenceSchedulersAgreeOnOrder)
                 timers.push_back(q.scheduleTimeout(
                     delay + 1, [&order, id] { order.push_back(id); }));
             } else {
-                q.schedule(delay, [&order, id] { order.push_back(id); });
+                hops.fire(delay, id);
             }
             ++id;
             if ((rng & 15) == 1 && !timers.empty()) {
@@ -497,6 +537,7 @@ TEST(EventQueueWindow, TieredAndReferenceSchedulersAgreeOnOrder)
                 q.runUntil(q.now() + 256);
         }
         q.run();
+        EXPECT_EQ(hops.children, 0);
     };
 
     EventQueue tiered;
@@ -688,5 +729,161 @@ TEST(EventQueueInPlace, CancelStormCompactsTheBatchUnderARunningCallback)
                 r.order.push_back(c.v);
             });
         }
+    });
+}
+
+// --- Rolling window --------------------------------------------------
+// The ladder window becomes [t, t + 1024) whenever time reaches a
+// bucket at tick t, pulling in every spill entry it now covers. A hop
+// shorter than the window therefore never spills, whatever else is in
+// the ladder, and a tick's spilled events stay ahead of its later
+// direct inserts.
+
+namespace {
+
+/** Keeps the ladder busy: an event every @p period ticks to @p until. */
+struct Ticker
+{
+    EventQueue &q;
+    Tick period;
+    Tick until;
+
+    void
+    arm()
+    {
+        q.schedule(period, [this] {
+            if (q.now() + period <= until)
+                arm();
+        });
+    }
+};
+
+/** Independent chains re-scheduling 502-1023 ticks ahead (fabric hops). */
+struct HopChains
+{
+    EventQueue &q;
+    int budget;
+    std::uint32_t rng = 1;
+    Tick longHopAt = 0;
+
+    void
+    hop()
+    {
+        if (budget-- <= 0)
+            return;
+        rng = rng * 1664525u + 1013904223u;
+        Tick delay = 502 + (rng >> 16) % 522;
+        if (longHopAt != 0 && q.now() >= longHopAt) {
+            delay = 1024; // one hop a full window ahead
+            longHopAt = 0;
+        }
+        q.schedule(delay, [this] { hop(); });
+    }
+};
+
+/** Tick-100 steps that each schedule two events at @p target. */
+void
+stepTowards(EventQueue &q, ScriptRun &r, Tick target, std::uint64_t step)
+{
+    q.schedule(100, [&q, &r, target, step] {
+        for (std::uint64_t k = 0; k < 2; ++k) {
+            q.scheduleAt(target, [&r, c = Canary(1000 + step * 10 + k)] {
+                r.order.push_back(c.v);
+            });
+        }
+        r.order.push_back(step);
+        if (q.now() + 100 < target)
+            stepTowards(q, r, target, step + 1);
+    });
+}
+
+} // namespace
+
+TEST(EventQueueRoll, FabricHopsUnderABusyLadderNeverSpill)
+{
+    // 16 chains keep the ladder occupied at all times, so the window
+    // never finds the near future empty. Every hop still lands inside
+    // it because it rolls with time.
+    EventQueue q;
+    HopChains chains{q, 20000};
+    for (int k = 0; k < 16; ++k)
+        chains.hop();
+    q.run();
+    EXPECT_EQ(q.eventsExecuted(), 20000u);
+    EXPECT_EQ(q.spillInserts(), 0u);
+
+    // A hop of exactly the window's length is the first that spills.
+    EventQueue far;
+    HopChains farChains{far, 20000};
+    farChains.longHopAt = 100000;
+    for (int k = 0; k < 16; ++k)
+        farChains.hop();
+    far.run();
+    EXPECT_EQ(farChains.longHopAt, 0u);
+    EXPECT_EQ(far.spillInserts(), 1u);
+}
+
+TEST(EventQueueRoll, SpilledAndDirectInsertsAtOneTickKeepScheduleOrder)
+{
+    // Steps at ticks 100..2400 each add two events at tick 2500. Those
+    // from ticks up to 1400 spill (2500 is a window or more ahead);
+    // the roll at tick 1500 moves them into 2500's bucket, and the
+    // steps from 1500 on append there directly. Dispatch order must be
+    // the reference heap's.
+    const auto script = [](EventQueue &q, ScriptRun &r) {
+        stepTowards(q, r, 2500, 1);
+    };
+    expectOrderMatchesReference(script);
+
+    EventQueue q;
+    ScriptRun r;
+    script(q, r);
+    q.run();
+    EXPECT_EQ(q.spillInserts(), 28u); // 14 steps x 2, the rest direct
+    EXPECT_EQ(r.order.size(), 24u * 3u);
+}
+
+TEST(EventQueueRoll, CancelledTimeoutPulledInByARollIsDropped)
+{
+    // The cancelled timeout is a tombstone in the spill. The roll that
+    // covers its tick drops it instead of filing it in the ladder, so
+    // the resident count returns to the live count.
+    EventQueue q;
+    Ticker ticker{q, 100, 3000};
+    ticker.arm();
+    const auto dead = q.scheduleTimeout(1500, [] {});
+    q.schedule(1600, [] {});
+    EXPECT_TRUE(q.cancelTimeout(dead));
+    EXPECT_EQ(q.residentEntries(), q.size() + 1);
+
+    q.runUntil(700); // the roll at tick 500 covers tick 1500
+    EXPECT_EQ(q.residentEntries(), q.size());
+    EXPECT_EQ(q.spillInserts(), 2u);
+    EXPECT_EQ(q.run(), 3000u);
+    EXPECT_EQ(q.residentEntries(), 0u);
+}
+
+TEST(EventQueueRoll, RunUntilStoppingMidWindowThenResumingMatchesReference)
+{
+    // runUntil() leaves the clock between buckets (and once beyond the
+    // window's end, with the ladder empty); inserts made there, then
+    // the resumed run, must keep the reference heap's order.
+    expectOrderMatchesReference([](EventQueue &q, ScriptRun &r) {
+        const auto at = [&q, &r](Tick delay, std::uint64_t id) {
+            q.schedule(delay, [&r, c = Canary(id)] {
+                r.order.push_back(c.v);
+            });
+        };
+        for (const Tick d : {10, 300, 900, 1100, 2000, 5000})
+            at(d, 1 + d);
+        q.runUntil(500);
+        for (const Tick d : {0, 1, 523, 1023, 1024, 1500})
+            at(d, 10000 + d);
+        q.runUntil(1200);
+        at(0, 20000);
+        at(400, 20001);
+        q.runUntil(3500); // past the window's end; only 5000 remains
+        for (const Tick d : {0, 3, 1023, 1024})
+            at(d, 30000 + d);
     });
 }

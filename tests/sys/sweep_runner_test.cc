@@ -359,35 +359,6 @@ TEST(SweepRunner, HostProfileEventsMatchEngineDispatches)
     EXPECT_EQ(results[0].hostProfile.events, profiled);
 }
 
-TEST(SweepRunner, AggregateHostProfilesMergesEnabledRunsOnly)
-{
-    RunResult a;
-    a.hostProfile.enabled = true;
-    a.hostProfile.events = 10;
-    a.hostProfile.dispatchNs = 100;
-    a.hostProfile.buckets = {{"gpu", "l1_tlb", 4, 60},
-                             {"net", "deliver", 6, 40}};
-    RunResult unprofiled; // enabled = false: contributes nothing
-    RunResult b;
-    b.hostProfile.enabled = true;
-    b.hostProfile.events = 5;
-    b.hostProfile.dispatchNs = 50;
-    b.hostProfile.buckets = {{"gpu", "l1_tlb", 2, 50}};
-
-    const auto total =
-        SweepRunner::aggregateHostProfiles({a, unprofiled, b});
-    EXPECT_TRUE(total.enabled);
-    EXPECT_EQ(total.events, 15u);
-    EXPECT_EQ(total.dispatchNs, 150u);
-    ASSERT_EQ(total.buckets.size(), 2u);
-    EXPECT_EQ(total.buckets[0].name(), "gpu;l1_tlb");
-    EXPECT_EQ(total.buckets[0].count, 6u);
-    EXPECT_EQ(total.buckets[0].selfNs, 110u);
-
-    const auto none = SweepRunner::aggregateHostProfiles({unprofiled});
-    EXPECT_FALSE(none.enabled);
-}
-
 TEST(SweepRunner, ProgressCallbackCountsEveryCompletion)
 {
     // The callback is serialized and fires once per finished job with
