@@ -195,6 +195,33 @@ BM_TlbLookupHit(benchmark::State &state)
 }
 BENCHMARK(BM_TlbLookupHit);
 
+/**
+ * A per-CU L1 TLB (1 x 32) under a CU's access pattern. Arg 0: runs of
+ * 16 lookups to one of 32 resident pages (a wavefront's coalesced
+ * lines). Arg 1: lookups to pages never filled, each a full scan of
+ * the set.
+ */
+static void
+BM_TlbLookupL1(benchmark::State &state)
+{
+    const bool misses = state.range(0) != 0;
+    xlat::Tlb tlb(xlat::TlbConfig{1, 32, 1});
+    for (PageId p = 0; p < 32; ++p)
+        tlb.fill(p, 1);
+    sim::Rng rng(5);
+    PageId page = 0;
+    unsigned run = 0;
+    for (auto _ : state) {
+        if (run-- == 0) {
+            run = 15;
+            page = rng.nextBelow(32) + (misses ? 32 : 0);
+        }
+        benchmark::DoNotOptimize(tlb.lookup(page));
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()));
+}
+BENCHMARK(BM_TlbLookupL1)->Arg(0)->Arg(1);
+
 static void
 BM_AccessCounterRecord(benchmark::State &state)
 {
@@ -205,6 +232,33 @@ BM_AccessCounterRecord(benchmark::State &state)
     state.SetItemsProcessed(std::int64_t(state.iterations()));
 }
 BENCHMARK(BM_AccessCounterRecord)->Arg(50)->Arg(500);
+
+/**
+ * The table's shape on a streaming kernel: 60 hot pages plus a
+ * streamed page touched in bursts of 8, so every stream step misses a
+ * full table whose smallest count is above 1.
+ */
+static void
+BM_AccessCounterRecordHotSet(benchmark::State &state)
+{
+    gpu::AccessCounter counter(100);
+    sim::Rng rng(3);
+    PageId stream = 1000;
+    unsigned burst = 0;
+    for (auto _ : state) {
+        if (rng.chance(0.5)) {
+            counter.record(rng.nextBelow(60));
+            continue;
+        }
+        if (burst-- == 0) {
+            burst = 7;
+            ++stream;
+        }
+        counter.record(stream);
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()));
+}
+BENCHMARK(BM_AccessCounterRecordHotSet);
 
 static void
 BM_DpcEndPeriod(benchmark::State &state)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 
 namespace griffin::gpu {
 
@@ -10,6 +9,7 @@ AccessCounter::AccessCounter(std::size_t capacity, std::uint32_t max_count)
     : _capacity(capacity), _maxCount(max_count)
 {
     assert(capacity > 0 && max_count > 0);
+    assert(max_count < _byCount.size() && "counts index the histogram");
 }
 
 void
@@ -18,27 +18,37 @@ AccessCounter::record(PageId page)
     ++recorded;
 
     if (auto it = _table.find(page); it != _table.end()) {
-        if (it->second < _maxCount)
-            ++it->second;
-        else
+        const std::uint32_t count = it->second;
+        if (count == _maxCount) {
             ++saturated;
+            return;
+        }
+        it->second = count + 1;
+        --_byCount[count];
+        ++_byCount[count + 1];
+        // The last entry at the minimum moved up by one, and so did
+        // the minimum.
+        if (count == _minCount && _byCount[count] == 0)
+            _minCount = count + 1;
         return;
     }
 
     if (_table.size() >= _capacity) {
-        // Replace the coldest entry (the first with the smallest
-        // count); hardware would keep a min tree. Counts start at 1,
-        // so the first count-1 entry ends the scan.
+        // Replace the coldest entry: the first with the smallest
+        // count, which the histogram already knows (hardware would
+        // keep a min tree).
         auto coldest = _table.begin();
-        for (auto it = std::next(coldest);
-             coldest->second > 1 && it != _table.end(); ++it) {
-            if (it->second < coldest->second)
-                coldest = it;
+        while (coldest->second != _minCount) {
+            ++coldest;
+            assert(coldest != _table.end());
         }
+        --_byCount[_minCount];
         _stock.retire(_table, coldest);
         ++capacityEvictions;
     }
     _stock.insert(_table, page)->second = 1;
+    ++_byCount[1];
+    _minCount = 1;
 }
 
 std::vector<PageCount>
@@ -50,6 +60,8 @@ AccessCounter::collectTop(std::size_t max_pages)
         all.push_back(PageCount{page, count});
     for (auto it = _table.begin(); it != _table.end();)
         it = _stock.retire(_table, it);
+    _byCount.fill(0);
+    _minCount = 0;
 
     std::sort(all.begin(), all.end(), [](const auto &a, const auto &b) {
         if (a.count != b.count)

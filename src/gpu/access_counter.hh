@@ -12,6 +12,7 @@
 #ifndef GRIFFIN_GPU_ACCESS_COUNTER_HH
 #define GRIFFIN_GPU_ACCESS_COUNTER_HH
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
@@ -46,8 +47,9 @@ class AccessCounter
 
     /**
      * Record one post-coalescing transaction to @p page. When the
-     * table is full the entry with the smallest count is replaced,
-     * which keeps the hottest pages resident.
+     * table is full the entry with the smallest count (the first in
+     * iteration order) is replaced, which keeps the hottest pages
+     * resident.
      */
     void record(PageId page);
 
@@ -61,6 +63,14 @@ class AccessCounter
     /** Current entry count (for tests). */
     std::size_t size() const { return _table.size(); }
 
+    /** @p page's count, 0 when it has no entry (for tests). */
+    std::uint32_t
+    countOf(PageId page) const
+    {
+        const auto it = _table.find(page);
+        return it == _table.end() ? 0 : it->second;
+    }
+
     /** @name Statistics @{ */
     std::uint64_t recorded = 0;
     std::uint64_t saturated = 0;
@@ -73,6 +83,13 @@ class AccessCounter
     std::size_t _capacity;
     std::uint32_t _maxCount;
     Table _table;
+    /**
+     * _byCount[c]: entries whose count is c. With _minCount, the
+     * smallest count of any entry, it lets the eviction walk stop at
+     * the first entry holding the minimum instead of scanning on.
+     */
+    std::array<std::uint32_t, 0x100> _byCount{};
+    std::uint32_t _minCount = 0;
     /** Nodes of evicted and collected entries, reused by record(). */
     sim::NodeStock<Table> _stock;
 };

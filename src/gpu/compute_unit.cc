@@ -91,6 +91,7 @@ ComputeUnit::issueOp(std::size_t wf_index)
     const std::uint64_t seq = _nextSeq++;
     wf.seq = seq;
     wf.inFlight = true;
+    wf.computeDelay = op.computeDelay;
     ++opsIssued;
 
     _memory.cuAccess(_cuId, op.vaddr, op.isWrite,
@@ -112,9 +113,8 @@ ComputeUnit::onOpDone(std::size_t wf_index, std::uint64_t seq)
     wf.inFlight = false;
     ++opsCompleted;
 
-    const wl::MemOp &completed = _wg.wavefronts[wf_index].ops[wf.pc];
     ++wf.pc;
-    const Tick delay = std::max<Tick>(1, completed.computeDelay);
+    const Tick delay = std::max<Tick>(1, wf.computeDelay);
     _engine.schedule(delay, [this, wf_index] { tryIssue(wf_index); });
 }
 

@@ -111,6 +111,11 @@ class ComputeUnit
         /** Issue was deferred because the CU was paused. */
         bool pendingIssue = false;
         /**
+         * The in-flight op's computeDelay, kept from issue so its
+         * completion need not read the trace again.
+         */
+        std::uint32_t computeDelay = 0;
+        /**
          * Sequence number of the op in flight. A wavefront has at most
          * one, so a reply is current only if it names this seq while
          * inFlight holds; anything else was discarded by
@@ -118,6 +123,7 @@ class ComputeUnit
          */
         std::uint64_t seq = 0;
     };
+    static_assert(sizeof(WfState) <= 24, "computeDelay fits the padding");
 
     sim::Engine &_engine;
     CuMemoryInterface &_memory;

@@ -18,7 +18,7 @@ Gpu::Gpu(sim::Engine &engine, DeviceId id, const GpuConfig &config,
     : _engine(engine), _id(id), _config(config), _network(network),
       _iommu(iommu), _router(router), _l2(config.l2Cache),
       _l2Tlb(config.l2Tlb), _dram(config.dram),
-      _rdma(engine, network, id, _l2, _dram, config.lineBytes)
+      _rdma(engine, network, id, _l2, _dram, config.lineBytes, &_dataPhase)
 {
     assert(id != cpuDeviceId && "device 0 is the CPU");
 
@@ -184,7 +184,8 @@ Gpu::haveTranslation(DeviceId location, sim::SlotId s)
 {
     if (location == _id) {
         ++localAccesses;
-        enterDataPhase(_accesses[s].page);
+        CuAccessReq &r = _accesses[s];
+        r.dataPhase = _dataPhase.enter(r.page);
         localAccess(s);
     } else {
         ++remoteAccesses;
@@ -200,7 +201,7 @@ void
 Gpu::finishLocal(sim::SlotId s)
 {
     CuAccessReq r = _accesses.take(s);
-    leaveDataPhase(r.page);
+    _dataPhase.leave(r.dataPhase);
     r.done();
 }
 
@@ -254,50 +255,9 @@ Gpu::localAccess(sim::SlotId s)
 // ---------------------------------------------------------------------
 
 void
-Gpu::enterDataPhase(PageId page)
-{
-    ++_dataPhase[page];
-}
-
-void
-Gpu::leaveDataPhase(PageId page)
-{
-    auto it = _dataPhase.find(page);
-    assert(it != _dataPhase.end() && it->second > 0);
-    --it->second;
-    maybeFinishDrain();
-}
-
-bool
-Gpu::drainSatisfied() const
-{
-    if (!_drainSet)
-        return true;
-    for (const PageId page : *_drainSet) {
-        auto it = _dataPhase.find(page);
-        if (it != _dataPhase.end() && it->second > 0)
-            return false;
-    }
-    return true;
-}
-
-void
-Gpu::maybeFinishDrain()
-{
-    if (!_drainDone || !drainSatisfied())
-        return;
-    auto done = std::move(_drainDone);
-    _drainDone = nullptr;
-    _drainSet.reset();
-    done();
-}
-
-void
 Gpu::drainForPages(std::shared_ptr<const std::vector<PageId>> pages,
                    sim::EventFn done)
 {
-    assert(!_drainDone && "one drain at a time per GPU");
-    assert(std::is_sorted(pages->begin(), pages->end()));
     ++drains;
     _pausedSince = _engine.now();
 
@@ -320,25 +280,26 @@ Gpu::drainForPages(std::shared_ptr<const std::vector<PageId>> pages,
         cu->pauseIssue();
 
     // Scan the in-flight buffers after the comparator latency, then
-    // wait only for accesses that target the migrating pages.
-    _drainSet = std::move(pages);
+    // wait only for accesses that target the migrating pages: the last
+    // of them to leave the data phase ends the drain.
+    _dataPhase.beginDrain(std::move(pages));
     _engine.schedule(_config.drainCheckLatency,
                      sim::boxed([this, done = std::move(done)]() mutable {
         GHPROF_SCOPE("gpu", "drain_check");
-        if (drainSatisfied()) {
+        if (_dataPhase.satisfied()) {
             ++drainsImmediate;
-            _drainSet.reset();
+            _dataPhase.endDrain();
             done();
             return;
         }
-        _drainDone = std::move(done);
+        _dataPhase.await(std::move(done));
     }));
 }
 
 void
 Gpu::flushForMigration(sim::EventFn done)
 {
-    assert(!_drainDone && "cannot flush during a drain");
+    assert(!_dataPhase.awaiting() && "cannot flush during a drain");
     ++fullFlushes;
     _pausedSince = _engine.now();
 

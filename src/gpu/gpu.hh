@@ -14,10 +14,10 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/gpu/compute_unit.hh"
+#include "src/gpu/data_phase.hh"
 #include "src/gpu/pmc.hh"
 #include "src/gpu/rdma.hh"
 #include "src/gpu/remote.hh"
@@ -102,7 +102,7 @@ class Gpu : public CuMemoryInterface
     std::size_t queuedWorkgroups() const { return _wgQueue.size(); }
 
     /** True while an ACUD drain awaits quiescence (watchdog probe). */
-    bool drainActive() const { return bool(_drainDone); }
+    bool drainActive() const { return _dataPhase.awaiting(); }
 
     /** @} */
 
@@ -147,8 +147,7 @@ class Gpu : public CuMemoryInterface
 
     /** @name DCA service and drain bookkeeping (system facing) @{ */
     Rdma &rdma() { return _rdma; }
-    void enterDataPhase(PageId page);
-    void leaveDataPhase(PageId page);
+    DataPhase &dataPhase() { return _dataPhase; }
     /** @} */
 
     /** @name DPC hardware (policy facing) @{ */
@@ -205,21 +204,13 @@ class Gpu : public CuMemoryInterface
     mem::Cache _l2;
     xlat::Tlb _l2Tlb;
     mem::Dram _dram;
+    /** In-flight post-translation accesses (local and DCA). */
+    DataPhase _dataPhase;
     Rdma _rdma;
 
     std::deque<wl::Workgroup> _wgQueue;
     sim::EventFn _wgDoneCb;
 
-    /**
-     * In-flight post-translation accesses per page. A page's entry
-     * stays at count 0 once its accesses drain, so a busy page does
-     * not cost a map node per access.
-     */
-    std::unordered_map<PageId, std::uint32_t> _dataPhase;
-
-    /** Active ACUD drain, if any. */
-    std::shared_ptr<const std::vector<PageId>> _drainSet;
-    sim::EventFn _drainDone;
     Tick _pausedSince = 0;
 
     AccessProbe _probe;
@@ -243,15 +234,15 @@ class Gpu : public CuMemoryInterface
         PageId page;
         bool isWrite;
         sim::EventFn done;
+        /** Held from the local data phase's start (local accesses). */
+        DataPhase::Token dataPhase = 0;
     };
     sim::SlotPool<CuAccessReq> _accesses;
 
     void haveTranslation(DeviceId location, sim::SlotId slot);
     void localAccess(sim::SlotId slot);
-    /** End of the local data phase: leave the page, run done. */
+    /** End of the local data phase: leave it, run done. */
     void finishLocal(sim::SlotId slot);
-    bool drainSatisfied() const;
-    void maybeFinishDrain();
 };
 
 } // namespace griffin::gpu

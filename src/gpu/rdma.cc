@@ -9,39 +9,38 @@
 namespace griffin::gpu {
 
 Rdma::Rdma(sim::Engine &engine, ic::Network &network, DeviceId self,
-           mem::Cache &l2, mem::Dram &dram, unsigned line_bytes)
+           mem::Cache &l2, mem::Dram &dram, unsigned line_bytes,
+           DataPhase *data_phase)
     : _engine(engine), _network(network), _self(self), _l2(l2),
-      _dram(dram), _lineBytes(line_bytes)
+      _dram(dram), _lineBytes(line_bytes), _dataPhase(data_phase)
 {
 }
 
 void
-Rdma::serve(Addr addr, bool is_write, DeviceId reply_to,
-            sim::EventFn done, sim::EventFn enter_data_phase,
-            sim::EventFn leave_data_phase)
+Rdma::serve(Addr addr, PageId page, bool is_write, DeviceId reply_to,
+            sim::EventFn done)
 {
     if (is_write)
         ++writesServed;
     else
         ++readsServed;
 
-    if (enter_data_phase)
-        enter_data_phase();
+    const DataPhase::Token token =
+        _dataPhase ? _dataPhase->enter(page) : 0;
 
     const std::uint64_t reply_bytes = is_write
         ? ic::MessageSizes::dcaWriteAck
         : ic::MessageSizes::dcaReadReply;
 
-    // The two continuations (requester's done + the data-phase exit)
-    // wait in a slot; the service hops below capture {this, slot}.
+    // The requester's continuation and the data-phase token wait in a
+    // slot; the service hops below capture {this, slot}.
     const sim::SlotId s =
-        _inService.acquire(reply_to, reply_bytes, std::move(done),
-                           std::move(leave_data_phase));
+        _inService.acquire(reply_to, reply_bytes, std::move(done), token);
     sim::EventFn finish = [this, s] {
         GHPROF_SCOPE("rdma", "dca_finish");
         Service sv = _inService.take(s);
-        if (sv.leaveDataPhase)
-            sv.leaveDataPhase();
+        if (_dataPhase)
+            _dataPhase->leave(sv.dataPhase);
         _network.send(_self, sv.replyTo, sv.replyBytes, std::move(sv.done));
     };
 

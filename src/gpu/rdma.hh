@@ -11,8 +11,8 @@
 #define GRIFFIN_GPU_RDMA_HH
 
 #include <cstdint>
-#include <functional>
 
+#include "src/gpu/data_phase.hh"
 #include "src/interconnect/switch.hh"
 #include "src/mem/cache.hh"
 #include "src/mem/dram.hh"
@@ -35,22 +35,23 @@ class Rdma
      * @param l2       the device's shared L2 cache.
      * @param dram     the device's local memory.
      * @param line_bytes transfer granularity.
+     * @param data_phase the device's data-phase registry, if it has
+     *        one (a GPU: ACUD drains wait for its DCA services); null
+     *        for the CPU.
      */
     Rdma(sim::Engine &engine, ic::Network &network, DeviceId self,
-         mem::Cache &l2, mem::Dram &dram, unsigned line_bytes = 64);
+         mem::Cache &l2, mem::Dram &dram, unsigned line_bytes = 64,
+         DataPhase *data_phase = nullptr);
 
     /**
-     * Serve one remote access that has already arrived here.
-     * @p reply_to is the requesting device; @p done runs there after
-     * the reply message lands.
-     *
-     * The caller may pass hooks that run when the access enters and
-     * leaves the local data phase (used by ACUD drain tracking).
+     * Serve one remote access to @p addr, in page @p page, that has
+     * already arrived here. @p reply_to is the requesting device;
+     * @p done runs there after the reply message lands. With a
+     * data-phase registry, the access occupies @p page's data phase
+     * from here until its reply leaves.
      */
-    void serve(Addr addr, bool is_write, DeviceId reply_to,
-               sim::EventFn done,
-               sim::EventFn enter_data_phase = nullptr,
-               sim::EventFn leave_data_phase = nullptr);
+    void serve(Addr addr, PageId page, bool is_write, DeviceId reply_to,
+               sim::EventFn done);
 
     /** @name Statistics @{ */
     std::uint64_t readsServed = 0;
@@ -65,14 +66,18 @@ class Rdma
     mem::Cache &_l2;
     mem::Dram &_dram;
     unsigned _lineBytes;
+    DataPhase *_dataPhase;
 
-    /** An access in service: where its reply goes and what runs then. */
+    /**
+     * An access in service: where its reply goes, what runs then, and
+     * its data-phase token (unused without a registry).
+     */
     struct Service
     {
         DeviceId replyTo;
         std::uint64_t replyBytes;
         sim::EventFn done;
-        sim::EventFn leaveDataPhase;
+        DataPhase::Token dataPhase;
     };
     sim::SlotPool<Service> _inService;
 };

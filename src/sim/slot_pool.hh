@@ -105,6 +105,17 @@ class SlotPool
     /** Slots acquired and not yet released. */
     std::size_t live() const { return _liveCount; }
 
+    /** Call @p visit(T &) on every live slot, in index order. */
+    template <typename Visit>
+    void
+    forEachLive(Visit &&visit)
+    {
+        for (SlotId i = 0; i < _slots; ++i) {
+            if (liveFlag(i))
+                visit(*at(i));
+        }
+    }
+
   private:
     static constexpr SlotId chunkSlots = 64;
     static constexpr SlotId chunkMask = chunkSlots - 1;

@@ -204,18 +204,15 @@ MultiGpuSystem::serveDca(sim::SlotId s)
     if (d.owner == cpuDeviceId) {
         if (_griffinPolicy)
             _griffinPolicy->noteCpuDcaAccess(page);
-        _cpuRdma->serve(d.addr, d.isWrite, d.requester,
+        _cpuRdma->serve(d.addr, page, d.isWrite, d.requester,
                         [this, s] { finishDca(s); });
         return;
     }
-    // A GPU owner also feeds the ACUD drain bookkeeping: the access
-    // occupies the page's data phase while it is in the owner's
-    // memory hierarchy.
-    gpu::Gpu *g = _gpus[d.owner - 1].get();
-    g->rdma().serve(d.addr, d.isWrite, d.requester,
-                    [this, s] { finishDca(s); },
-                    [g, page] { g->enterDataPhase(page); },
-                    [g, page] { g->leaveDataPhase(page); });
+    // A GPU owner's RDMA engine also feeds the ACUD drain bookkeeping:
+    // the access occupies the page's data phase while it is in the
+    // owner's memory hierarchy.
+    _gpus[d.owner - 1]->rdma().serve(d.addr, page, d.isWrite, d.requester,
+                                     [this, s] { finishDca(s); });
 }
 
 void

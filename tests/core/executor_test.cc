@@ -152,14 +152,14 @@ TEST(MigrationExecutor, DrainWaitsForDataPhase)
 {
     Rig rig;
     gpu::Gpu &src = *rig.gpu_ptrs[0];
-    src.enterDataPhase(10);
+    const auto token = src.dataPhase().enter(10);
 
     const auto batch = rig.batchOf({10}, 1, 2);
     bool done = false;
     rig.executor->executeBatch(batch, [&] { done = true; });
     rig.engine.runUntil(5000);
     EXPECT_FALSE(done); // still waiting on the in-flight access
-    src.leaveDataPhase(10);
+    src.dataPhase().leave(token);
     rig.engine.run();
     EXPECT_TRUE(done);
 }

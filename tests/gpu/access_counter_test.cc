@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for gpu::AccessCounter: saturation, capacity eviction,
- * and top-N collection with reset (paper SS III-C hardware).
+ * and top-N collection with reset (paper SS III-C hardware), plus
+ * differentials of the known-minimum eviction against a full scan.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <random>
 #include <unordered_map>
 #include <vector>
 
@@ -15,6 +17,7 @@
 
 using namespace griffin;
 using gpu::AccessCounter;
+using gpu::PageCount;
 
 TEST(AccessCounter, CountsPerPage)
 {
@@ -186,5 +189,110 @@ TEST(AccessCounter, EarlyStopEvictsTheFullScanVictim)
             c = (rng >> 24) % 16 == 0 ? 1 : 2 + (rng >> 16) % 30;
         }
         expectFullScanVictim(mixed);
+    }
+}
+
+namespace {
+
+/**
+ * Drive @p ac and a full-scan mirror with the same stream and compare
+ * every entry after every record; collect (and reset) every
+ * @p collect_every records. @p next yields the stream's pages.
+ * @return evictions whose table held no count-1 entry (the mirror's
+ *         minimum was above 1).
+ */
+template <typename Next>
+std::uint64_t
+expectMatchesFullScan(AccessCounter &ac, std::size_t records,
+                      std::size_t collect_every, Next next)
+{
+    Table mirror;
+    std::uint64_t warmEvictions = 0;
+    for (std::size_t i = 1; i <= records; ++i) {
+        const PageId page = next();
+        if (mirror.size() >= ac.capacity() && !mirror.contains(page)) {
+            std::uint32_t min = 0xff;
+            for (const auto &[p, c] : mirror)
+                min = std::min(min, c);
+            warmEvictions += min > 1 ? 1 : 0;
+        }
+        ac.record(page);
+        recordWithFullScan(mirror, page, ac.capacity());
+
+        EXPECT_EQ(ac.size(), mirror.size());
+        for (const auto &[p, c] : mirror) {
+            if (ac.countOf(p) != c) {
+                ADD_FAILURE() << "record " << i << ": page " << p
+                              << " has " << ac.countOf(p) << ", want " << c;
+                return warmEvictions;
+            }
+        }
+        if (i % collect_every == 0) {
+            const auto top = ac.collectTop(20);
+            std::vector<PageCount> want;
+            for (const auto &[p, c] : mirror)
+                want.push_back(PageCount{p, c});
+            std::sort(want.begin(), want.end(),
+                      [](const auto &a, const auto &b) {
+                          return a.count != b.count ? a.count > b.count
+                                                    : a.page < b.page;
+                      });
+            want.resize(std::min<std::size_t>(want.size(), 20));
+            EXPECT_EQ(top.size(), want.size());
+            for (std::size_t k = 0; k < std::min(top.size(), want.size());
+                 ++k) {
+                EXPECT_EQ(top[k].page, want[k].page);
+                EXPECT_EQ(top[k].count, want[k].count);
+            }
+            mirror.clear();
+            EXPECT_EQ(ac.size(), 0u);
+        }
+    }
+    return warmEvictions;
+}
+
+} // namespace
+
+TEST(AccessCounter, KnownMinimumMatchesFullScanOnAHotResidentSet)
+{
+    // A hot set that saturates plus a streamed page touched in bursts
+    // filling the rest of the table: each stream step misses with
+    // every resident count above 1, the shape that defeats a stop at
+    // count 1.
+    for (std::uint32_t seed : {21u, 22u, 23u}) {
+        std::mt19937 rng(seed);
+        PageId stream = 1000;
+        unsigned burst = 0;
+        AccessCounter ac(100);
+        const auto warm = expectMatchesFullScan(ac, 60000, 30000, [&] {
+            if (rng() % 4 != 0)
+                return PageId(rng() % 40);
+            if (burst == 0) {
+                ++stream;
+                burst = 2 + rng() % 7;
+            }
+            --burst;
+            return stream;
+        });
+        EXPECT_GT(warm, 1000u);
+        EXPECT_GT(ac.saturated, 0u); // the hot set reached 0xff
+    }
+}
+
+TEST(AccessCounter, KnownMinimumMatchesFullScanOnMixedStreams)
+{
+    // Uniform misses over a wide range, a skewed hot range and small
+    // tables, with frequent resets.
+    for (std::uint32_t seed : {31u, 32u, 33u, 34u}) {
+        std::mt19937 rng(seed);
+        AccessCounter ac(1 + seed % 4 * 10);
+        expectMatchesFullScan(ac, 30000, 1000 + seed * 100, [&] {
+            const unsigned r = rng() % 10;
+            if (r < 5)
+                return PageId(rng() % 16);
+            if (r < 8)
+                return PageId(rng() % 200);
+            return PageId(rng() % 5000);
+        });
     }
 }

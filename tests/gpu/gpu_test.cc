@@ -244,12 +244,13 @@ TEST(Gpu, DrainWaitsForDataPhaseOnMigratingPage)
     Rig rig;
     auto pages = std::make_shared<std::vector<PageId>>(
         std::vector<PageId>{7});
-    rig.gpu1->enterDataPhase(7);
+    gpu::DataPhase &dp = rig.gpu1->dataPhase();
+    const auto token = dp.enter(7);
 
     Tick drained_at = 0;
     rig.gpu1->drainForPages(pages,
                             [&] { drained_at = rig.engine.now(); });
-    rig.engine.schedule(500, [&] { rig.gpu1->leaveDataPhase(7); });
+    rig.engine.schedule(500, [&] { dp.leave(token); });
     rig.engine.run();
     EXPECT_EQ(drained_at, 500u);
 }
@@ -259,11 +260,57 @@ TEST(Gpu, DrainIgnoresDataPhaseOnOtherPages)
     Rig rig;
     auto pages = std::make_shared<std::vector<PageId>>(
         std::vector<PageId>{7});
-    rig.gpu1->enterDataPhase(8); // unrelated page never completes
+    rig.gpu1->dataPhase().enter(8); // unrelated page never completes
     bool drained = false;
     rig.gpu1->drainForPages(pages, [&] { drained = true; });
     rig.engine.run();
     EXPECT_TRUE(drained); // ACUD's whole point
+}
+
+TEST(Gpu, DrainWaitsForAccessesEnteringWhileItIsPending)
+{
+    Rig rig;
+    auto pages = std::make_shared<std::vector<PageId>>(
+        std::vector<PageId>{7, 9});
+    gpu::DataPhase &dp = rig.gpu1->dataPhase();
+    gpu::DataPhase::Token early = 0, late = 0;
+
+    Tick drained_at = 0;
+    rig.gpu1->drainForPages(pages,
+                            [&] { drained_at = rig.engine.now(); });
+    // One access enters before the drain check, one after it, while
+    // the drain waits; an access to another page comes and goes.
+    rig.engine.schedule(2, [&] { early = dp.enter(7); });
+    rig.engine.schedule(100, [&] { late = dp.enter(9); });
+    rig.engine.schedule(150, [&] { dp.leave(dp.enter(8)); });
+    rig.engine.schedule(200, [&] { dp.leave(early); });
+    rig.engine.schedule(500, [&] { dp.leave(late); });
+    rig.engine.run();
+    EXPECT_EQ(drained_at, 500u);
+    EXPECT_EQ(rig.gpu1->drainsImmediate, 0u);
+    EXPECT_EQ(dp.live(), 0u);
+    rig.gpu1->resumeAllCus();
+}
+
+TEST(Gpu, DcaServiceOnADrainSetPageHoldsTheDrain)
+{
+    Rig rig;
+    auto pages = std::make_shared<std::vector<PageId>>(
+        std::vector<PageId>{7});
+    Tick replied_at = 0, drained_at = 0;
+    // The line misses the L2, so the service outlasts the drain check.
+    rig.gpu1->rdma().serve(0x7040, 7, false, /*reply_to=*/2,
+                           [&] { replied_at = rig.engine.now(); });
+    rig.gpu1->drainForPages(pages, [&] {
+        drained_at = rig.engine.now();
+        EXPECT_EQ(rig.gpu1->dataPhase().live(), 0u);
+    });
+    EXPECT_EQ(rig.gpu1->dataPhase().busy(), 1u);
+    rig.engine.run();
+    EXPECT_GT(drained_at, rig.cfg.drainCheckLatency);
+    EXPECT_LT(drained_at, replied_at); // released before the reply
+    EXPECT_EQ(rig.gpu1->drainsImmediate, 0u);
+    rig.gpu1->resumeAllCus();
 }
 
 TEST(Gpu, FlushForMigrationInvalidatesEverything)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -34,7 +35,7 @@ TEST(Rdma, ReadMissGoesToDramAndRepliesWithData)
 {
     RdmaRig rig;
     std::optional<Tick> done;
-    rig.rdma.serve(0x1000, false, /*reply_to=*/1,
+    rig.rdma.serve(0x1000, 1, false, /*reply_to=*/1,
                    [&] { done = rig.engine.now(); });
     rig.engine.run();
     ASSERT_TRUE(done.has_value());
@@ -52,11 +53,13 @@ TEST(Rdma, ReadHitSkipsDram)
     RdmaRig rig;
     rig.l2.access(0x1000, false); // warm the line
     std::optional<Tick> miss_done, hit_done;
-    rig.rdma.serve(0x2000, false, 1, [&] { miss_done = rig.engine.now(); });
+    rig.rdma.serve(0x2000, 2, false, 1,
+                   [&] { miss_done = rig.engine.now(); });
     rig.engine.run();
     RdmaRig rig2;
     rig2.l2.access(0x1000, false);
-    rig2.rdma.serve(0x1000, false, 1, [&] { hit_done = rig2.engine.now(); });
+    rig2.rdma.serve(0x1000, 1, false, 1,
+                    [&] { hit_done = rig2.engine.now(); });
     rig2.engine.run();
     EXPECT_EQ(rig2.rdma.l2HitsServed, 1u);
     EXPECT_EQ(rig2.dram.reads, 0u);
@@ -67,7 +70,7 @@ TEST(Rdma, WriteAcksWithSmallMessage)
 {
     RdmaRig rig;
     bool done = false;
-    rig.rdma.serve(0x3000, true, 3, [&] { done = true; });
+    rig.rdma.serve(0x3000, 3, true, 3, [&] { done = true; });
     rig.engine.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(rig.rdma.writesServed, 1u);
@@ -77,25 +80,30 @@ TEST(Rdma, WriteAcksWithSmallMessage)
     EXPECT_TRUE(rig.l2.probe(0x3000));
 }
 
-TEST(Rdma, DataPhaseHooksBracketTheAccess)
+TEST(Rdma, ServedLineHoldsADrainOnItsPage)
 {
-    RdmaRig rig;
-    int phase = 0; // 0 = before, 1 = entered, 2 = left
-    bool replied = false;
-    rig.rdma.serve(
-        0x1000, false, 1, [&] { replied = true; },
-        [&] {
-            EXPECT_EQ(phase, 0);
-            phase = 1;
-        },
-        [&] {
-            EXPECT_EQ(phase, 1);
-            phase = 2;
-            EXPECT_FALSE(replied) << "leave fires before the reply";
-        });
-    rig.engine.run();
-    EXPECT_EQ(phase, 2);
+    sim::Engine engine;
+    ic::Network net{engine, 5, ic::LinkConfig{32.0, 100}};
+    mem::Cache l2{mem::CacheConfig{256 * 1024, 16, 64, 20}};
+    mem::Dram dram{mem::DramConfig{}};
+    gpu::DataPhase dp;
+    gpu::Rdma rdma{engine, net, /*self=*/2, l2, dram, 64, &dp};
+
+    bool replied = false, drained = false;
+    rdma.serve(0x7040, 7, false, 1, [&] { replied = true; });
+    EXPECT_EQ(dp.live(), 1u);
+    dp.beginDrain(std::make_shared<std::vector<PageId>>(
+        std::vector<PageId>{7}));
+    EXPECT_FALSE(dp.satisfied());
+    dp.await([&] {
+        drained = true;
+        EXPECT_FALSE(replied) << "the line leaves before its reply";
+    });
+    engine.run();
+    EXPECT_TRUE(drained);
     EXPECT_TRUE(replied);
+    EXPECT_EQ(dp.live(), 0u);
+    EXPECT_FALSE(dp.awaiting());
 }
 
 namespace {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <vector>
@@ -105,6 +106,28 @@ TEST(SlotPool, DestroysStateOnReleaseAndAtTeardown)
         EXPECT_EQ(token.use_count(), 2);
     }
     EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SlotPool, ForEachLiveVisitsExactlyTheLiveSlots)
+{
+    // Span three chunks and free slots in each, so the walk must skip
+    // released indices inside a chunk as well as past its end.
+    SlotPool<Req> pool;
+    std::vector<SlotId> ids;
+    for (int i = 0; i < 150; ++i)
+        ids.push_back(pool.acquire(i, nullptr));
+    std::multiset<int> want;
+    for (int i = 0; i < 150; ++i) {
+        if (i % 3 == 0)
+            pool.release(ids[std::size_t(i)]);
+        else
+            want.insert(i);
+    }
+    std::vector<int> seen;
+    pool.forEachLive([&seen](const Req &r) { seen.push_back(r.value); });
+    EXPECT_EQ(std::multiset<int>(seen.begin(), seen.end()), want);
+    EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+    EXPECT_EQ(seen.size(), pool.live());
 }
 
 TEST(SlotPoolDeathTest, ReleasingAFreeSlotAsserts)
