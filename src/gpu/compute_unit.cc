@@ -95,7 +95,7 @@ ComputeUnit::issueOp(std::size_t wf_index)
     ++opsIssued;
 
     _memory.cuAccess(_cuId, op.vaddr, op.isWrite,
-                     [this, wf_index, seq] { onOpDone(wf_index, seq); });
+                     OpDone{this, std::uint32_t(wf_index), seq});
 }
 
 void

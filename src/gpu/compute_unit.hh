@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/engine.hh"
@@ -38,6 +39,26 @@ struct CuConfig
     Tick issueLatency = 1;
 };
 
+class ComputeUnit;
+
+/**
+ * One op's completion, carried by value through the memory system:
+ * calling it runs cu->onOpDone(wf, seq). It replaces a type-erased
+ * callback because that is all a CU op's completion ever did, and at
+ * 24 bytes, trivially copyable, it fits an in-flight access's slot
+ * with no indirect call to move or run it.
+ */
+struct OpDone
+{
+    ComputeUnit *cu;
+    std::uint32_t wf;
+    std::uint64_t seq;
+
+    void operator()() const;
+};
+static_assert(sizeof(OpDone) == 24 &&
+              std::is_trivially_copyable_v<OpDone>);
+
 /**
  * The CU's window into the GPU memory system; implemented by Gpu.
  */
@@ -47,11 +68,11 @@ class CuMemoryInterface
     virtual ~CuMemoryInterface() = default;
 
     /**
-     * Issue one post-coalescing transaction. @p done fires when the
+     * Issue one post-coalescing transaction. Call @p done when the
      * data (or write ack) returns to the CU.
      */
     virtual void cuAccess(unsigned cu_id, Addr vaddr, bool is_write,
-                          sim::EventFn done) = 0;
+                          OpDone done) = 0;
 };
 
 /**
@@ -103,6 +124,8 @@ class ComputeUnit
     /** @} */
 
   private:
+    friend struct OpDone;
+
     struct WfState
     {
         std::size_t pc = 0;
@@ -147,6 +170,12 @@ class ComputeUnit
     void onOpDone(std::size_t wf_index, std::uint64_t seq);
     void finishWavefront(std::size_t wf_index);
 };
+
+inline void
+OpDone::operator()() const
+{
+    cu->onOpDone(wf, seq);
+}
 
 } // namespace griffin::gpu
 

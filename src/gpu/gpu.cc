@@ -117,7 +117,7 @@ Gpu::idle() const
 // ---------------------------------------------------------------------
 
 void
-Gpu::cuAccess(unsigned cu_id, Addr vaddr, bool is_write, sim::EventFn done)
+Gpu::cuAccess(unsigned cu_id, Addr vaddr, bool is_write, OpDone done)
 {
     const PageId page = pageOf(vaddr);
 
@@ -127,10 +127,10 @@ Gpu::cuAccess(unsigned cu_id, Addr vaddr, bool is_write, sim::EventFn done)
     if (_probe)
         _probe(_engine.now(), _id, page);
 
-    // The access (callback included) waits in a slot for the whole
+    // The access (completion included) waits in a slot for the whole
     // chain; each hop captures {this, slot}.
     const sim::SlotId s =
-        _accesses.acquire(cu_id, vaddr, page, is_write, std::move(done));
+        _accesses.acquire(cu_id, is_write, vaddr, page, done);
 
     // L1 TLB.
     _engine.schedule(_l1Tlbs[cu_id].latency(), [this, s] {
@@ -191,16 +191,17 @@ Gpu::haveTranslation(DeviceId location, sim::SlotId s)
         ++remoteAccesses;
         obs::TimeSeries::countActive(
             obs::TimeSeries::Series::DcaAccesses);
-        CuAccessReq r = _accesses.take(s);
-        _router.remoteAccess(_id, location, r.vaddr, r.isWrite,
-                             std::move(r.done));
+        // The router's DCA round trip takes any continuation: only
+        // here does the completion become an EventFn.
+        const CuAccessReq r = _accesses.take(s);
+        _router.remoteAccess(_id, location, r.vaddr, r.isWrite, r.done);
     }
 }
 
 void
 Gpu::finishLocal(sim::SlotId s)
 {
-    CuAccessReq r = _accesses.take(s);
+    const CuAccessReq r = _accesses.take(s);
     _dataPhase.leave(r.dataPhase);
     r.done();
 }

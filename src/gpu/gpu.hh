@@ -108,7 +108,7 @@ class Gpu : public CuMemoryInterface
 
     /** @name CU memory interface @{ */
     void cuAccess(unsigned cu_id, Addr vaddr, bool is_write,
-                  sim::EventFn done) override;
+                  OpDone done) override;
     /** @} */
 
     /** @name Migration machinery (driver/executor facing) @{ */
@@ -230,10 +230,10 @@ class Gpu : public CuMemoryInterface
     struct CuAccessReq
     {
         unsigned cuId;
+        bool isWrite;
         Addr vaddr;
         PageId page;
-        bool isWrite;
-        sim::EventFn done;
+        OpDone done;
         /** Held from the local data phase's start (local accesses). */
         DataPhase::Token dataPhase = 0;
     };
@@ -241,7 +241,10 @@ class Gpu : public CuMemoryInterface
 
     void haveTranslation(DeviceId location, sim::SlotId slot);
     void localAccess(sim::SlotId slot);
-    /** End of the local data phase: leave it, run done. */
+    /**
+     * End of the local data phase: release the slot, leave the data
+     * phase, then run done.
+     */
     void finishLocal(sim::SlotId slot);
 };
 

@@ -16,7 +16,9 @@ Cache::Cache(const CacheConfig &config) : _config(config)
     _lineShift = unsigned(std::countr_zero(config.lineBytes));
     _numSets = unsigned(config.sizeBytes /
                         (std::uint64_t(config.lineBytes) * config.assoc));
-    assert(_numSets > 0);
+    assert(std::has_single_bit(_numSets) &&
+           "set index is a mask: the set count must be a power of two");
+    _setMask = _numSets - 1;
     _store.resize(std::size_t(_numSets) * config.assoc * 2);
 }
 
@@ -29,7 +31,7 @@ Cache::lineAddr(Addr addr) const
 std::size_t
 Cache::setBase(Addr addr) const
 {
-    return std::size_t(lineAddr(addr) % _numSets) * _config.assoc * 2;
+    return std::size_t(lineAddr(addr) & _setMask) * _config.assoc * 2;
 }
 
 int
@@ -99,12 +101,14 @@ Cache::probe(Addr addr) const
 }
 
 template <typename Pred>
-Cache::FlushResult
-Cache::invalidateIf(Pred pred)
+void
+Cache::invalidateSetsIf(std::size_t first_set, std::size_t num_sets,
+                        FlushResult &result, Pred pred)
 {
-    FlushResult result;
     const std::size_t assoc = _config.assoc;
-    for (std::size_t base = 0; base < _store.size(); base += 2 * assoc) {
+    const std::size_t end = (first_set + num_sets) * 2 * assoc;
+    for (std::size_t base = first_set * 2 * assoc; base < end;
+         base += 2 * assoc) {
         for (std::size_t way = base; way < base + assoc; ++way) {
             const std::uint64_t tag = _store[way];
             if (!(tag & validBit) || !pred(tag >> flagBits))
@@ -117,24 +121,49 @@ Cache::invalidateIf(Pred pred)
             }
         }
     }
-    return result;
 }
 
 Cache::FlushResult
 Cache::flushPages(const std::vector<PageId> &pages, unsigned page_shift)
 {
     assert(std::is_sorted(pages.begin(), pages.end()));
+    assert(page_shift >= _lineShift);
     const unsigned page_line_shift = page_shift - _lineShift;
-    return invalidateIf([&](Addr line) {
-        return std::binary_search(pages.begin(), pages.end(),
-                                  PageId(line >> page_line_shift));
-    });
+    const std::uint64_t lines_per_page = std::uint64_t(1) << page_line_shift;
+    std::uint64_t distinct = 0;
+    for (std::size_t i = 0; i < pages.size(); ++i)
+        distinct += i == 0 || pages[i] != pages[i - 1];
+    FlushResult result;
+
+    // A page's lines sit in lines_per_page consecutive sets (or in every
+    // set, when a page spans the whole cache). Visit only those sets,
+    // unless the pages together cover every set anyway.
+    if (distinct * lines_per_page >= _numSets) {
+        invalidateSetsIf(0, _numSets, result, [&](Addr line) {
+            return std::binary_search(pages.begin(), pages.end(),
+                                      PageId(line >> page_line_shift));
+        });
+        return result;
+    }
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+        const PageId page = pages[i];
+        if (i > 0 && pages[i - 1] == page)
+            continue;
+        invalidateSetsIf(std::size_t((page << page_line_shift) & _setMask),
+                         std::size_t(lines_per_page), result,
+                         [&](Addr line) {
+            return PageId(line >> page_line_shift) == page;
+        });
+    }
+    return result;
 }
 
 Cache::FlushResult
 Cache::flushAll()
 {
-    return invalidateIf([](Addr) { return true; });
+    FlushResult result;
+    invalidateSetsIf(0, _numSets, result, [](Addr) { return true; });
+    return result;
 }
 
 std::uint64_t

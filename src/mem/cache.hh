@@ -11,7 +11,8 @@
  * Storage is one array, set-major: each set holds its ways' tag words,
  * (lineAddr << 2) | dirty << 1 | valid, followed by the same ways' LRU
  * stamps. A lookup scans one set's tag words (8 bytes per way) and
- * touches the stamps only on a hit or a fill.
+ * touches the stamps only on a hit or a fill. The set count is a power
+ * of two, so the set index is a mask of the line address.
  */
 
 #ifndef GRIFFIN_MEM_CACHE_HH
@@ -72,7 +73,11 @@ class Cache
     /** Check residency without touching LRU state. */
     bool probe(Addr addr) const;
 
-    /** Invalidate all lines belonging to the given (sorted) pages. */
+    /**
+     * Invalidate all lines belonging to the given (sorted) pages. Only
+     * the sets the pages map to are visited, unless together they
+     * cover every set.
+     */
     FlushResult flushPages(const std::vector<PageId> &pages,
                            unsigned page_shift);
 
@@ -97,6 +102,8 @@ class Cache
     CacheConfig _config;
     unsigned _numSets;
     unsigned _lineShift;
+    /** _numSets - 1: the set index is lineAddr & _setMask. */
+    std::uint64_t _setMask;
     /**
      * numSets blocks of 2 * assoc words: the set's tag words, then its
      * lastUse stamps (one allocation for the whole cache).
@@ -109,9 +116,14 @@ class Cache
     std::size_t setBase(Addr addr) const;
     /** Way of @p set holding line @p line, or -1 on a miss. */
     int findWay(const std::uint64_t *set, Addr line) const;
-    /** Invalidate every valid line @p pred accepts (by line address). */
+    /**
+     * Invalidate every valid line of sets [first_set, first_set +
+     * num_sets) that @p pred accepts (by line address), adding to
+     * @p result.
+     */
     template <typename Pred>
-    FlushResult invalidateIf(Pred pred);
+    void invalidateSetsIf(std::size_t first_set, std::size_t num_sets,
+                          FlushResult &result, Pred pred);
 };
 
 } // namespace griffin::mem

@@ -1,40 +1,47 @@
 #include "src/xlat/tlb.hh"
 
+#include <bit>
 #include <cassert>
 
 namespace griffin::xlat {
 
-Tlb::Tlb(const TlbConfig &config) : _config(config)
+Tlb::Tlb(const TlbConfig &config)
+    : _config(config), _setMask(config.numSets - 1)
 {
     assert(config.numSets > 0 && config.assoc > 0);
-    _entries.resize(std::size_t(config.numSets) * config.assoc);
+    assert(std::has_single_bit(config.numSets) &&
+           "set index is a mask: numSets must be a power of two");
+    _store.resize(std::size_t(config.numSets) * config.assoc * 3);
 }
 
-Tlb::Entry *
-Tlb::findEntry(PageId page)
+int
+Tlb::findWay(std::size_t base, PageId page) const
 {
-    Entry *set = &_entries[std::size_t(setIndex(page)) * _config.assoc];
+    const std::uint64_t *tags = &_store[base];
+    const std::uint64_t want = tagOf(page);
+    // A page occupies at most one valid way, so the last-hit way, when
+    // it matches, is the way the scan would find.
+    if (_config.numSets == 1 && tags[_lastWay] == want)
+        return int(_lastWay);
     for (unsigned way = 0; way < _config.assoc; ++way) {
-        if (set[way].valid && set[way].page == page)
-            return &set[way];
+        if (tags[way] == want)
+            return int(way);
     }
-    return nullptr;
-}
-
-const Tlb::Entry *
-Tlb::findEntry(PageId page) const
-{
-    return const_cast<Tlb *>(this)->findEntry(page);
+    return -1;
 }
 
 std::optional<DeviceId>
 Tlb::lookup(PageId page)
 {
     ++_useClock;
-    if (Entry *entry = findEntry(page)) {
+    const std::size_t base = setBase(page);
+    if (const int way = findWay(base, page); way >= 0) {
         ++hits;
-        entry->lastUse = _useClock;
-        return entry->location;
+        _lastWay = unsigned(way);
+        std::uint64_t *lastUse = &_store[base + _config.assoc];
+        const std::uint64_t *locations = lastUse + _config.assoc;
+        lastUse[way] = _useClock;
+        return DeviceId(locations[way]);
     }
     ++misses;
     return std::nullopt;
@@ -43,7 +50,7 @@ Tlb::lookup(PageId page)
 bool
 Tlb::probe(PageId page) const
 {
-    return findEntry(page) != nullptr;
+    return findWay(setBase(page), page) >= 0;
 }
 
 void
@@ -52,33 +59,36 @@ Tlb::fill(PageId page, DeviceId location)
     ++_useClock;
     ++fills;
 
-    if (Entry *entry = findEntry(page)) {
-        entry->location = location;
-        entry->lastUse = _useClock;
-        return;
-    }
+    const std::size_t base = setBase(page);
+    std::uint64_t *tags = &_store[base];
+    std::uint64_t *lastUse = tags + _config.assoc;
+    std::uint64_t *locations = lastUse + _config.assoc;
 
-    Entry *set = &_entries[std::size_t(setIndex(page)) * _config.assoc];
-    Entry *victim = &set[0];
-    for (unsigned way = 0; way < _config.assoc; ++way) {
-        if (!set[way].valid) {
-            victim = &set[way];
-            break;
+    int way = findWay(base, page);
+    if (way < 0) {
+        // Pick a victim: an invalid way if one exists, else true LRU.
+        way = 0;
+        for (unsigned w = 0; w < _config.assoc; ++w) {
+            if (!(tags[w] & validBit)) {
+                way = int(w);
+                break;
+            }
+            if (lastUse[w] < lastUse[way])
+                way = int(w);
         }
-        if (set[way].lastUse < victim->lastUse)
-            victim = &set[way];
+        tags[way] = tagOf(page);
     }
-    victim->page = page;
-    victim->location = location;
-    victim->valid = true;
-    victim->lastUse = _useClock;
+    locations[way] = location;
+    lastUse[way] = _useClock;
+    _lastWay = unsigned(way);
 }
 
 bool
 Tlb::invalidatePage(PageId page)
 {
-    if (Entry *entry = findEntry(page)) {
-        entry->valid = false;
+    const std::size_t base = setBase(page);
+    if (const int way = findWay(base, page); way >= 0) {
+        _store[base + way] = 0;
         ++invalidations;
         return true;
     }
@@ -89,10 +99,11 @@ std::uint64_t
 Tlb::invalidateAll()
 {
     std::uint64_t count = 0;
-    for (Entry &entry : _entries) {
-        if (entry.valid) {
-            entry.valid = false;
-            ++count;
+    const std::size_t assoc = _config.assoc;
+    for (std::size_t base = 0; base < _store.size(); base += 3 * assoc) {
+        for (std::size_t way = base; way < base + assoc; ++way) {
+            count += _store[way] & validBit;
+            _store[way] = 0;
         }
     }
     invalidations += count;
@@ -103,8 +114,11 @@ std::uint64_t
 Tlb::validEntries() const
 {
     std::uint64_t count = 0;
-    for (const Entry &entry : _entries)
-        count += entry.valid ? 1 : 0;
+    const std::size_t assoc = _config.assoc;
+    for (std::size_t base = 0; base < _store.size(); base += 3 * assoc) {
+        for (std::size_t way = base; way < base + assoc; ++way)
+            count += _store[way] & validBit;
+    }
     return count;
 }
 
@@ -112,9 +126,13 @@ void
 Tlb::forEachValid(
     const std::function<void(PageId, DeviceId)> &visit) const
 {
-    for (const Entry &entry : _entries) {
-        if (entry.valid)
-            visit(entry.page, entry.location);
+    const std::size_t assoc = _config.assoc;
+    for (std::size_t base = 0; base < _store.size(); base += 3 * assoc) {
+        for (std::size_t way = 0; way < assoc; ++way) {
+            const std::uint64_t tag = _store[base + way];
+            if (tag & validBit)
+                visit(tag >> 1, DeviceId(_store[base + 2 * assoc + way]));
+        }
     }
 }
 

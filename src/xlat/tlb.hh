@@ -7,6 +7,14 @@
  * are never cached in GPU TLBs, so the fill policy is the caller's
  * responsibility; this class provides selective invalidation because
  * Griffin's shootdowns only target the pages being migrated (SS IV).
+ *
+ * Storage is one array, set-major, like mem::Cache's: each set holds
+ * its ways' tag words, (page << 1) | valid, then the same ways' LRU
+ * stamps, then their cached locations. A lookup compares one set's tag
+ * words (8 bytes per way). A fully associative TLB (one set: the
+ * per-CU L1s) first tries the way of its last hit or fill; a page
+ * occupies at most one valid way, so that way, when it matches, is the
+ * one the scan would find.
  */
 
 #ifndef GRIFFIN_XLAT_TLB_HH
@@ -81,21 +89,28 @@ class Tlb
     /** @} */
 
   private:
-    struct Entry
-    {
-        PageId page = 0;
-        DeviceId location = invalidDeviceId;
-        bool valid = false;
-        std::uint64_t lastUse = 0;
-    };
+    static constexpr std::uint64_t validBit = 1;
 
     TlbConfig _config;
-    std::vector<Entry> _entries; // set-major
+    std::uint64_t _setMask;
+    /**
+     * numSets blocks of 3 * assoc words: the set's tag words, then its
+     * lastUse stamps, then its locations (one allocation per TLB).
+     */
+    std::vector<std::uint64_t> _store;
     std::uint64_t _useClock = 0;
+    /** Way of the last hit or fill; consulted only when numSets == 1. */
+    unsigned _lastWay = 0;
 
-    unsigned setIndex(PageId page) const { return unsigned(page % _config.numSets); }
-    Entry *findEntry(PageId page);
-    const Entry *findEntry(PageId page) const;
+    static std::uint64_t tagOf(PageId page) { return (page << 1) | validBit; }
+    /** Index in _store of @p page's set (its first tag word). */
+    std::size_t
+    setBase(PageId page) const
+    {
+        return std::size_t(page & _setMask) * _config.assoc * 3;
+    }
+    /** Way of @p page's set holding @p page, or -1 on a miss. */
+    int findWay(std::size_t base, PageId page) const;
 };
 
 } // namespace griffin::xlat

@@ -13,6 +13,7 @@
 #include "src/core/griffin_policy.hh"
 #include "src/gpu/gpu.hh"
 #include "src/sim/engine.hh"
+#include "tests/gpu/op_sink.hh"
 
 using namespace griffin;
 
@@ -122,7 +123,8 @@ TEST(GriffinPolicy, CollectionDrainsTheAccessCounters)
 {
     Rig rig;
     // Record some traffic into GPU 2's counters.
-    rig.gpu_ptrs[1]->cuAccess(0, 0x5000, false, [] {});
+    test::OpSink sink(rig.engine, *rig.gpu_ptrs[1]);
+    sink.issue(0, 0x5000, false);
     rig.engine.run();
     rig.policy->onSystemStart();
     rig.engine.runUntil(1500); // one period, including the messages

@@ -27,17 +27,16 @@ class StubMemory : public CuMemoryInterface
 
     void
     cuAccess(unsigned cu_id, Addr vaddr, bool is_write,
-             sim::EventFn done) override
+             gpu::OpDone done) override
     {
         (void)cu_id;
         accesses.push_back({vaddr, is_write});
         ++inflight;
         maxInflight = std::max(maxInflight, inflight);
-        _engine.schedule(latency,
-                         sim::boxed([this, done = std::move(done)] {
+        _engine.schedule(latency, [this, done] {
             --inflight;
             done();
-        }));
+        });
     }
 
     std::vector<std::pair<Addr, bool>> accesses;

@@ -15,6 +15,7 @@
 #include "src/gpu/gpu.hh"
 #include "src/sim/engine.hh"
 #include "src/xlat/iommu.hh"
+#include "tests/gpu/op_sink.hh"
 
 using namespace griffin;
 
@@ -89,6 +90,7 @@ struct Rig
     StubRouter router{engine};
     gpu::GpuConfig cfg;
     std::unique_ptr<gpu::Gpu> gpu1;
+    std::unique_ptr<test::OpSink> sink;
 
     Rig()
     {
@@ -96,6 +98,7 @@ struct Rig
         iommu.setFaultHandler(&driver);
         gpu1 = std::make_unique<gpu::Gpu>(engine, 1, cfg, net, iommu,
                                           router);
+        sink = std::make_unique<test::OpSink>(engine, *gpu1);
     }
 
     /** Issue one access from CU 0 and report completion time. */
@@ -103,8 +106,7 @@ struct Rig
     access(Addr vaddr, bool is_write = false)
     {
         auto done = std::make_shared<std::optional<Tick>>();
-        gpu1->cuAccess(0, vaddr, is_write,
-                       [this, done] { *done = engine.now(); });
+        sink->issue(0, vaddr, is_write, [done](Tick t) { *done = t; });
         return done;
     }
 };
@@ -145,7 +147,7 @@ TEST(Gpu, L2TlbServesOtherCus)
     rig.engine.run();
     // CU 7 misses its own L1 TLB but hits the shared L2 TLB.
     bool done = false;
-    rig.gpu1->cuAccess(7, 0x5000, false, [&] { done = true; });
+    rig.sink->issue(7, 0x5000, false, [&](Tick) { done = true; });
     rig.engine.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(rig.gpu1->xlatRequestsSent, 1u);
@@ -176,9 +178,9 @@ TEST(Gpu, AccessCountersRecordPerShaderEngine)
 {
     Rig rig;
     // CU 0 is in SE 0; CU 9 is in SE 1 (9 CUs per SE).
-    rig.gpu1->cuAccess(0, 0x1000, false, [] {});
-    rig.gpu1->cuAccess(0, 0x1040, false, [] {});
-    rig.gpu1->cuAccess(9, 0x2000, false, [] {});
+    rig.sink->issue(0, 0x1000, false);
+    rig.sink->issue(0, 0x1040, false);
+    rig.sink->issue(9, 0x2000, false);
     rig.engine.run();
 
     const auto counts = rig.gpu1->collectAccessCounts();
@@ -191,7 +193,7 @@ TEST(Gpu, AccessCountersRecordPerShaderEngine)
 TEST(Gpu, CollectAccessCountsResets)
 {
     Rig rig;
-    rig.gpu1->cuAccess(0, 0x1000, false, [] {});
+    rig.sink->issue(0, 0x1000, false);
     rig.engine.run();
     EXPECT_EQ(rig.gpu1->collectAccessCounts().size(), 1u);
     EXPECT_TRUE(rig.gpu1->collectAccessCounts().empty());

@@ -374,6 +374,13 @@ TEST_P(CacheDifferential, PackedTagsMatchTheLineModel)
     const std::uint64_t pages =
         std::max<std::uint64_t>(1, lines * config.lineBytes >> pageShift);
     const Addr base = Addr(1) << 36;
+    // flushPages visits only each page's sets unless the pages cover
+    // every set; count which form each flush takes.
+    const std::uint64_t linesPerPage =
+        (std::uint64_t(1) << pageShift) / config.lineBytes;
+    const std::uint64_t covering =
+        std::max<std::uint64_t>(1, cache.numSets() / linesPerPage);
+    std::uint64_t setScans = 0, wholeScans = 0;
 
     for (int op = 0; op < 200000; ++op) {
         // 90% accesses, 9.8% probes, 0.2% page flushes, and a full flush
@@ -393,13 +400,29 @@ TEST_P(CacheDifferential, PackedTagsMatchTheLineModel)
             const Addr addr = base + rng.nextBelow(lines) * config.lineBytes;
             ASSERT_EQ(cache.probe(addr), ref.probe(addr)) << "op " << op;
         } else if (kind < 19999) {
+            // One page, a few, or enough to cover every set; a page may
+            // repeat, and one in ten lies outside the footprint, so it
+            // has no resident line.
             std::vector<PageId> flush;
-            const std::uint64_t n = 1 + rng.nextBelow(8);
-            for (std::uint64_t i = 0; i < n; ++i)
-                flush.push_back((base >> pageShift) + rng.nextBelow(pages));
+            const std::uint64_t shape = rng.nextBelow(4);
+            const std::uint64_t n = shape == 0   ? 1
+                                    : shape == 3 ? covering + rng.nextBelow(8)
+                                                 : 2 + rng.nextBelow(7);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                const PageId page = (base >> pageShift) +
+                                    rng.nextBelow(pages) +
+                                    (rng.chance(0.1) ? pages : 0);
+                flush.push_back(page);
+                if (rng.chance(0.2))
+                    flush.push_back(page);
+            }
             std::sort(flush.begin(), flush.end());
-            flush.erase(std::unique(flush.begin(), flush.end()),
-                        flush.end());
+            std::vector<PageId> distinct = flush;
+            distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                           distinct.end());
+            ++(distinct.size() * linesPerPage >= cache.numSets()
+                   ? wholeScans
+                   : setScans);
             const auto got = cache.flushPages(flush, pageShift);
             const auto want = ref.flushPages(flush, pageShift);
             ASSERT_EQ(got.linesInvalidated, want.linesInvalidated)
@@ -425,6 +448,10 @@ TEST_P(CacheDifferential, PackedTagsMatchTheLineModel)
     EXPECT_EQ(cache.writebacks, ref.writebacks);
     EXPECT_GT(cache.hits, 0u);
     EXPECT_GT(cache.evictions, 0u);
+    EXPECT_GT(wholeScans, 0u);
+    if (linesPerPage < cache.numSets()) {
+        EXPECT_GT(setScans, 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
