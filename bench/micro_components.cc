@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <iterator>
 #include <vector>
 
 #include "src/core/dpc.hh"
@@ -42,9 +43,11 @@ BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(16384);
 static void
 BM_EventQueueSameTickCascade(benchmark::State &state)
 {
-    // The simulator's dominant shape: an event's callback schedules
-    // the next hop. Same-tick hops stay in the FIFO ring; the queue
-    // must sustain them without growing.
+    // Zero-delay continuations: an event's callback schedules the next
+    // hop at the same tick. Rare in the model (a few dozen per figure
+    // sweep), but the queue must sustain them without growing: each
+    // hop appends to the current tick's list and reuses the node the
+    // previous one freed.
     const std::uint64_t hops = std::uint64_t(state.range(0));
     for (auto _ : state) {
         sim::EventQueue q;
@@ -68,7 +71,7 @@ BM_EventQueueHopChain(benchmark::State &state)
 {
     // Latency-hop chains (TLB -> cache -> DRAM shapes): every hop
     // moves time forward a little, so events flow through the ladder
-    // buckets rather than the ring.
+    // buckets.
     const std::uint64_t hops = std::uint64_t(state.range(0));
     for (auto _ : state) {
         sim::EventQueue q;
@@ -167,6 +170,43 @@ BM_EventQueueFabricHop(benchmark::State &state)
                             std::int64_t(hops));
 }
 BENCHMARK(BM_EventQueueFabricHop)->Arg(16)->Arg(256);
+
+static void
+BM_EventQueueModelMix(benchmark::State &state)
+{
+    // The whole model's schedule in miniature: 860 chains (the most
+    // events a fig12 simulation holds pending at once), each hopping
+    // 1, 10 or 28 cycles (TLB and cache shapes), a DRAM access (150)
+    // or a fabric delivery (502-1023), about 3 events per tick.
+    constexpr std::uint64_t chains = 860;
+    const std::uint64_t hops = chains * std::uint64_t(state.range(0));
+    static constexpr Tick shortHops[] = {1, 1, 1, 1, 10, 10, 10,
+                                         28, 28, 150, 150};
+    for (auto _ : state) {
+        sim::EventQueue q;
+        std::uint64_t scheduled = 0;
+        std::uint32_t rng = 1;
+        sim::InlineFn<void()> step;
+        step = [&] {
+            if (scheduled == hops)
+                return;
+            ++scheduled;
+            rng = rng * 1664525u + 1013904223u;
+            const std::uint32_t pick = (rng >> 8) % 16;
+            const Tick delay = pick < std::size(shortHops)
+                                   ? shortHops[pick]
+                                   : 502 + (rng >> 16) % 522;
+            q.schedule(delay, [&] { step(); });
+        };
+        for (std::uint64_t k = 0; k < chains; ++k)
+            step();
+        q.run();
+        benchmark::DoNotOptimize(rng);
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                            std::int64_t(hops));
+}
+BENCHMARK(BM_EventQueueModelMix)->Arg(64);
 
 static void
 BM_CacheAccess(benchmark::State &state)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <iterator>
 #include <utility>
 
 #include "src/obs/hostprof.hh"
@@ -16,8 +15,9 @@ EventQueue::~EventQueue() = default;
 void
 EventQueue::enableReferenceMode()
 {
-    // The modes share clocks, counters, and timer slots but not entry
-    // storage, so switching is only sound while nothing is resident.
+    // The modes share clocks, counters, timer slots and the arena but
+    // not their lists, so switching is only sound while nothing is
+    // resident.
     assert(_size == 0 && _deadEntries == 0 && _executed == 0 &&
            "reference mode must be enabled on a fresh queue");
     _refMode = true;
@@ -45,33 +45,35 @@ EventQueue::claim(Tick when, std::uint32_t timer_slot1,
     }
     ++_size;
     const std::uint64_t seq = _nextSeq++;
-    if (!_refMode) {
-        if (when == _now)
-            return _ring.emplace_back(when, seq, timer_slot1, timer_gen);
-        if (when < _windowEnd) {
-            assert(when > _now && when >= _windowBase);
-            const std::size_t idx = when & (ladderBuckets - 1);
-            setBit(idx);
-            return _ladder[idx].v.emplace_back(when, seq, timer_slot1,
-                                               timer_gen);
-        }
+    if (_free == nil) {
+        // Grow by one chunk, threading its nodes onto the free list so
+        // the lowest index is taken first.
+        const auto base = static_cast<std::uint32_t>(nodesAllocated());
+        _chunks.push_back(std::make_unique<Entry[]>(nodesPerChunk));
+        for (std::uint32_t k = nodesPerChunk; k-- > 0;)
+            freeNode(base + k);
     }
-    // A heap entry cannot be built in place: pushing it reorders the
-    // heap. Build it here and file it once the callback is in.
-    _staged = Entry(when, seq, timer_slot1, timer_gen);
-    return _staged;
-}
-
-void
-EventQueue::fileStaged()
-{
+    const std::uint32_t i = _free;
+    Entry &e = node(i);
+    _free = e.next;
+    e.when = when;
+    e.timerSlot1 = timer_slot1;
+    e.timerGen = timer_gen;
     if (_refMode) {
-        _ref.push(std::move(_staged));
-        return;
+        _ref.push({when, seq, i});
+    } else if (when == _now) {
+        append(_cur, i);
+    } else if (when < _windowEnd) {
+        assert(when > _now && when >= _windowBase);
+        const std::size_t idx = when & (ladderBuckets - 1);
+        setBit(idx);
+        append(_ladder[idx], i);
+    } else {
+        ++_spillInserts;
+        _spill.push_back({when, seq, i});
+        std::push_heap(_spill.begin(), _spill.end(), Later{});
     }
-    ++_spillInserts;
-    _spill.push_back(std::move(_staged));
-    std::push_heap(_spill.begin(), _spill.end(), Later{});
+    return e;
 }
 
 std::uint32_t
@@ -93,9 +95,7 @@ TimerId
 EventQueue::fileTimer(std::uint32_t slot, Tick when)
 {
     const std::uint32_t gen = _timerSlots[slot].gen;
-    Entry &e = claim(when, slot + 1, gen);
-    if (&e == &_staged)
-        fileStaged();
+    claim(when, slot + 1, gen);
     return (TimerId(gen) << 32) | slot;
 }
 
@@ -121,9 +121,9 @@ EventQueue::cancelTimeout(TimerId id)
     if (slot >= _timerSlots.size() || _timerSlots[slot].gen != gen)
         return false;
 
-    // O(1): destroy the callback and invalidate the queue entry via
-    // the generation bump. The entry itself is now a tombstone that
-    // the pops, settle() or amortized compaction reclaim.
+    // O(1): destroy the callback and invalidate the node via the
+    // generation bump. The node is now a tombstone that the pops,
+    // settle() or amortized compaction free.
     releaseTimerSlot(slot);
     --_pendingTimerCount;
     --_size;
@@ -165,26 +165,11 @@ EventQueue::nextBucketIndex() const
 }
 
 void
-EventQueue::migrateBucket(std::size_t idx)
-{
-    // The batch and the ring are spent; the bucket (one tick's FIFO,
-    // already in schedule order) becomes the batch. Swapping vectors
-    // recycles whichever capacity the batch built up.
-    assert(_batchHead == _batch.size() && _ringHead == _ring.size());
-    Bucket &bk = _ladder[idx];
-    _batch.clear();
-    _batch.swap(bk.v);
-    _batchHead = bk.head;
-    bk.head = 0;
-    clearBit(idx);
-}
-
-void
 EventQueue::rollWindow(Tick base)
 {
     // The window becomes [base, base + N). The ladder holds no tick
     // outside (base, old end) and the spill none below the old end, so
-    // every spill entry that now fits lands in an empty bucket; heap
+    // every spill node that now fits lands on an empty bucket; heap
     // pops come out in (when, seq) order, and any later direct insert
     // at the same tick has a larger seq, so bucket append order stays
     // schedule order (DESIGN.md §14.1).
@@ -192,15 +177,15 @@ EventQueue::rollWindow(Tick base)
     _windowEnd = base + ladderBuckets;
     while (!_spill.empty() && _spill.front().when < _windowEnd) {
         std::pop_heap(_spill.begin(), _spill.end(), Later{});
-        Entry &e = _spill.back();
-        if (alive(e)) {
-            const std::size_t idx = e.when & (ladderBuckets - 1);
-            _ladder[idx].v.push_back(std::move(e));
-            setBit(idx);
-        } else {
-            --_deadEntries;
-        }
+        const Key k = _spill.back();
         _spill.pop_back();
+        if (reclaim(k.node)) {
+            --_deadEntries;
+            continue;
+        }
+        const std::size_t idx = k.when & (ladderBuckets - 1);
+        setBit(idx);
+        append(_ladder[idx], k.node);
     }
 }
 
@@ -215,51 +200,42 @@ EventQueue::settle()
 {
     assert(_size > 0);
     if (_refMode) {
-        while (!alive(_ref.top())) {
+        while (reclaim(_ref.top().node)) {
             _ref.pop();
             --_deadEntries;
         }
-        return _ref.top();
+        return node(_ref.top().node);
     }
     for (;;) {
-        // The batch may be dispatching: only advance its head.
-        if (_batchHead < _batch.size()) {
-            if (alive(_batch[_batchHead]))
-                return _batch[_batchHead];
-            ++_batchHead;
-            --_deadEntries;
-            continue;
+        int b = -1;
+        List *l = &_cur;
+        if (_cur.head == nil) {
+            b = nextBucketIndex();
+            l = b >= 0 ? &_ladder[static_cast<std::size_t>(b)] : nullptr;
         }
-        if (_ringHead < _ring.size()) {
-            if (alive(_ring[_ringHead]))
-                return _ring[_ringHead];
-            ++_ringHead;
-            --_deadEntries;
-            if (_ringHead == _ring.size()) {
-                _ring.clear();
-                _ringHead = 0;
+        if (l) {
+            const std::uint32_t i = l->head;
+            const Entry &e = node(i);
+            if (alive(e)) {
+                // Cached only here, after any prune: a prune that
+                // empties a bucket clears its bit, which drops the cache.
+                if (b >= 0)
+                    _settledBucket = b;
+                return e;
             }
-            continue;
-        }
-        const int b = nextBucketIndex();
-        if (b >= 0) {
-            Bucket &bk = _ladder[static_cast<std::size_t>(b)];
-            if (alive(bk.v[bk.head]))
-                return bk.v[bk.head];
-            ++bk.head;
+            l->head = e.next;
+            freeNode(i);
             --_deadEntries;
-            if (bk.head == bk.v.size()) {
-                bk.v.clear();
-                bk.head = 0;
+            if (b >= 0 && l->head == nil)
                 clearBit(static_cast<std::size_t>(b));
-            }
             continue;
         }
-        // size() > 0, so a live entry remains in the spill.
+        // size() > 0, so a live node remains in the spill.
         assert(!_spill.empty());
-        if (alive(_spill.front()))
-            return _spill.front();
+        if (alive(node(_spill.front().node)))
+            return node(_spill.front().node);
         std::pop_heap(_spill.begin(), _spill.end(), Later{});
+        freeNode(_spill.back().node);
         _spill.pop_back();
         --_deadEntries;
     }
@@ -268,79 +244,57 @@ EventQueue::settle()
 void
 EventQueue::resetWindow()
 {
+    // With size() == 0 every resident node is a tombstone.
     assert(_size == 0);
-    if (_refMode) {
-        _ref.clear();
-        _deadEntries = 0;
-        return;
-    }
-    if (_deadEntries > 0) {
-        // Every resident entry is a tombstone. The batch may be
-        // dispatching, so its suffix is skipped, not erased.
-        _batchHead = _batch.size();
-        _ring.clear();
-        _ringHead = 0;
-        for (std::size_t w = 0; w < bitmapWords; ++w) {
-            std::uint64_t word = _bits[w];
-            while (word) {
-                const std::size_t idx =
-                    w * 64 + std::size_t(std::countr_zero(word));
-                word &= word - 1;
-                _ladder[idx].v.clear();
-                _ladder[idx].head = 0;
-            }
-            _bits[w] = 0;
-        }
-        _spill.clear();
-        _deadEntries = 0;
-    }
+    if (_deadEntries > 0)
+        compact();
     _windowBase = _now;
     _windowEnd = _now + ladderBuckets;
+}
+
+bool
+EventQueue::reclaim(std::uint32_t i)
+{
+    if (alive(node(i)))
+        return false;
+    freeNode(i);
+    return true;
+}
+
+void
+EventQueue::filter(List &l)
+{
+    std::uint32_t i = l.head;
+    l = List{};
+    while (i != nil) {
+        const std::uint32_t next = node(i).next;
+        if (!reclaim(i))
+            append(l, i);
+        i = next;
+    }
 }
 
 void
 EventQueue::compact()
 {
-    const auto isDead = [this](const Entry &e) { return !alive(e); };
-
+    const auto isDead = [this](const Key &k) { return reclaim(k.node); };
     if (_refMode) {
         _ref.removeIf(isDead);
         _deadEntries = 0;
         return;
     }
 
-    // Batch: filter the unconsumed suffix only. The consumed prefix
-    // holds the entry whose callback may be running right now.
-    _batch.erase(
-        std::remove_if(_batch.begin() +
-                           static_cast<std::ptrdiff_t>(_batchHead),
-                       _batch.end(), isDead),
-        _batch.end());
-
-    // Ring: order-preserving filter of the un-consumed suffix.
-    _ring.erase(_ring.begin(),
-                _ring.begin() + static_cast<std::ptrdiff_t>(_ringHead));
-    _ringHead = 0;
-    _ring.erase(std::remove_if(_ring.begin(), _ring.end(), isDead),
-                _ring.end());
-
-    // Ladder: the same per bucket; an emptied bucket clears its bit.
+    // A running callback's node is in no list, so every list can be
+    // relinked; an emptied bucket clears its bit.
+    filter(_cur);
     for (std::size_t w = 0; w < bitmapWords; ++w) {
         std::uint64_t word = _bits[w];
         while (word) {
             const std::size_t idx =
                 w * 64 + std::size_t(std::countr_zero(word));
             word &= word - 1;
-            Bucket &bk = _ladder[idx];
-            if (bk.head > 0) {
-                bk.v.erase(bk.v.begin(),
-                           bk.v.begin() +
-                               static_cast<std::ptrdiff_t>(bk.head));
-                bk.head = 0;
-            }
-            bk.v.erase(std::remove_if(bk.v.begin(), bk.v.end(), isDead),
-                       bk.v.end());
-            if (bk.v.empty())
+            filter(_ladder[idx]);
+            if (_ladder[idx].head == nil)
                 clearBit(idx);
         }
     }
@@ -359,66 +313,63 @@ EventQueue::residentEntries() const
 {
     if (_refMode)
         return _ref.size();
-    std::size_t total = (_batch.size() - _batchHead) +
-                        (_ring.size() - _ringHead) + _spill.size();
+    const auto length = [this](const List &l) {
+        std::size_t n = 0;
+        for (std::uint32_t i = l.head; i != nil; i = node(i).next)
+            ++n;
+        return n;
+    };
+    std::size_t total = length(_cur) + _spill.size();
     for (std::size_t w = 0; w < bitmapWords; ++w) {
         std::uint64_t word = _bits[w];
         while (word) {
             const std::size_t idx =
                 w * 64 + std::size_t(std::countr_zero(word));
             word &= word - 1;
-            const Bucket &bk = _ladder[idx];
-            total += bk.v.size() - bk.head;
+            total += length(_ladder[idx]);
         }
     }
     return total;
 }
 
-EventQueue::Entry *
+std::uint32_t
 EventQueue::popSameTick()
 {
-    for (;;) {
-        while (_batchHead < _batch.size()) {
-            Entry &e = _batch[_batchHead++];
-            if (alive(e))
-                return &e;
-            --_deadEntries;
-        }
-        if (_ringHead == _ring.size()) {
-            _ring.clear();
-            _ringHead = 0;
-            return nullptr;
-        }
-        // The batch is spent and no callback runs from it: the ring's
-        // events become the next batch, the spent batch the new ring.
-        _batch.clear();
-        _batch.swap(_ring);
-        _batchHead = _ringHead;
-        _ringHead = 0;
+    while (_cur.head != nil) {
+        const std::uint32_t i = _cur.head;
+        _cur.head = node(i).next;
+        if (!reclaim(i))
+            return i;
+        --_deadEntries;
     }
+    return nil;
 }
 
-EventQueue::Entry *
+std::uint32_t
 EventQueue::popLive()
 {
     for (;;) {
-        if (Entry *e = popSameTick())
-            return e;
-        const int b = nextBucketIndex();
+        if (const std::uint32_t i = popSameTick(); i != nil)
+            return i;
+        const int b =
+            _settledBucket >= 0 ? _settledBucket : nextBucketIndex();
         if (b >= 0) {
-            // Time moves to the bucket's tick: roll the window with it
-            // so the next 1023 ticks stay in the ladder.
-            const Bucket &bk = _ladder[static_cast<std::size_t>(b)];
-            const Tick t = bk.v.back().when;
-            migrateBucket(static_cast<std::size_t>(b));
+            // Time moves to the bucket's tick: its list becomes the
+            // current tick's, and the window rolls with it so the next
+            // 1023 ticks stay in the ladder.
+            List &bk = _ladder[static_cast<std::size_t>(b)];
+            const Tick t = node(bk.head).when;
+            _cur = bk;
+            bk = List{};
+            clearBit(static_cast<std::size_t>(b));
             rollWindow(t);
             continue;
         }
-        // Ring and ladder are empty: jump to the spill's earliest entry.
-        // A tombstone there is dropped by the roll and the loop jumps
-        // again.
+        // The current tick and the ladder are empty: jump to the
+        // spill's earliest node. A tombstone there is freed by the roll
+        // and the loop jumps again.
         if (_spill.empty())
-            return nullptr;
+            return nil;
         rollWindow(_spill.front().when);
     }
 }
@@ -449,30 +400,36 @@ invoke(const EventFn &fn)
 } // namespace
 
 void
-EventQueue::dispatch(Entry &e)
+EventQueue::dispatch(std::uint32_t i)
 {
+    Entry &e = node(i);
     assert(e.when >= _now);
     _now = e.when;
     ++_executed;
     --_size;
 
-    if (e.timerSlot1 == 0) {
-        invoke(e.fn);
-        // The entry stays where it is until a later pop recycles the
-        // batch; release its capture now.
-        e.fn = nullptr;
-    } else {
-        // A live timer entry: the callback lives in the slot, and
-        // firing disarms the slot exactly like a cancel would. The
-        // slot vector may grow while the callback runs, so it runs
-        // from a local.
-        const EventFn fn = std::move(_timerSlots[e.timerSlot1 - 1].fn);
-        releaseTimerSlot(e.timerSlot1 - 1);
-        --_pendingTimerCount;
-        invoke(fn);
+    // The node is in no list while its callback runs, and is freed only
+    // once the callback returns or throws.
+    try {
+        if (e.timerSlot1 == 0) {
+            invoke(e.fn);
+        } else {
+            // A live timer node: the callback lives in the slot, and
+            // firing disarms the slot exactly like a cancel would. The
+            // slot vector may grow while the callback runs, so it runs
+            // from a local.
+            const EventFn fn = std::move(_timerSlots[e.timerSlot1 - 1].fn);
+            releaseTimerSlot(e.timerSlot1 - 1);
+            --_pendingTimerCount;
+            invoke(fn);
+        }
+    } catch (...) {
+        freeNode(i);
+        throw;
     }
-    // A drained queue holds no live work: purge any tombstone residue
-    // so empty() also means "no resident memory".
+    freeNode(i);
+    // A drained queue holds no live work: free any tombstone residue so
+    // empty() also means "no resident nodes".
     if (_size == 0)
         resetWindow();
 }
@@ -483,21 +440,20 @@ EventQueue::runOne()
     if (_size == 0)
         return false;
     if (_refMode) {
-        // The reference heap pops in global (when, seq) order; skip
-        // any tombstone that reached the front. The entry runs from a
-        // local: the heap may reorder while its callback runs.
+        // The reference heap pops in global (when, seq) order; free any
+        // tombstone that reached the front.
         for (;;) {
-            Entry e = _ref.pop();
-            if (alive(e)) {
-                dispatch(e);
+            const std::uint32_t i = _ref.pop().node;
+            if (!reclaim(i)) {
+                dispatch(i);
                 return true;
             }
             --_deadEntries;
         }
     }
-    Entry *e = popLive();
-    assert(e && "size() > 0 but no live entry found");
-    dispatch(*e);
+    const std::uint32_t i = popLive();
+    assert(i != nil && "size() > 0 but no live node found");
+    dispatch(i);
     return true;
 }
 
@@ -508,10 +464,10 @@ EventQueue::runSameTick()
         return false;
     if (_refMode)
         return settle().when == _now && runOne();
-    Entry *e = popSameTick();
-    if (!e)
+    const std::uint32_t i = popSameTick();
+    if (i == nil)
         return false;
-    dispatch(*e);
+    dispatch(i);
     return true;
 }
 

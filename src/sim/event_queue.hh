@@ -6,34 +6,36 @@
  * scheduled (FIFO), which makes whole-system simulation results fully
  * reproducible for a given seed.
  *
- * Internally the queue is a hybrid three-tier structure tuned to the
- * schedule shapes the simulator actually produces (see DESIGN.md
+ * Internally every pending event is a node in one arena of recycled,
+ * fixed-size chunks, and the queue is a set of lists over it, tuned to
+ * the schedule shapes the simulator actually produces (see DESIGN.md
  * "Scheduler internals"):
  *
- *  - a SAME-TICK tier: the BATCH (the current tick's FIFO, dispatched
- *    in place) plus a RING that collects events scheduled for the
- *    current tick while the batch runs. Zero-delay continuations — the
- *    dominant shape in CU/GPU/dispatcher code — append to the ring in
- *    O(1); when the batch is spent the ring becomes the next batch;
- *  - a LADDER of per-tick buckets covering a 1024-tick window that
- *    rolls with time: when a bucket (tick t) becomes the batch, the
- *    window becomes [t, t + 1024). An insert indexes its bucket
- *    directly (O(1)); when time reaches a bucket its vector becomes
- *    the batch wholesale. Within a bucket, append order IS schedule
- *    order, so FIFO-within-tick holds by construction;
- *  - a SPILL HEAP for the far future only: deadlines at or beyond the
- *    window's end (periodic-hook-scale delays, recovery deadlines).
- *    Each roll moves every spill entry the new window covers into its
- *    (empty) bucket in (when, seq) order, so a tick's spilled events
- *    precede its later direct inserts and the global FIFO contract
- *    holds. When the near future empties, the window jumps to the
- *    spill's earliest event the same way.
+ *  - the CURRENT TICK's FIFO list, dispatched from its head. A node
+ *    leaves the list before its callback runs, so an event scheduled
+ *    for now() while it runs simply appends to the tail (a rare shape:
+ *    almost every hop has a nonzero latency);
+ *  - a LADDER of per-tick FIFO lists covering a 1024-tick window that
+ *    rolls with time: when time reaches a bucket (tick t) its list
+ *    becomes the current tick's (two indices copied) and the window
+ *    becomes [t, t + 1024). An insert indexes its bucket directly
+ *    (O(1)) and appends, so within a bucket append order IS schedule
+ *    order and FIFO-within-tick holds by construction;
+ *  - a SPILL HEAP of (when, seq, node) keys for the far future only:
+ *    deadlines at or beyond the window's end (periodic-hook-scale
+ *    delays, recovery deadlines). Each roll moves every spill node the
+ *    new window covers onto its (empty) bucket in (when, seq) order,
+ *    so a tick's spilled events precede its later direct inserts and
+ *    the global FIFO contract holds. When the near future empties, the
+ *    window jumps to the spill's earliest event the same way.
  *
- * Event callbacks are sim::InlineFn (inline capture storage, no
- * per-event heap allocation), built once in the tier that holds them
- * and invoked where they lie; cancellable timeouts live in
- * generation-checked slots so cancelTimeout() is O(1) and destroys
- * the callback immediately.
+ * Nodes never move. A callback (sim::InlineFn: inline capture storage,
+ * no per-event heap allocation) is built in its node and invoked
+ * there; the node is freed onto a LIFO free list once the callback
+ * returns or throws, so the next event reuses it and the arena's size
+ * is the run's peak resident count rounded up to a chunk. Cancellable
+ * timeouts live in generation-checked slots so cancelTimeout() is O(1)
+ * and destroys the callback immediately.
  */
 
 #ifndef GRIFFIN_SIM_EVENT_QUEUE_HH
@@ -42,6 +44,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -114,10 +117,7 @@ class EventQueue
     {
         if (when < _now)
             when = clampToNow(when);
-        Entry &e = claim(when, 0, 0);
-        e.fn.emplace(std::forward<F>(fn));
-        if (&e == &_staged)
-            fileStaged();
+        claim(when, 0, 0).fn.emplace(std::forward<F>(fn));
     }
 
     /**
@@ -165,9 +165,9 @@ class EventQueue
     std::size_t size() const { return _size; }
 
     /**
-     * Execute the single earliest event. Callbacks run in place in the
-     * queue's storage, so neither this nor runSameTick() may be called
-     * from inside a callback.
+     * Execute the single earliest event. Callbacks run in place in
+     * their node, so neither this nor runSameTick() may be called from
+     * inside a callback.
      * @retval true an event was executed.
      * @retval false the queue was empty.
      */
@@ -200,14 +200,15 @@ class EventQueue
     /** @name Introspection for tests @{ */
 
     /**
-     * Entries physically resident across all three tiers, including
-     * cancelled-timeout tombstones not yet reclaimed. Bounded-memory
-     * tests assert this stays close to size().
+     * Nodes resident in the lists and heaps, including
+     * cancelled-timeout tombstones not yet reclaimed (a running
+     * callback's node is in none). Bounded-memory tests assert this
+     * stays close to size().
      */
     std::size_t residentEntries() const;
 
     /**
-     * Entries ever filed into the spill heap (far-future tier); the
+     * Events ever filed into the spill heap (far-future tier); the
      * rolling window keeps this a small share of eventsExecuted().
      */
     std::uint64_t spillInserts() const { return _spillInserts; }
@@ -215,16 +216,26 @@ class EventQueue
     /** Timer slots ever allocated (the free list recycles them). */
     std::size_t timerSlotsAllocated() const { return _timerSlots.size(); }
 
+    /** Nodes per arena chunk: the arena grows by this many at a time. */
+    static constexpr std::size_t nodesPerChunk = 256;
+
+    /** Arena nodes ever allocated (the free list recycles them). */
+    std::size_t nodesAllocated() const
+    {
+        return _chunks.size() * nodesPerChunk;
+    }
+
     /** @} */
 
     /** @name Reference scheduler (differential testing) @{ */
 
     /**
-     * Replace the three-tier structure with the naive (when, seq)
-     * binary heap from ref_queue.hh. Test-only: the reference mode
-     * exists so fuzz harnesses can demand byte-identical results from
-     * the tiered queue and a trivially-correct one. Must be called on
-     * a fresh queue, before anything is scheduled or executed.
+     * Replace the lists and the spill with the naive (when, seq)
+     * binary heap from ref_queue.hh, over the same node arena.
+     * Test-only: the reference mode exists so fuzz harnesses can
+     * demand byte-identical results from the tiered queue and a
+     * trivially-correct one. Must be called on a fresh queue, before
+     * anything is scheduled or executed.
      */
     void enableReferenceMode();
 
@@ -237,32 +248,49 @@ class EventQueue
     /** Number of per-tick ladder buckets; must be a power of two. */
     static constexpr std::size_t ladderBuckets = 1024;
     static constexpr std::size_t bitmapWords = ladderBuckets / 64;
+    static constexpr unsigned chunkShift = 8;
+    static_assert(nodesPerChunk == std::size_t(1) << chunkShift);
+    /** The null node index: ends a list and the free list. */
+    static constexpr std::uint32_t nil = ~std::uint32_t(0);
 
+    /** One arena node: a pending event, or free. */
     struct Entry
     {
-        Entry() = default;
-        Entry(Tick w, std::uint64_t s, std::uint32_t slot1,
-              std::uint32_t gen)
-            : when(w), seq(s), timerSlot1(slot1), timerGen(gen)
-        {
-        }
-
         Tick when = 0;
-        /** Global schedule order; ties on when resolve by seq. */
-        std::uint64_t seq = 0;
+        /** Next node in this node's list (or the free list), or nil. */
+        std::uint32_t next = nil;
         /** Timer slot index + 1; 0 for a plain event. */
         std::uint32_t timerSlot1 = 0;
         /** Slot generation at arm time; a mismatch means cancelled. */
         std::uint32_t timerGen = 0;
-        /** The callback. Empty for timer entries (held in the slot). */
+        // 4 spare bytes of padding before fn (room for a site index).
+        /** The callback. Empty for timer nodes (held in the slot). */
         EventFn fn;
     };
+    static_assert(sizeof(Entry) == 88);
 
-    /** Min-heap order for the spill tier: (when, seq) ascending. */
+    /** A FIFO of nodes linked through Entry::next. */
+    struct List
+    {
+        std::uint32_t head = nil;
+        /** Last node; stale while head is nil. */
+        std::uint32_t tail = nil;
+    };
+
+    /** A heap entry: the node's deadline and schedule order. */
+    struct Key
+    {
+        Tick when;
+        /** Global schedule order; ties on when resolve by seq. */
+        std::uint64_t seq;
+        std::uint32_t node;
+    };
+
+    /** Min-heap order for the spill and reference heaps. */
     struct Later
     {
         bool
-        operator()(const Entry &a, const Entry &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -270,18 +298,11 @@ class EventQueue
         }
     };
 
-    struct Bucket
-    {
-        std::vector<Entry> v;
-        /** First un-consumed entry (front pruning of cancellations). */
-        std::size_t head = 0;
-    };
-
     /**
-     * A cancellable timeout's callback lives here, not in the queue
-     * entry, so cancelTimeout() can destroy it in O(1) by slot index.
-     * The generation increments whenever the slot is disarmed (fire
-     * or cancel), invalidating the queue entry and any stale TimerId.
+     * A cancellable timeout's callback lives here, not in the node, so
+     * cancelTimeout() can destroy it in O(1) by slot index. The
+     * generation increments whenever the slot is disarmed (fire or
+     * cancel), invalidating the node and any stale TimerId.
      */
     struct TimerSlot
     {
@@ -289,49 +310,40 @@ class EventQueue
         EventFn fn;
     };
 
-    /**
-     * Tier 1a: the current tick's FIFO, dispatched in place from
-     * _batch[_batchHead - 1]. While a callback runs from it, nothing
-     * may insert into, reallocate, clear or reorder the consumed
-     * prefix [0, _batchHead): same-tick inserts go to _ring, and
-     * settle(), compact() and resetWindow() only advance _batchHead or
-     * filter the unconsumed suffix. Only the pop between dispatches
-     * clears it or swaps in a new tick.
-     */
-    std::vector<Entry> _batch;
-    std::size_t _batchHead = 0;
+    /** The arena: chunks never move, so neither does a node. */
+    std::vector<std::unique_ptr<Entry[]>> _chunks;
+    /** Head of the LIFO free list. */
+    std::uint32_t _free = nil;
 
-    /** Tier 1b: events scheduled for now() while the batch runs. */
-    std::vector<Entry> _ring;
-    std::size_t _ringHead = 0;
+    /** The current tick's FIFO (time's front). */
+    List _cur;
 
-    /** Tier 2: per-tick buckets over [_windowBase, _windowEnd). */
-    std::array<Bucket, ladderBuckets> _ladder;
-    /** Bit i set iff _ladder[i] holds entries. */
+    /** Per-tick lists over [_windowBase, _windowEnd). */
+    std::array<List, ladderBuckets> _ladder;
+    /** Bit i set iff _ladder[i] holds nodes. */
     std::uint64_t _bits[bitmapWords] = {};
     Tick _windowBase = 0;
     Tick _windowEnd = ladderBuckets;
-
-    /** Tier 3: min-heap of events at or beyond _windowEnd. */
-    std::vector<Entry> _spill;
-
     /**
-     * A spill or reference-heap entry while its callback is built: it
-     * is filed into its heap by fileStaged() once complete.
+     * The earliest non-empty bucket as settle() last found it, for the
+     * pop that follows; -1 once any bucket's bit changes.
      */
-    Entry _staged;
+    int _settledBucket = -1;
 
-    /** Reference mode: one naive heap replaces all three tiers. */
+    /** Min-heap of nodes at or beyond _windowEnd. */
+    std::vector<Key> _spill;
+
+    /** Reference mode: one naive heap replaces the lists and spill. */
     bool _refMode = false;
-    RefQueue<Entry, Later> _ref;
+    RefQueue<Key, Later> _ref;
 
     Tick _now = 0;
     /** Starts at 1 so seq 0 can mean "unset" in debugging dumps. */
     std::uint64_t _nextSeq = 1;
     std::uint64_t _executed = 0;
-    /** Live (un-cancelled) events across all tiers. */
+    /** Live (un-cancelled) events. */
     std::size_t _size = 0;
-    /** Cancelled-timeout tombstones still resident in a tier. */
+    /** Cancelled-timeout tombstones still resident. */
     std::size_t _deadEntries = 0;
     std::size_t _pendingTimerCount = 0;
     std::uint64_t _spillInserts = 0;
@@ -339,58 +351,88 @@ class EventQueue
     std::vector<TimerSlot> _timerSlots;
     std::vector<std::uint32_t> _freeTimerSlots;
 
+    Entry &node(std::uint32_t i) const
+    {
+        return _chunks[i >> chunkShift][i & (nodesPerChunk - 1)];
+    }
+
     bool alive(const Entry &e) const
     {
         return e.timerSlot1 == 0 ||
                _timerSlots[e.timerSlot1 - 1].gen == e.timerGen;
     }
 
+    void
+    append(List &l, std::uint32_t i)
+    {
+        node(i).next = nil;
+        if (l.head == nil)
+            l.head = i;
+        else
+            node(l.tail).next = i;
+        l.tail = i;
+    }
+
+    /** Destroy node @p i's callback and push it on the free list. */
+    void
+    freeNode(std::uint32_t i)
+    {
+        Entry &e = node(i);
+        e.fn = nullptr;
+        e.next = _free;
+        _free = i;
+    }
+
     /** Diagnose a past deadline; @return now(). */
     Tick clampToNow(Tick when) const;
     /**
      * Count a new event at @p when (resetting an empty queue first) and
-     * return its entry, callback still empty. A ring or ladder entry is
-     * returned in place in its tier; a spill or reference-heap entry is
-     * returned as _staged, for fileStaged().
+     * return its node, filed where it belongs, callback still empty.
      */
     Entry &claim(Tick when, std::uint32_t timer_slot1,
                  std::uint32_t timer_gen);
-    /** Push the completed _staged entry onto the spill or ref heap. */
-    void fileStaged();
     /** Take a timer slot (its callback still to be set). */
     std::uint32_t armTimerSlot();
-    /** Queue timer slot @p slot's entry at @p when; @return its id. */
+    /** Queue timer slot @p slot's node at @p when; @return its id. */
     TimerId fileTimer(std::uint32_t slot, Tick when);
-    void setBit(std::size_t i) { _bits[i >> 6] |= 1ull << (i & 63); }
-    void clearBit(std::size_t i) { _bits[i >> 6] &= ~(1ull << (i & 63)); }
+    void
+    setBit(std::size_t i)
+    {
+        _bits[i >> 6] |= 1ull << (i & 63);
+        _settledBucket = -1;
+    }
+    void
+    clearBit(std::size_t i)
+    {
+        _bits[i >> 6] &= ~(1ull << (i & 63));
+        _settledBucket = -1;
+    }
     /** Earliest non-empty bucket in window scan order, or -1. */
     int nextBucketIndex() const;
+    /** Unlink the current tick's next live node; nil if none. */
+    std::uint32_t popSameTick();
+    /** Unlink the next live node overall, moving time's lists forward. */
+    std::uint32_t popLive();
+    /** Run node @p i's callback (in place), then free the node. */
+    void dispatch(std::uint32_t i);
     /**
-     * The next live entry of the current tick, consumed from the batch
-     * (promoting the ring when the batch is spent); nullptr if none.
-     * Called between dispatches only.
-     */
-    Entry *popSameTick();
-    /** The next live entry overall, moving time's tiers forward. */
-    Entry *popLive();
-    /** Run @p e's callback (in place) and retire it. */
-    void dispatch(Entry &e);
-    /** Hand the whole bucket (one tick's FIFO) to the spent batch. */
-    void migrateBucket(std::size_t idx);
-    /**
-     * Make the window [@p base, @p base + N) and move every spill
-     * entry it now covers into its bucket (tombstones are dropped).
-     * Requires the ladder to hold no tick outside (base, base + N).
+     * Make the window [@p base, @p base + N) and move every spill node
+     * it now covers onto its bucket (tombstones are freed). Requires
+     * the ladder to hold no tick outside (base, base + N).
      */
     void rollWindow(Tick base);
     /**
-     * Prune cancelled tombstones off the front of the pop order and
+     * Free cancelled tombstones off the front of the pop order and
      * return the (live) front. Requires size() > 0.
      */
     const Entry &settle();
-    /** Drop all tombstone residue and re-anchor the window at now. */
+    /** Free all tombstone residue and re-anchor the window at now. */
     void resetWindow();
-    /** Erase every tombstone from every tier (amortized reclaim). */
+    /** Free node @p i if it is a tombstone; @return true if freed. */
+    bool reclaim(std::uint32_t i);
+    /** Drop @p l's tombstones, keeping the order of the rest. */
+    void filter(List &l);
+    /** Free every tombstone everywhere (amortized reclaim). */
     void compact();
     /** Disarm a slot: destroy callback, bump generation, recycle. */
     void releaseTimerSlot(std::uint32_t slot);

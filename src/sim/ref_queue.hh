@@ -3,17 +3,18 @@
  * A naive reference scheduler for differential testing.
  *
  * RefQueue is the textbook implementation of the EventQueue contract:
- * one binary heap ordered by (when, seq), nothing else. No same-tick
- * ring, no ladder window, no spill tier — every structural shortcut
+ * one binary heap ordered by (when, seq), nothing else. No per-tick
+ * lists, no ladder window, no spill tier — every structural shortcut
  * the production queue takes is absent, so any divergence between the
  * two under an identical schedule is a bug in the tiered structure
  * (or in the reference, which is small enough to audit by eye).
  *
- * It is test-only: EventQueue::enableReferenceMode() swaps its three
- * tiers for a RefQueue while keeping the clock, sequence numbers,
- * timer slots, and cancellation bookkeeping identical, so the two
- * modes are byte-for-byte comparable at the run-report level. Nothing
- * on the simulation hot path instantiates this in normal runs.
+ * It is test-only: EventQueue::enableReferenceMode() swaps its lists
+ * and spill for a RefQueue of (when, seq, node) keys while keeping the
+ * clock, sequence numbers, timer slots, node arena and cancellation
+ * bookkeeping identical, so the two modes are byte-for-byte comparable
+ * at the run-report level. Nothing on the simulation hot path
+ * instantiates this in normal runs.
  *
  * The heap stores entries in a plain vector and moves them out with
  * std::pop_heap — never through std::priority_queue, whose const

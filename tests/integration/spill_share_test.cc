@@ -7,10 +7,16 @@
  * near future drains sends 15-19% of these runs' events through the
  * spill heap; a rolling one leaves only the periodic hooks, recovery
  * deadlines and the rare full-window hop there.
+ *
+ * The same runs bound the queue's node arena: freed nodes are reused
+ * before it grows, so its capacity follows the peak number of pending
+ * events (at most 860 in any fig12 simulation), not the run's length
+ * or its busiest tick's history.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <tuple>
@@ -24,6 +30,13 @@ namespace {
 
 /** Largest share of executed events that may pass through the spill. */
 constexpr double kMaxSpillShare = 0.03;
+
+/**
+ * Most arena nodes a run may hold. Buckets that each kept the largest
+ * buffer they ever held retained at least 7,256 entries per fig12
+ * simulation.
+ */
+constexpr std::size_t kMaxNodes = 4096;
 
 class SpillShare
     : public ::testing::TestWithParam<std::tuple<std::string, bool>>
@@ -53,6 +66,7 @@ TEST_P(SpillShare, FabricHopsStayInTheLadder)
     EXPECT_LT(share, kMaxSpillShare)
         << queue.spillInserts() << " spill inserts over " << events
         << " events";
+    EXPECT_LE(queue.nodesAllocated(), kMaxNodes);
 }
 
 INSTANTIATE_TEST_SUITE_P(

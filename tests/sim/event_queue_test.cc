@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -513,11 +515,13 @@ TEST(EventQueueWindow, TieredAndReferenceSchedulersAgreeOnOrder)
     // the window, scheduled from the top level and from callbacks,
     // timer arms, cancels, partial drains — must fire callbacks in the
     // identical order on the tiered queue and on the naive reference
-    // heap (the differential the fuzz oracles rely on).
+    // heap (the differential the fuzz oracles rely on). Timers a window
+    // ahead are cancelled while they sit in the spill.
     const auto script = [](EventQueue &q, std::vector<int> &order) {
         HopScript hops{q, order};
         std::uint32_t rng = 2024;
         std::vector<griffin::sim::TimerId> timers;
+        std::vector<griffin::sim::TimerId> farTimers;
         int id = 0;
         for (int i = 0; i < 3000; ++i) {
             rng = rng * 1664525u + 1013904223u;
@@ -532,6 +536,15 @@ TEST(EventQueueWindow, TieredAndReferenceSchedulersAgreeOnOrder)
             if ((rng & 15) == 1 && !timers.empty()) {
                 q.cancelTimeout(timers.back());
                 timers.pop_back();
+            }
+            // A window or more ahead: these sit in the spill, and most
+            // are cancelled there, leaving heap keys over tombstones.
+            if ((rng & 7) == 5) {
+                farTimers.push_back(q.scheduleTimeout(
+                    1024 + delay, [&order, id] { order.push_back(-id); }));
+            } else if ((rng & 7) == 6 && !farTimers.empty()) {
+                q.cancelTimeout(farTimers.back());
+                farTimers.pop_back();
             }
             if ((i & 127) == 0)
                 q.runUntil(q.now() + 256);
@@ -554,6 +567,7 @@ TEST(EventQueueWindow, TieredAndReferenceSchedulersAgreeOnOrder)
     EXPECT_EQ(tieredOrder, referenceOrder);
     EXPECT_EQ(tiered.eventsExecuted(), reference.eventsExecuted());
     EXPECT_EQ(tiered.now(), reference.now());
+    EXPECT_GT(tiered.spillInserts(), 0u);
 }
 
 TEST(EventQueue, ManyEventsKeepTotalOrder)
@@ -575,16 +589,16 @@ TEST(EventQueue, ManyEventsKeepTotalOrder)
 }
 
 // --- Mutation during in-place dispatch -------------------------------
-// Callbacks run from their slot in the current tick's batch, so while
-// one runs nothing may move or destroy that slot: not a same-tick
-// insert, not a cancel that empties the queue (resetWindow), not a
-// cancel storm that triggers compaction. Each scenario runs on the
+// Callbacks run from their node in the arena, so while one runs nothing
+// may move or free that node: not a same-tick insert, not a cancel that
+// empties the queue (resetWindow), not a cancel storm that triggers
+// compaction. Each scenario runs on the
 // tiered queue and the reference heap, through EventQueue::run()
 // (runOne) and through Engine::run() (runOne plus runSameTick), and
 // must produce one execution order. Captures are Canaries: moving one
 // zeroes the source and destroying one zeroes it, so a callback whose
-// slot moved or died under it records 0. (The entry's storage outlives
-// a destroyed entry, so the sanitizers alone would not see this.)
+// node moved or died under it records 0. (A freed node's storage stays
+// in the arena, so the sanitizers alone would not see this.)
 
 namespace {
 
@@ -660,8 +674,8 @@ cascadeNode(EventQueue &q, ScriptRun &r, std::uint64_t id)
 TEST(EventQueueInPlace, SameTickCascadeGrowsTheRingUnderARunningCallback)
 {
     // Several hundred same-tick events, each scheduled by a running
-    // one: the ring reallocates many times while callbacks execute
-    // from the batch, and batches hand over generation by generation.
+    // one: the current tick's list grows at its tail, and the arena by
+    // whole chunks, while callbacks execute from their nodes.
     expectOrderMatchesReference([](EventQueue &q, ScriptRun &r) {
         r.budget = 600;
         q.schedule(7, [&q, &r] { cascadeNode(q, r, 1); });
@@ -671,10 +685,10 @@ TEST(EventQueueInPlace, SameTickCascadeGrowsTheRingUnderARunningCallback)
 
 TEST(EventQueueInPlace, CancellingTheLastTimeoutEmptiesTheQueueMidDispatch)
 {
-    // The tick-10 batch holds the running event and a timeout behind
-    // it; cancelling that and the two later timeouts empties the queue,
-    // so resetWindow() runs while the callback still executes from the
-    // batch. The callback then schedules into the empty queue.
+    // Tick 10's list holds a timeout behind the running event;
+    // cancelling that and the two later timeouts empties the queue, so
+    // resetWindow() runs while the callback still executes from its
+    // node. The callback then schedules into the empty queue.
     expectOrderMatchesReference([](EventQueue &q, ScriptRun &r) {
         q.schedule(10, [&q, &r, c = Canary(1)] {
             for (const auto id : r.timers)
@@ -695,12 +709,12 @@ TEST(EventQueueInPlace, CancellingTheLastTimeoutEmptiesTheQueueMidDispatch)
 TEST(EventQueueInPlace, CancelStormCompactsTheBatchUnderARunningCallback)
 {
     // Three timeouts ahead of the running event in its tick's bucket
-    // are cancelled at tick 5, so the batch's consumed prefix holds
-    // tombstones before the running entry. Then 150 more, a third of
-    // them behind the running event in its batch and the rest in the
-    // ladder and the spill, plus live events on both sides. Cancelling
-    // those crosses the compaction threshold mid-dispatch: compact()
-    // must filter only the batch's unconsumed suffix.
+    // are cancelled at tick 5, so tombstones precede it in that list.
+    // Then 150 more, a third of them behind the running event in its
+    // tick's list and the rest in the ladder and the spill, plus live
+    // events on both sides. Cancelling those crosses the compaction
+    // threshold mid-dispatch: compact() relinks every list around the
+    // running node, which is in none.
     expectOrderMatchesReference([](EventQueue &q, ScriptRun &r) {
         for (std::uint64_t i = 0; i < 3; ++i) {
             r.timers.push_back(q.scheduleTimeout(
@@ -886,4 +900,134 @@ TEST(EventQueueRoll, RunUntilStoppingMidWindowThenResumingMatchesReference)
         for (const Tick d : {0, 3, 1023, 1024})
             at(d, 30000 + d);
     });
+}
+
+// --- Node arena ------------------------------------------------------
+// Every pending event is a node in chunks that never move; a node is
+// freed onto a LIFO free list once its callback returns or throws, so
+// the arena's capacity is the peak resident count rounded up to a
+// chunk, whatever the run's length.
+
+namespace {
+
+constexpr std::size_t kChunk = EventQueue::nodesPerChunk;
+
+std::size_t
+roundUpToChunk(std::size_t n)
+{
+    return (n + kChunk - 1) / kChunk * kChunk;
+}
+
+} // namespace
+
+TEST(EventQueueArena, FullCaptureSurvivesArenaGrowthWhileItRuns)
+{
+    // The running callback's 56-byte capture stays put while it fills
+    // three chunks' worth of new nodes (the chunk table reallocates).
+    struct Context
+    {
+        EventQueue q;
+        int ran = 0;
+        std::array<std::uint64_t, 6> seen{};
+    };
+    for (const bool reference : {false, true}) {
+        Context ctx;
+        if (reference)
+            ctx.q.enableReferenceMode();
+        std::array<std::uint64_t, 6> capture;
+        for (std::size_t k = 0; k < capture.size(); ++k)
+            capture[k] = 0x5eed0000 + k;
+        const auto fn = [ctx = &ctx, c = capture] {
+            for (std::size_t k = 0; k < 3 * kChunk; ++k)
+                ctx->q.schedule(k % 3, [ctx] { ++ctx->ran; });
+            ctx->seen = c;
+        };
+        static_assert(sizeof(fn) == griffin::sim::EventFn::capacity);
+        ctx.q.schedule(3, fn);
+        ctx.q.run();
+        EXPECT_EQ(ctx.seen, capture);
+        EXPECT_EQ(ctx.ran, int(3 * kChunk));
+        EXPECT_EQ(ctx.q.nodesAllocated(), roundUpToChunk(3 * kChunk + 1));
+    }
+}
+
+TEST(EventQueueArena, MillionHopChainsNeedOnlyTheirPeakLiveNodes)
+{
+    // k fabric-hop chains keep at most k events pending (plus the
+    // running one) over a million dispatches through the ladder and,
+    // once, the spill: the arena stays at k rounded up to a chunk.
+    constexpr std::size_t k = 1000;
+    EventQueue q;
+    HopChains chains{q, 1000000};
+    chains.longHopAt = 100000;
+    for (std::size_t c = 0; c < k; ++c)
+        chains.hop();
+    q.run();
+    EXPECT_EQ(q.eventsExecuted(), 1000000u);
+    EXPECT_EQ(q.spillInserts(), 1u);
+    EXPECT_LE(q.nodesAllocated(), roundUpToChunk(k + 1));
+    EXPECT_EQ(q.residentEntries(), 0u);
+}
+
+TEST(EventQueueArena, MillionTimerChurnNeedsOnlyItsPeakResidentNodes)
+{
+    // At most 400 timers are armed at once, and compaction keeps the
+    // tombstones of cancelled ones at most max(64, live): resident nodes
+    // never exceed 2 * 400 + 64, so the arena never outgrows that
+    // rounded up to a chunk, however many timers churn through it.
+    constexpr std::size_t armed = 400;
+    EventQueue q;
+    std::uint32_t rng = 7;
+    std::uint64_t fired = 0;
+    std::uint64_t cancelled = 0;
+    std::vector<griffin::sim::TimerId> ring(armed,
+                                            griffin::sim::invalidTimerId);
+    for (std::size_t i = 0; i < 1000000; ++i) {
+        rng = rng * 1664525u + 1013904223u;
+        griffin::sim::TimerId &slot = ring[i % armed];
+        if (q.cancelTimeout(slot))
+            ++cancelled;
+        const Tick delay = 1 + (rng >> 20) % ((rng & 7) == 0 ? 3000 : 300);
+        slot = q.scheduleTimeout(delay, [&fired] { ++fired; });
+        ASSERT_LE(q.size(), armed);
+        if ((i & 31) == 0)
+            q.runUntil(q.now() + 4);
+    }
+    q.run();
+    EXPECT_EQ(fired + cancelled, 1000000u);
+    EXPECT_GT(cancelled, 0u);
+    EXPECT_GT(fired, 0u);
+    EXPECT_LE(q.nodesAllocated(), roundUpToChunk(2 * armed + 64));
+    EXPECT_EQ(q.residentEntries(), 0u);
+}
+
+TEST(EventQueueArena, ThrowingCallbackFreesItsNode)
+{
+    // A throwing callback's node is freed on the way out: the counts
+    // stay exact, later events run in order, and a run of throws
+    // recycles one node instead of growing the arena.
+    for (const bool reference : {false, true}) {
+        EventQueue q;
+        if (reference)
+            q.enableReferenceMode();
+        std::vector<int> order;
+        q.schedule(5, [] { throw std::runtime_error("boom"); });
+        q.schedule(5, [&order] { order.push_back(1); });
+        q.schedule(10, [&order] { order.push_back(3); });
+        EXPECT_THROW(q.runOne(), std::runtime_error);
+        EXPECT_EQ(q.now(), 5u);
+        EXPECT_EQ(q.size(), 2u);
+        EXPECT_EQ(q.residentEntries(), 2u);
+        q.schedule(0, [&order] { order.push_back(2); });
+        q.run();
+        EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+        EXPECT_EQ(q.residentEntries(), 0u);
+
+        for (std::size_t i = 0; i < 3 * kChunk; ++i) {
+            q.schedule(1, [] { throw std::runtime_error("again"); });
+            EXPECT_THROW(q.runOne(), std::runtime_error);
+        }
+        EXPECT_TRUE(q.empty());
+        EXPECT_EQ(q.nodesAllocated(), kChunk);
+    }
 }
