@@ -8,7 +8,6 @@
 #include "src/obs/pagestats.hh"
 #include "src/obs/span.hh"
 #include "src/obs/telemetry.hh"
-#include "src/obs/timeseries.hh"
 #include "src/obs/trace.hh"
 #include "src/sim/log.hh"
 #include "src/sys/chaos.hh"
@@ -91,7 +90,6 @@ Driver::startBatch()
 
     ++batchesProcessed;
     ++cpuShootdowns;
-    obs::TimeSeries::countActive(obs::TimeSeries::Series::Shootdowns);
     GLOG(Trace, "driver: fault batch of " << batch.size() << " pages");
 
     const Tick now = _engine.now();

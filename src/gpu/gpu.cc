@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "src/obs/timeseries.hh"
 #include "src/obs/trace.hh"
 #include "src/sim/log.hh"
 
@@ -189,8 +188,6 @@ Gpu::haveTranslation(DeviceId location, sim::SlotId s)
         localAccess(s);
     } else {
         ++remoteAccesses;
-        obs::TimeSeries::countActive(
-            obs::TimeSeries::Series::DcaAccesses);
         // The router's DCA round trip takes any continuation: only
         // here does the completion become an EventFn.
         const CuAccessReq r = _accesses.take(s);
@@ -314,7 +311,6 @@ Gpu::flushForMigration(sim::EventFn done)
         entries += tlb.invalidateAll();
     entries += _l2Tlb.invalidateAll();
     ++tlbShootdownEvents;
-    obs::TimeSeries::countActive(obs::TimeSeries::Series::Shootdowns);
     tlbEntriesShotDown += entries;
 
     // Flush both cache levels; dirty lines drain into local DRAM.
@@ -362,7 +358,6 @@ Gpu::shootdownPages(const std::vector<PageId> &pages)
 {
     assert(std::is_sorted(pages.begin(), pages.end()));
     ++tlbShootdownEvents;
-    obs::TimeSeries::countActive(obs::TimeSeries::Series::Shootdowns);
     std::uint64_t entries = 0;
     for (const PageId page : pages) {
         for (auto &tlb : _l1Tlbs)

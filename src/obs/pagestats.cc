@@ -61,7 +61,8 @@ void
 PageStats::recordNow(PageEvent event, PageId page, DeviceId from,
                      DeviceId to)
 {
-    record(event, page, from, to, _clock ? _clock->now() : 0);
+    const sim::Engine *clock = Telemetry::current().clock;
+    record(event, page, from, to, clock ? clock->now() : 0);
 }
 
 void

@@ -46,10 +46,6 @@
 #include "src/sim/stats.hh"
 #include "src/sim/types.hh"
 
-namespace griffin::sim {
-class Engine;
-} // namespace griffin::sim
-
 namespace griffin::obs {
 
 /**
@@ -182,18 +178,15 @@ class PageStats
     PageStats(const PageStats &) = delete;
     PageStats &operator=(const PageStats &) = delete;
 
-    /**
-     * Clock for instrumentation sites that have no engine of their
-     * own (the page table's commit point). Set by the owning system
-     * at construction; recordNow() reads 0 when unset.
-     */
-    void setClock(const sim::Engine *engine) { _clock = engine; }
-
     /** Record one event at @p at. */
     void record(PageEvent event, PageId page, DeviceId from, DeviceId to,
                 Tick at);
 
-    /** record() stamped with the attached clock's current tick. */
+    /**
+     * record() stamped with the tick of the thread's clock slot, for
+     * sites that have no engine of their own (the page table's commit
+     * point); 0 when the slot is empty.
+     */
     void recordNow(PageEvent event, PageId page, DeviceId from,
                    DeviceId to);
 
@@ -261,7 +254,6 @@ class PageStats
                   Tick at);
 
     PageStatsConfig _config;
-    const sim::Engine *_clock = nullptr;
 
     std::unordered_map<PageId, PageRec> _pages;
     std::array<std::uint64_t, numPageEvents> _events{};

@@ -8,11 +8,6 @@
 
 namespace griffin::obs {
 
-Sampler::~Sampler()
-{
-    stop();
-}
-
 void
 Sampler::add(std::string name, Probe probe)
 {
@@ -46,19 +41,16 @@ Sampler::stop()
         sampleNow(_engine->now());
     _engine->removePeriodicHook(_hookId);
     _engine = nullptr;
-    _hookId = 0;
 }
 
 void
 Sampler::sampleNow(Tick tick)
 {
     GHPROF_SCOPE("obs", "sampler");
-    Row row;
-    row.tick = tick;
+    Row &row = _rows.emplace_back(Row{tick, {}});
     row.values.reserve(_probes.size());
     for (const Probe &probe : _probes)
         row.values.push_back(probe());
-    _rows.push_back(std::move(row));
 }
 
 std::string

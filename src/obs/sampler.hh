@@ -1,12 +1,13 @@
 /**
  * @file
- * Periodic time-series sampler.
+ * Periodic time-series sampler, the one periodic recorder in obs.
  *
  * Benches register probes (per-GPU page residency, link utilization,
  * outstanding faults, CU occupancy — anything callable) and start the
  * sampler against a sim::Engine; every N cycles it snapshots every
  * probe into an in-memory time series that exports as CSV or feeds
- * the JSON run report.
+ * the JSON run report. The interval recorder (obs/timeseries.hh) is a
+ * digest over a Sampler of its own.
  *
  * Sampling rides the engine's periodic-hook mechanism: boundaries
  * fire inside run() without scheduling events, so the sampler never
@@ -47,7 +48,7 @@ class Sampler
     };
 
     Sampler() = default;
-    ~Sampler();
+    ~Sampler() { stop(); }
 
     Sampler(const Sampler &) = delete;
     Sampler &operator=(const Sampler &) = delete;

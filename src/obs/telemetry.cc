@@ -23,6 +23,7 @@ Telemetry::Scope::Scope(const Telemetry &slots) : _saved(s_current)
     install(s_current.pages, slots.pages);
     install(s_current.series, slots.series);
     install(s_current.prof, slots.prof);
+    install(s_current.clock, slots.clock);
 }
 
 namespace {
@@ -111,11 +112,7 @@ transferCommitted(DeviceId src, DeviceId dst, PageId page, FaultId fid,
 void
 pageCommitted(PageId page, DeviceId from, DeviceId to)
 {
-    const Telemetry &t = Telemetry::current();
-    if (t.pages)
-        t.pages->recordNow(PageEvent::MigrationCommit, page, from, to);
-    if (t.series)
-        t.series->count(TimeSeries::Series::Migrations);
+    PageStats::recordActiveNow(PageEvent::MigrationCommit, page, from, to);
 }
 
 } // namespace griffin::obs

@@ -4,8 +4,9 @@
  * plus the instrumented model moments that fan out to them.
  *
  * Every sink (trace session, latency histograms, fault spans, page
- * stats, time series, host profiler) is reached through its slot in
- * the calling thread's Telemetry set. The set is a plain struct of
+ * stats, time series, host profiler) and the simulated clock that
+ * stamps log lines and page events are reached through a slot in the
+ * calling thread's Telemetry set. The set is a plain struct of
  * pointers, constant-initialised (constinit) to all-null, so a guard
  * at an instrumentation site is one thread_local load and a branch,
  * with no TLS init-guard call; an empty slot records nothing.
@@ -22,10 +23,12 @@
  *
  * A model moment that feeds more than one sink is one plain function
  * below. It fans out to whichever slots are set, in a fixed order, so
- * the sinks that reconcile with each other (fault-latency count vs the
- * time series' fault rows, page-table commits vs page-stats commits)
- * do so because there is one call per moment, not because call sites
- * happen to sit side by side. A trace instant that feeds only the
+ * the sinks that reconcile with each other (page-table commits vs
+ * page-stats commits, the fault-latency count vs the time series'
+ * fault percentiles) do so because there is one call per moment, not
+ * because call sites happen to sit side by side. The time series'
+ * counts need no call at all: they are differences of the run's own
+ * aggregates (obs/timeseries.hh). A trace instant that feeds only the
  * trace stays at its call site.
  */
 
@@ -34,6 +37,10 @@
 
 #include "src/sim/stats.hh"
 #include "src/sim/types.hh"
+
+namespace griffin::sim {
+class Engine;
+} // namespace griffin::sim
 
 namespace griffin::obs {
 
@@ -74,6 +81,8 @@ struct Telemetry
     PageStats *pages = nullptr;
     TimeSeries *series = nullptr;
     HostProfiler *prof = nullptr;
+    /** The run's engine: log lines and page events read its tick. */
+    const sim::Engine *clock = nullptr;
 
     /** The calling thread's slot set. */
     static Telemetry &current() { return s_current; }
@@ -119,7 +128,7 @@ void faultResumed(FaultId fid, DeviceId gpu, Tick now);
 /**
  * A fault was serviced @p latency ticks after it was raised (its page
  * landed, or its migration was aborted): one fault-latency sample and
- * one time-series fault.
+ * one time-series fault latency.
  */
 void faultServiced(Tick latency);
 

@@ -3,121 +3,88 @@
 #include "src/obs/hostprof.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <utility>
 
-#include "src/sim/engine.hh"
-
 namespace griffin::obs {
 
-TimeSeries::TimeSeries(Tick tick) : _tick(tick)
+namespace {
+
+/** The Sampler's columns after the counts. */
+enum : unsigned { kBusy = TimeSeries::numSeries, kP50, kP95 };
+
+/** Nearest rank of sorted @p samples: exact and deterministic. */
+double
+nearestRank(const std::vector<double> &samples, double p)
 {
-    assert(tick > 0);
+    const std::size_t n = samples.size();
+    if (n == 0)
+        return 0.0;
+    std::size_t k = std::size_t(std::ceil(p / 100.0 * double(n)));
+    k = std::min(std::max<std::size_t>(k, 1), n);
+    return samples[k - 1];
 }
 
-void
-TimeSeries::setLinkBusyProbe(std::function<double()> cumulative_busy,
-                             unsigned wires)
-{
-    assert(!_engine && "set the probe before start()");
-    _busyProbe = std::move(cumulative_busy);
-    _wires = wires;
-}
+} // namespace
 
-void
-TimeSeries::start(sim::Engine &engine)
+TimeSeries::TimeSeries(Tick tick, Sources sources)
+    : _sources(std::move(sources)), _digest{tick, {}, {}}
 {
-    assert(!_engine && "time series already started");
-    _engine = &engine;
-    _intervalBegin = engine.now();
-    if (_busyProbe)
-        _prevBusy = _busyProbe();
-    _hookId = engine.addPeriodicHook(
-        _tick, [this](Tick boundary) { flush(boundary); });
+    for (const Sampler::Probe &count : _sources.counts)
+        _sampler.add("count", count);
+    _sampler.add("busy", _sources.linkBusy);
+    // The percentile columns digest the interval's fault latencies:
+    // the p50 probe sorts them and the p95 probe, read next, clears
+    // them for the interval that opens at this sample.
+    _sampler.add("fault_p50", [this] {
+        std::sort(_latencies.begin(), _latencies.end());
+        return nearestRank(_latencies, 50.0);
+    });
+    _sampler.add("fault_p95", [this] {
+        const double p95 = nearestRank(_latencies, 95.0);
+        _latencies.clear();
+        return p95;
+    });
 }
 
 void
 TimeSeries::stop()
 {
-    if (!_engine)
+    _sampler.stop();
+    const std::vector<Sampler::Row> &samples = _sampler.rows();
+    if (samples.empty())
         return;
-    _engine->removePeriodicHook(_hookId);
-    // Flush the final partial interval: events after the last
-    // boundary would otherwise be dropped and the per-interval sums
-    // would no longer reconcile with the run-level aggregates.
-    const Tick now = _engine->now();
-    bool pending = now > _intervalBegin || !_faultLatencies.empty();
-    for (const std::uint64_t c : _counts)
-        pending = pending || c > 0;
-    if (pending)
-        flush(now);
-    _engine = nullptr;
-    _hookId = 0;
-}
+    // Events on the last boundary's tick ran after its hook, so the
+    // Sampler holds no row with them: close them in a zero-width row.
+    bool moved = !_latencies.empty();
+    for (unsigned s = 0; s < numSeries; ++s)
+        moved = moved || _sources.counts[s]() != samples.back().values[s];
+    if (moved)
+        _sampler.sampleNow(samples.back().tick);
 
-void
-TimeSeries::count(Series series, std::uint64_t n)
-{
-    GHPROF_SCOPE("obs", "timeseries");
-    _counts[unsigned(series)] += n;
+    _digest = {_digest.tick, {}, {}};
+    for (std::size_t i = 1; i < samples.size(); ++i) {
+        const std::vector<double> &prev = samples[i - 1].values;
+        const std::vector<double> &cur = samples[i].values;
+        Row row{samples[i - 1].tick, samples[i].tick, {}, cur[kP50],
+                cur[kP95]};
+        for (unsigned s = 0; s < numSeries; ++s) {
+            row.counts[s] = std::uint64_t(cur[s] - prev[s]);
+            _digest.totals[s] += row.counts[s];
+        }
+        if (_sources.wires > 0 && row.end > row.begin) {
+            row.linkUtil = (cur[kBusy] - prev[kBusy]) /
+                           (double(row.end - row.begin) * _sources.wires);
+        }
+        _digest.rows.push_back(row);
+    }
 }
 
 void
 TimeSeries::fault(double latency)
 {
     GHPROF_SCOPE("obs", "timeseries");
-    ++_counts[unsigned(Series::Faults)];
-    _faultLatencies.push_back(latency);
-}
-
-void
-TimeSeries::flush(Tick boundary)
-{
-    GHPROF_SCOPE("obs", "timeseries");
-    Row row;
-    row.begin = _intervalBegin;
-    row.end = boundary;
-    row.counts = _counts;
-
-    if (!_faultLatencies.empty()) {
-        // Nearest-rank percentiles over the interval's own samples:
-        // exact, deterministic, and cheap at fault-population sizes.
-        std::sort(_faultLatencies.begin(), _faultLatencies.end());
-        const auto rank = [this](double p) {
-            const std::size_t n = _faultLatencies.size();
-            std::size_t k = std::size_t(std::ceil(p / 100.0 * double(n)));
-            k = std::min(std::max<std::size_t>(k, 1), n);
-            return _faultLatencies[k - 1];
-        };
-        row.faultP50 = rank(50.0);
-        row.faultP95 = rank(95.0);
-    }
-
-    if (_busyProbe && _wires > 0 && boundary > _intervalBegin) {
-        const double busy = _busyProbe();
-        row.linkUtil = (busy - _prevBusy) /
-                       (double(boundary - _intervalBegin) * _wires);
-        _prevBusy = busy;
-    }
-
-    for (unsigned s = 0; s < numSeries; ++s)
-        _totals[s] += _counts[s];
-
-    _rows.push_back(std::move(row));
-    _counts = {};
-    _faultLatencies.clear();
-    _intervalBegin = boundary;
-}
-
-TimeSeries::Summary
-TimeSeries::summary() const
-{
-    Summary s;
-    s.tick = _tick;
-    s.rows = _rows;
-    s.totals = _totals;
-    return s;
+    _latencies.push_back(latency);
 }
 
 } // namespace griffin::obs

@@ -1,24 +1,22 @@
 /**
  * @file
- * Interval time-series over the system's event stream: migrations,
+ * Interval time-series over the system's run aggregates: migrations,
  * DCA accesses, shootdowns and faults per fixed tick interval, plus
  * per-interval fault p50/p95 and link utilization.
  *
- * The recorder rides sim::Engine's periodic-hook mechanism (like the
- * probe Sampler), so interval boundaries fire inside run() without
- * extending the simulated end time. Unlike the Sampler, the columns
- * here are event-driven: the instrumented counting sites are the
- * exact statements that bump the run-level aggregate counters, so the
- * per-interval sums reconcile with the run totals by construction
- * (sum of migrations rows == pageTable.migrations, shootdowns ==
- * cpuShootdowns + gpuShootdowns, dca_accesses == remoteAccesses,
- * faults == the faultLatency histogram count). The final partial
- * interval is flushed at stop(), so nothing after the last boundary
- * is dropped.
+ * The recorder is a digest over an obs::Sampler, the one periodic
+ * recorder: its columns are cumulative probes over counters the system
+ * keeps anyway (pageTable.migrations, remoteAccesses, cpu + gpu
+ * shootdowns, the faultLatency count, Σ link busy cycles), and each
+ * row is the difference between two consecutive samples. The
+ * per-interval sums therefore reconcile with the run totals by
+ * construction. Events that run on the last boundary's tick, after its
+ * hook fired, close a final zero-width row [B, B) at stop(), so nothing
+ * after the last boundary is dropped.
  *
  * The recorder is the `series` slot of the thread's telemetry set
- * (obs/telemetry.hh): null-checked static guards, zero cost when the
- * slot is empty, one instance per concurrent sweep run.
+ * (obs/telemetry.hh), which feeds it one input: each serviced fault's
+ * latency, for the per-interval nearest-rank percentiles.
  */
 
 #ifndef GRIFFIN_OBS_TIMESERIES_HH
@@ -26,15 +24,10 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "src/obs/telemetry.hh"
+#include "src/obs/sampler.hh"
 #include "src/sim/types.hh"
-
-namespace griffin::sim {
-class Engine;
-} // namespace griffin::sim
 
 namespace griffin::obs {
 
@@ -46,7 +39,7 @@ namespace griffin::obs {
 class TimeSeries
 {
   public:
-    /** The event-driven columns. */
+    /** The counted columns. */
     enum class Series : unsigned
     {
         Migrations = 0, ///< page-table commits
@@ -77,79 +70,45 @@ class TimeSeries
         std::array<std::uint64_t, numSeries> totals{};
     };
 
-    /** @param tick interval width in cycles (must be > 0). */
-    explicit TimeSeries(Tick tick);
-    ~TimeSeries() { stop(); }
-
-    TimeSeries(const TimeSeries &) = delete;
-    TimeSeries &operator=(const TimeSeries &) = delete;
-
     /**
-     * Poll source for link utilization: returns the *cumulative* busy
-     * cycles summed over @p wires fabric wires; each flush converts
-     * the delta into a mean busy fraction. Set before start().
+     * The cumulative counters the columns difference: one per series,
+     * in Series order, and the busy cycles summed over @p wires fabric
+     * wires.
      */
-    void setLinkBusyProbe(std::function<double()> cumulative_busy,
-                          unsigned wires);
+    struct Sources
+    {
+        std::array<Sampler::Probe, numSeries> counts;
+        Sampler::Probe linkBusy;
+        unsigned wires = 0;
+    };
 
-    /** Register the interval boundary hook on @p engine. */
-    void start(sim::Engine &engine);
+    /** @param tick interval width in cycles (must be > 0). */
+    TimeSeries(Tick tick, Sources sources);
+
+    /** Start sampling the sources every tick cycles of @p engine. */
+    void start(sim::Engine &engine) { _sampler.start(engine, _digest.tick); }
 
     /**
-     * Deregister from the engine and flush the final partial interval
-     * (anything recorded since the last boundary). Recorded rows are
-     * kept; safe to call twice.
+     * Stop sampling, close the final partial interval and build the
+     * rows. Safe to call twice.
      */
     void stop();
 
-    /** @name Static guards for instrumentation sites @{ */
-
-    static void
-    countActive(Series series, std::uint64_t n = 1)
-    {
-        if (TimeSeries *ts = Telemetry::current().series)
-            ts->count(series, n);
-    }
-
-    /** @} */
-
-    void count(Series series, std::uint64_t n = 1);
-    /** One serviced fault: bumps Faults and records its latency. */
+    /** One serviced fault @p latency ticks after it was raised. */
     void fault(double latency);
 
-    /** @name Inspection (reports, tests) @{ */
-
-    Tick tick() const { return _tick; }
-    const std::vector<Row> &rows() const { return _rows; }
-
-    /** Run total of @p series across all flushed rows. */
-    std::uint64_t total(Series series) const
-    {
-        return _totals[unsigned(series)];
-    }
-
-    Summary summary() const;
-
-    /** @} */
+    /** The rows and totals; filled by stop(). */
+    const Summary &summary() const { return _digest; }
 
   private:
-    void flush(Tick boundary);
-
-    Tick _tick;
-    std::vector<Row> _rows;
-    std::array<std::uint64_t, numSeries> _totals{};
-
-    /** The accumulating open interval. */
-    Tick _intervalBegin = 0;
-    std::array<std::uint64_t, numSeries> _counts{};
-    std::vector<double> _faultLatencies;
-
-    std::function<double()> _busyProbe;
-    unsigned _wires = 0;
-    double _prevBusy = 0.0;
-
-    sim::Engine *_engine = nullptr;
-    std::uint64_t _hookId = 0;
+    Sources _sources;
+    /**
+     * Fault latencies of the open interval. Declared before the
+     * Sampler, whose destructor may still take a sample that reads it.
+     */
+    std::vector<double> _latencies;
+    Sampler _sampler;
+    Summary _digest;
 };
 
 } // namespace griffin::obs

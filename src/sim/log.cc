@@ -4,6 +4,7 @@
 #include <mutex>
 #include <string>
 
+#include "src/obs/telemetry.hh"
 #include "src/sim/engine.hh"
 
 namespace griffin::sim {
@@ -31,8 +32,6 @@ sinkMutex()
 }
 
 } // namespace
-
-thread_local const Engine *Log::t_clock = nullptr;
 
 Log &
 Log::instance()
@@ -64,9 +63,9 @@ Log::write(LogLevel lvl, const std::string &msg)
     // Built with append() rather than an operator+ chain to dodge a
     // GCC 12 -Wrestrict false positive (PR105651) at -O2 and above.
     std::string line;
-    if (t_clock) {
+    if (const Engine *clock = obs::Telemetry::current().clock) {
         line += '[';
-        line += std::to_string(t_clock->now());
+        line += std::to_string(clock->now());
         line += "] ";
     }
     line += msg;

@@ -6,13 +6,13 @@
  * Trace to watch the migration machinery work. All output goes through
  * one sink so tests can capture it.
  *
- * When a simulation engine is registered as the clock (MultiGpuSystem
- * does this for its lifetime), every message is prefixed with the
- * current simulated tick — "[12345] msg" — so log lines correlate
- * directly with trace-event timestamps. The clock registration is
- * per-thread: concurrent simulations (sys::SweepRunner workers) each
- * stamp their own engine's time, and a mutex keeps whole lines from
- * interleaving in the shared sink.
+ * While the calling thread's telemetry set has an engine in its clock
+ * slot (obs::Telemetry::clock, installed by MultiGpuSystem::run()),
+ * every message is prefixed with the current simulated tick —
+ * "[12345] msg" — so log lines correlate directly with trace-event
+ * timestamps. The slot is per-thread: concurrent simulations
+ * (sys::SweepRunner workers) each stamp their own engine's time, and a
+ * mutex keeps whole lines from interleaving in the shared sink.
  */
 
 #ifndef GRIFFIN_SIM_LOG_HH
@@ -26,17 +26,15 @@
 
 namespace griffin::sim {
 
-class Engine;
-
 /** Severity levels, in increasing verbosity. */
 enum class LogLevel { Error, Warn, Info, Trace };
 
 /**
  * Process-wide logger configuration. Level and sink are global and
  * expected to be configured once, before any worker threads start
- * (benches set them during flag parsing); the borrowed clock is
- * thread_local so parallel simulations timestamp independently, and
- * write() serializes sink calls under a mutex.
+ * (benches set them during flag parsing); the clock is the calling
+ * thread's telemetry slot so parallel simulations timestamp
+ * independently, and write() serializes sink calls under a mutex.
  */
 class Log
 {
@@ -53,17 +51,6 @@ class Log
     /** Restore the default stderr sink. */
     static void resetSink();
 
-    /**
-     * Borrow @p engine as the calling thread's timestamp source:
-     * subsequent messages from this thread are prefixed with
-     * "[tick] ". Pass nullptr to drop the prefix. The engine must
-     * outlive the registration.
-     */
-    static void setClock(const Engine *engine) { t_clock = engine; }
-
-    /** The calling thread's borrowed clock (nullptr when none). */
-    static const Engine *clock() { return t_clock; }
-
     /** Emit a message if @p lvl is enabled. */
     static void write(LogLevel lvl, const std::string &msg);
 
@@ -75,8 +62,6 @@ class Log
 
     LogLevel _level = LogLevel::Warn;
     Sink _sink;
-
-    static thread_local const Engine *t_clock;
 };
 
 /**

@@ -2,67 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
 
 namespace griffin::sim {
-
-void
-StatSet::inc(const std::string &name, double delta)
-{
-    _scalars[name] += delta;
-}
-
-void
-StatSet::set(const std::string &name, double value)
-{
-    _scalars[name] = value;
-}
-
-void
-StatSet::bind(const std::string &name, std::function<double()> probe)
-{
-    _probes[name] = std::move(probe);
-}
 
 double
 StatSet::get(const std::string &name) const
 {
-    if (auto it = _probes.find(name); it != _probes.end())
-        return it->second();
-    if (auto it = _scalars.find(name); it != _scalars.end())
-        return it->second;
-    return 0.0;
-}
-
-bool
-StatSet::has(const std::string &name) const
-{
-    return _probes.count(name) > 0 || _scalars.count(name) > 0;
-}
-
-std::map<std::string, double>
-StatSet::all() const
-{
-    std::map<std::string, double> out = _scalars;
-    for (const auto &[name, probe] : _probes)
-        out[name] = probe();
-    return out;
-}
-
-void
-StatSet::adopt(const std::string &prefix, const StatSet &other)
-{
-    for (const auto &[name, value] : other.all())
-        _scalars[prefix + name] = value;
-}
-
-std::string
-StatSet::dump() const
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : all())
-        os << name << " " << value << "\n";
-    return os.str();
+    const auto it = _values.find(name);
+    return it == _values.end() ? 0.0 : it->second;
 }
 
 Histogram::Histogram(double bucket_width, std::size_t num_buckets)

@@ -6,47 +6,25 @@
  * speed; a StatSet is the uniform, name-addressable view used by the
  * report generators and tests. Components do not register anything:
  * the system copies each counter into its RunResult's StatSet by hand
- * once the run ends (sys::MultiGpuSystem::collectResults), and bind()
- * is available for live probes.
+ * once the run ends (sys::MultiGpuSystem::collectResults).
  */
 
 #ifndef GRIFFIN_SIM_STATS_HH
 #define GRIFFIN_SIM_STATS_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace griffin::sim {
 
-/**
- * A name -> value view over a set of counters.
- *
- * Two kinds of entries are supported:
- *  - owned scalars, mutated through inc()/set();
- *  - bound probes, registered with bind(), which read a live component
- *    counter each time the stat is queried.
- */
+/** A name -> value map of a run's counters. */
 class StatSet
 {
   public:
-    /** Add @p delta (default 1) to an owned scalar, creating it at 0. */
-    void inc(const std::string &name, double delta = 1.0);
-
-    /** Set an owned scalar to @p value. */
-    void set(const std::string &name, double value);
-
-    /** Register a live probe evaluated on every read. */
-    void bind(const std::string &name, std::function<double()> probe);
-
-    /** Convenience: bind directly to an integer counter member. */
-    void
-    bindCounter(const std::string &name, const std::uint64_t &counter)
-    {
-        bind(name, [&counter] { return double(counter); });
-    }
+    /** Set the stat @p name to @p value. */
+    void set(const std::string &name, double value) { _values[name] = value; }
 
     /**
      * Read a stat by name.
@@ -54,21 +32,11 @@ class StatSet
      */
     double get(const std::string &name) const;
 
-    /** True if the stat exists (owned or bound). */
-    bool has(const std::string &name) const;
-
-    /** Snapshot of every stat, sorted by name. */
-    std::map<std::string, double> all() const;
-
-    /** Merge @p other into this set, prefixing names with @p prefix. */
-    void adopt(const std::string &prefix, const StatSet &other);
-
-    /** Render the full snapshot as "name value" lines. */
-    std::string dump() const;
+    /** Every stat, sorted by name. */
+    const std::map<std::string, double> &all() const { return _values; }
 
   private:
-    std::map<std::string, double> _scalars;
-    std::map<std::string, std::function<double()>> _probes;
+    std::map<std::string, double> _values;
 };
 
 /**

@@ -144,41 +144,49 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &config)
 
     // Page-lifecycle and interval telemetry, built only on request so
     // the default configuration records nothing and pays nothing.
-    if (config.pageStats.enabled) {
+    if (config.pageStats.enabled)
         _pageStats = std::make_unique<obs::PageStats>(config.pageStats);
-        _pageStats->setClock(&_engine);
-    }
     if (config.timeseriesTick > 0) {
-        _timeSeries =
-            std::make_unique<obs::TimeSeries>(config.timeseriesTick);
-        // Link utilization: cumulative busy cycles over every wire
-        // (one up + one down per device); the recorder differences
-        // them per interval into a mean busy fraction.
-        _timeSeries->setLinkBusyProbe(
-            [this] {
-                double busy = 0.0;
-                for (unsigned dev = 0; dev < _config.numDevices();
-                     ++dev) {
-                    const auto &lk = _network->link(DeviceId(dev));
-                    busy += double(lk.busyCycles[0]) +
-                            double(lk.busyCycles[1]);
-                }
-                return busy;
-            },
-            _config.numDevices() * 2);
+        // Every column differences a run aggregate the system keeps
+        // anyway. Link utilization reads the busy cycles summed over
+        // every wire (one up + one down per device).
+        using gpu::Gpu;
+        _timeSeries = std::make_unique<obs::TimeSeries>(
+            config.timeseriesTick,
+            obs::TimeSeries::Sources{
+                .counts = {
+                    [this] { return double(_pageTable.migrations()); },
+                    [this] { return double(sumGpus(&Gpu::remoteAccesses)); },
+                    [this] {
+                        return double(_driver->cpuShootdowns +
+                                      sumGpus(&Gpu::tlbShootdownEvents));
+                    },
+                    [this] { return double(_latency.faultLatency.count()); },
+                },
+                .linkBusy = [this] {
+                    double busy = 0.0;
+                    for (unsigned dev = 0; dev < _config.numDevices();
+                         ++dev) {
+                        const auto &lk = _network->link(DeviceId(dev));
+                        busy += double(lk.busyCycles[0]) +
+                                double(lk.busyCycles[1]);
+                    }
+                    return busy;
+                },
+                .wires = _config.numDevices() * 2,
+            });
     }
     if (config.hostProf)
         _hostProf = std::make_unique<obs::HostProfiler>();
-
-    // Timestamp log lines with this system's clock for its lifetime.
-    _prevLogClock = sim::Log::clock();
-    sim::Log::setClock(&_engine);
 }
 
-MultiGpuSystem::~MultiGpuSystem()
+std::uint64_t
+MultiGpuSystem::sumGpus(std::uint64_t gpu::Gpu::*counter) const
 {
-    if (sim::Log::clock() == &_engine)
-        sim::Log::setClock(_prevLogClock);
+    std::uint64_t sum = 0;
+    for (const auto &g : _gpus)
+        sum += (*g).*counter;
+    return sum;
 }
 
 void
@@ -297,19 +305,19 @@ MultiGpuSystem::run(wl::Workload &workload)
     }
     _ran = true;
 
-    GLOG(Info, "run: " << workload.name() << " under "
-                       << _policy->name());
-
-    // Install this run's sinks over the thread's telemetry slots; the
-    // trace slot stays whatever the caller attached. The scope
-    // restores the previous set even if the watchdog throws.
+    // Install this run's sinks and clock over the thread's telemetry
+    // slots; the trace slot stays whatever the caller attached. The
+    // scope restores the previous set even if the watchdog throws.
     const obs::Telemetry::Scope telemetry({
         .latency = &_latency,
         .spans = &_spans,
         .pages = _pageStats.get(),
         .series = _timeSeries.get(),
         .prof = _hostProf.get(),
+        .clock = &_engine,
     });
+    GLOG(Info, "run: " << workload.name() << " under "
+                       << _policy->name());
     if (_hostProf)
         _hostProf->startTimer();
     if (_timeSeries)
@@ -346,8 +354,8 @@ MultiGpuSystem::run(wl::Workload &workload)
     // consistent.
     _auditViolations += auditInvariants();
 
-    // Flush the time series' final partial interval before the
-    // results snapshot it.
+    // Close the time series' final partial interval and build its rows
+    // before the results snapshot them.
     if (_timeSeries)
         _timeSeries->stop();
 
@@ -465,11 +473,9 @@ MultiGpuSystem::collectResults()
     result.cpuShootdowns = _driver->cpuShootdowns;
     result.pagesMigratedFromCpu = _driver->pagesMigratedIn;
 
-    for (auto &g : _gpus) {
-        result.gpuShootdowns += g->tlbShootdownEvents;
-        result.localAccesses += g->localAccesses;
-        result.remoteAccesses += g->remoteAccesses;
-    }
+    result.gpuShootdowns = sumGpus(&gpu::Gpu::tlbShootdownEvents);
+    result.localAccesses = sumGpus(&gpu::Gpu::localAccesses);
+    result.remoteAccesses = sumGpus(&gpu::Gpu::remoteAccesses);
     if (_griffinPolicy)
         result.pagesMigratedInterGpu =
             _griffinPolicy->executor().pagesMigrated;

@@ -108,7 +108,6 @@ class MultiGpuSystem : public gpu::RemoteRouter
 {
   public:
     explicit MultiGpuSystem(const SystemConfig &config);
-    ~MultiGpuSystem() override;
 
     MultiGpuSystem(const MultiGpuSystem &) = delete;
     MultiGpuSystem &operator=(const MultiGpuSystem &) = delete;
@@ -143,12 +142,8 @@ class MultiGpuSystem : public gpu::RemoteRouter
     const obs::FaultSpans &faultSpans() const { return _spans; }
     /** Non-null only when the config enabled page-lifecycle stats. */
     obs::PageStats *pageStats() { return _pageStats.get(); }
-    /** Non-null only when the config set a time-series tick. */
-    obs::TimeSeries *timeSeries() { return _timeSeries.get(); }
     /** Non-null only when the config enabled host profiling. */
     obs::HostProfiler *hostProfiler() { return _hostProf.get(); }
-    /** Non-null only when the config enabled chaos injection. */
-    FaultInjector *faultInjector() { return _injector.get(); }
     /** The liveness watchdog (always present). */
     sim::Watchdog &watchdog() { return *_watchdog; }
     /** Invariant-auditor violations found so far. */
@@ -203,8 +198,6 @@ class MultiGpuSystem : public gpu::RemoteRouter
     std::unique_ptr<obs::TimeSeries> _timeSeries;
     /** Built only when SystemConfig::hostProf. */
     std::unique_ptr<obs::HostProfiler> _hostProf;
-    /** The log clock that was registered before this system's engine. */
-    const sim::Engine *_prevLogClock = nullptr;
 
     bool _ran = false;
 
@@ -228,6 +221,9 @@ class MultiGpuSystem : public gpu::RemoteRouter
     void serveDca(sim::SlotId slot);
     /** The reply landed at the requester. */
     void finishDca(sim::SlotId slot);
+
+    /** Σ @p counter over every GPU. */
+    std::uint64_t sumGpus(std::uint64_t gpu::Gpu::*counter) const;
 
     /** Launch kernel @p k of @p workload, or stop when none is left. */
     void launchKernel(wl::Workload &workload, unsigned k);

@@ -90,9 +90,9 @@ checkRunInvariants(const RunResult &result, const SystemConfig &config)
         add("access-accounting", "run recorded zero memory accesses");
 
     // Time-series reconciliation: interval rows must sum to the
-    // series totals, and the totals must agree with the independently
-    // counted run aggregates (the recorder instruments the exact
-    // statements that bump those counters).
+    // series totals, and the totals must agree with the run aggregates
+    // (each row is a difference of those counters between two of the
+    // recorder's samples).
     if (config.timeseriesTick > 0) {
         const auto &ts = result.timeseries;
         using Series = obs::TimeSeries::Series;

@@ -17,8 +17,8 @@
  *  - span-orphans: no fault span was left open at end of run;
  *  - access-accounting: a completed run recorded memory accesses;
  *  - timeseries-reconciliation: interval rows sum to the series
- *    totals and the totals equal the independently-counted run
- *    aggregates (migrations, DCA accesses, shootdowns, faults);
+ *    totals and the totals equal the run aggregates the rows are
+ *    differenced from (migrations, DCA accesses, shootdowns, faults);
  *  - pagestats-reconciliation: the page-lifecycle digest agrees with
  *    the page table's migration counter;
  *  - chaos-accounting: injected faults equal the per-class sums, and

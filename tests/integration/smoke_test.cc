@@ -92,7 +92,7 @@ TEST(SmokeLifecycle, SecondRunThrowsAndKeepsTheFirstResult)
     auto workload = wl::makeWorkload("MT", tinyWorkloadConfig());
     sys::MultiGpuSystem system(sys::SystemConfig::griffinDefault());
     const sys::RunResult first = system.run(*workload);
-    const std::string stats = first.stats.dump();
+    const auto stats = first.stats.all();
     const std::uint64_t migrations = system.pageTable().migrations();
 
     try {
@@ -107,7 +107,7 @@ TEST(SmokeLifecycle, SecondRunThrowsAndKeepsTheFirstResult)
     // The refused run touched nothing: the first result and the
     // system's state are as the first run left them, and no telemetry
     // slot is left installed on this thread.
-    EXPECT_EQ(first.stats.dump(), stats);
+    EXPECT_EQ(first.stats.all(), stats);
     EXPECT_EQ(system.engine().now(), first.cycles);
     EXPECT_EQ(system.pageTable().migrations(), migrations);
     EXPECT_EQ(system.faultSpans().openFaults(), 0u);

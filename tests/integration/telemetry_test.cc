@@ -20,6 +20,7 @@
 #include "src/obs/json.hh"
 #include "src/obs/pagestats.hh"
 #include "src/sim/engine.hh"
+#include "src/sim/log.hh"
 #include "src/sys/multi_gpu_system.hh"
 #include "src/sys/report.hh"
 #include "src/workloads/workload.hh"
@@ -58,8 +59,8 @@ expectIntervalSumsReconcile(const sys::RunResult &r)
     ASSERT_GT(r.timeseries.tick, 0u);
     ASSERT_FALSE(r.timeseries.rows.empty());
 
-    // Sum every interval; the counting sites are the same statements
-    // that bump the aggregates, so these must match exactly.
+    // Sum every interval; each row differences the aggregates between
+    // two samples, so these must match exactly.
     std::uint64_t migrations = 0, dca = 0, shootdowns = 0, faults = 0;
     for (const auto &row : r.timeseries.rows) {
         using S = obs::TimeSeries::Series;
@@ -280,8 +281,8 @@ TEST(Telemetry, PingPongWorkloadFiresTheChurnDetector)
 {
     PingPongRig rig;
     obs::PageStats ps;
-    ps.setClock(&rig.engine);
-    const obs::Telemetry::Scope attached({.pages = &ps});
+    const obs::Telemetry::Scope attached(
+        {.pages = &ps, .clock = &rig.engine});
 
     // Seed pages 10..12 on GPU1 (these CPU->GPU1 setLocation calls
     // commit but cannot churn: nothing has left GPU1 yet), then drive
@@ -360,7 +361,7 @@ TEST(Telemetry, HostProfilerAttributesRealRunsAndMetersObsOverhead)
         plain.run(*wl::makeWorkload("MT", wcfg));
     EXPECT_EQ(with_obs.cycles, without_obs.cycles);
     EXPECT_EQ(unprofiled.cycles, without_obs.cycles);
-    EXPECT_EQ(unprofiled.stats.dump(), without_obs.stats.dump());
+    EXPECT_EQ(unprofiled.stats.all(), without_obs.stats.all());
 }
 
 TEST(Telemetry, HostProfilingOffLeavesTheResultUnprofiled)
@@ -374,4 +375,39 @@ TEST(Telemetry, HostProfilingOffLeavesTheResultUnprofiled)
     EXPECT_FALSE(r.hostProfile.enabled);
     EXPECT_EQ(r.hostProfile.events, 0u);
     EXPECT_EQ(system.hostProfiler(), nullptr);
+}
+
+TEST(Telemetry, LogClockLastsExactlyAsLongAsTheRun)
+{
+    std::vector<std::string> lines;
+    const sim::LogLevel saved = sim::Log::level();
+    sim::Log::setLevel(sim::LogLevel::Info);
+    sim::Log::setSink([&lines](sim::LogLevel, const std::string &msg) {
+        lines.push_back(msg);
+    });
+
+    // The run's own lines carry its engine's tick...
+    wl::WorkloadConfig wcfg;
+    wcfg.scaleDiv = 64;
+    wcfg.seed = 42;
+    auto a = std::make_unique<sys::MultiGpuSystem>(
+        sys::SystemConfig::griffinDefault());
+    auto b = std::make_unique<sys::MultiGpuSystem>(
+        sys::SystemConfig::griffinDefault());
+    b->run(*wl::makeWorkload("MT", wcfg));
+    ASSERT_FALSE(lines.empty());
+    const std::string first = lines.front();
+
+    // ...and systems torn down out of construction order leave no
+    // clock behind: a later line has no tick prefix to read.
+    a.reset();
+    b.reset();
+    GLOG(Info, "after teardown");
+    const std::string last = lines.back();
+
+    sim::Log::resetSink();
+    sim::Log::setLevel(saved);
+    EXPECT_EQ(first, "[0] run: MT under griffin");
+    EXPECT_EQ(last, "after teardown");
+    EXPECT_EQ(obs::Telemetry::current().clock, nullptr);
 }

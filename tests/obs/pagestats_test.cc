@@ -208,8 +208,7 @@ TEST(PageStats, RecordNowReadsTheInjectedClock)
     e.run();
 
     PageStats ps;
-    ps.setClock(&e);
-    const Telemetry::Scope attached({.pages = &ps});
+    const Telemetry::Scope attached({.pages = &ps, .clock = &e});
     PageStats::recordActiveNow(PageEvent::MigrationCommit, 4,
                                cpuDeviceId, 1);
 

@@ -27,7 +27,7 @@ bool
 allEmpty(const Telemetry &t)
 {
     return !t.trace && !t.latency && !t.spans && !t.pages && !t.series &&
-           !t.prof;
+           !t.prof && !t.clock;
 }
 
 } // namespace
@@ -40,17 +40,19 @@ TEST(TelemetryScope, NestsAndRestoresEverySlot)
     obs::LatencyHistograms lat_a, lat_b;
     obs::FaultSpans spans_a, spans_b;
     obs::PageStats pages_a, pages_b;
-    obs::TimeSeries series_a(100), series_b(100);
+    obs::TimeSeries series_a(100, {}), series_b(100, {});
     obs::HostProfiler prof_a, prof_b;
+    sim::Engine clock_a, clock_b;
     {
         const Telemetry::Scope outer({&trace_a, &lat_a, &spans_a, &pages_a,
-                                      &series_a, &prof_a});
+                                      &series_a, &prof_a, &clock_a});
         {
             // Only some slots overridden: the rest are inherited.
             const Telemetry::Scope inner({
                 .latency = &lat_b,
                 .pages = &pages_b,
                 .prof = &prof_b,
+                .clock = &clock_b,
             });
             const Telemetry &t = Telemetry::current();
             EXPECT_EQ(t.trace, &trace_a);
@@ -59,6 +61,7 @@ TEST(TelemetryScope, NestsAndRestoresEverySlot)
             EXPECT_EQ(t.pages, &pages_b);
             EXPECT_EQ(t.series, &series_a);
             EXPECT_EQ(t.prof, &prof_b);
+            EXPECT_EQ(t.clock, &clock_b);
             {
                 const Telemetry::Scope innermost({
                     .trace = &trace_b,
@@ -81,6 +84,7 @@ TEST(TelemetryScope, NestsAndRestoresEverySlot)
         EXPECT_EQ(t.pages, &pages_a);
         EXPECT_EQ(t.series, &series_a);
         EXPECT_EQ(t.prof, &prof_a);
+        EXPECT_EQ(t.clock, &clock_a);
     }
     EXPECT_TRUE(allEmpty(Telemetry::current()));
 
@@ -139,7 +143,10 @@ TEST(TelemetryScope, MomentsFanOutToTheSetSlots)
 
     sim::Engine engine;
     obs::LatencyHistograms lat;
-    obs::TimeSeries series(1000);
+    const auto zero = [] { return 0.0; };
+    const auto faults = [&lat] { return double(lat.faultLatency.count()); };
+    obs::TimeSeries series(
+        1000, {.counts = {zero, zero, zero, faults}, .linkBusy = zero});
     obs::PageStats pages;
     series.start(engine);
     const Telemetry::Scope scope(
@@ -158,7 +165,11 @@ TEST(TelemetryScope, MomentsFanOutToTheSetSlots)
     EXPECT_EQ(pages.eventCount(obs::PageEvent::Recovery), 1u);
     EXPECT_EQ(pages.eventCount(obs::PageEvent::MigrationCommit), 1u);
     series.stop();
+    // Both serviced faults (one of them aborted) reached the series.
     using S = obs::TimeSeries::Series;
-    EXPECT_EQ(series.total(S::Faults), 2u);
-    EXPECT_EQ(series.total(S::Migrations), 1u);
+    const obs::TimeSeries::Summary &s = series.summary();
+    EXPECT_EQ(s.totals[unsigned(S::Faults)], 2u);
+    ASSERT_EQ(s.rows.size(), 1u);
+    EXPECT_DOUBLE_EQ(s.rows[0].faultP50, 40.0);
+    EXPECT_DOUBLE_EQ(s.rows[0].faultP95, 60.0);
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the logging facility: level gating, sink capture,
- * lazy formatting.
+ * lazy formatting, and the tick prefix read from the telemetry clock
+ * slot.
  */
 
 #include <gtest/gtest.h>
@@ -9,9 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/telemetry.hh"
 #include "src/sim/engine.hh"
 #include "src/sim/log.hh"
 
+using griffin::obs::Telemetry;
 using griffin::sim::Engine;
 using griffin::sim::Log;
 using griffin::sim::LogLevel;
@@ -94,7 +97,7 @@ TEST(Log, EnabledMatchesLevel)
 TEST(Log, NoClockMeansNoTickPrefix)
 {
     LogCapture cap(LogLevel::Info);
-    ASSERT_EQ(Log::clock(), nullptr);
+    ASSERT_EQ(Telemetry::current().clock, nullptr);
     GLOG(Info, "bare");
     ASSERT_EQ(cap.lines.size(), 1u);
     EXPECT_EQ(cap.lines[0].second, "bare");
@@ -104,10 +107,11 @@ TEST(Log, ClockPrefixesMessagesWithTheEngineTick)
 {
     LogCapture cap(LogLevel::Info);
     Engine e;
-    Log::setClock(&e);
-    e.schedule(25, [] { GLOG(Info, "fired"); });
-    e.run();
-    Log::setClock(nullptr);
+    {
+        const Telemetry::Scope clock({.clock = &e});
+        e.schedule(25, [] { GLOG(Info, "fired"); });
+        e.run();
+    }
     ASSERT_EQ(cap.lines.size(), 1u);
     EXPECT_EQ(cap.lines[0].second, "[25] fired");
 }
@@ -116,9 +120,10 @@ TEST(Log, ClearingTheClockDropsThePrefix)
 {
     LogCapture cap(LogLevel::Info);
     Engine e;
-    Log::setClock(&e);
-    GLOG(Info, "with");
-    Log::setClock(nullptr);
+    {
+        const Telemetry::Scope clock({.clock = &e});
+        GLOG(Info, "with");
+    }
     GLOG(Info, "without");
     ASSERT_EQ(cap.lines.size(), 2u);
     EXPECT_EQ(cap.lines[0].second, "[0] with");

@@ -10,14 +10,6 @@
 using griffin::sim::Histogram;
 using griffin::sim::StatSet;
 
-TEST(StatSet, IncCreatesAndAccumulates)
-{
-    StatSet s;
-    s.inc("hits");
-    s.inc("hits", 4);
-    EXPECT_DOUBLE_EQ(s.get("hits"), 5.0);
-}
-
 TEST(StatSet, SetOverwrites)
 {
     StatSet s;
@@ -30,26 +22,7 @@ TEST(StatSet, UnknownNameReadsZeroAndHasIsFalse)
 {
     StatSet s;
     EXPECT_DOUBLE_EQ(s.get("nope"), 0.0);
-    EXPECT_FALSE(s.has("nope"));
-}
-
-TEST(StatSet, BoundProbeTracksLiveCounter)
-{
-    StatSet s;
-    std::uint64_t counter = 0;
-    s.bindCounter("live", counter);
-    EXPECT_DOUBLE_EQ(s.get("live"), 0.0);
-    counter = 42;
-    EXPECT_DOUBLE_EQ(s.get("live"), 42.0);
-    EXPECT_TRUE(s.has("live"));
-}
-
-TEST(StatSet, ProbeShadowsScalarOfSameName)
-{
-    StatSet s;
-    s.set("x", 1.0);
-    s.bind("x", [] { return 9.0; });
-    EXPECT_DOUBLE_EQ(s.get("x"), 9.0);
+    EXPECT_EQ(s.all().count("nope"), 0u);
 }
 
 TEST(StatSet, AllIsSortedSnapshot)
@@ -57,8 +30,7 @@ TEST(StatSet, AllIsSortedSnapshot)
     StatSet s;
     s.set("b", 2);
     s.set("a", 1);
-    std::uint64_t c = 3;
-    s.bindCounter("c", c);
+    s.set("c", 3);
     const auto all = s.all();
     ASSERT_EQ(all.size(), 3u);
     auto it = all.begin();
@@ -68,22 +40,6 @@ TEST(StatSet, AllIsSortedSnapshot)
     ++it;
     EXPECT_EQ(it->first, "c");
     EXPECT_DOUBLE_EQ(it->second, 3.0);
-}
-
-TEST(StatSet, AdoptPrefixesNames)
-{
-    StatSet child;
-    child.set("hits", 10);
-    StatSet parent;
-    parent.adopt("l2.", child);
-    EXPECT_DOUBLE_EQ(parent.get("l2.hits"), 10.0);
-}
-
-TEST(StatSet, DumpContainsNameAndValue)
-{
-    StatSet s;
-    s.set("cycles", 123);
-    EXPECT_NE(s.dump().find("cycles 123"), std::string::npos);
 }
 
 TEST(Histogram, BasicMoments)

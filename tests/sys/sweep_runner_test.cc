@@ -2,7 +2,7 @@
  * @file
  * Tests for sys::SweepRunner, centred on the property the bench
  * harness depends on: a sweep executed across 8 worker threads yields
- * bit-identical results — StatSet dumps, report JSON, every RunResult
+ * bit-identical results — StatSet maps, report JSON, every RunResult
  * field a table is built from — to the same sweep executed serially.
  * Each simulation owns its engine and RNG streams and all cross-run
  * observability state is thread-local, so nothing may leak between
@@ -87,7 +87,7 @@ TEST(SweepRunner, ParallelRunMatchesSerialBitForBit)
         EXPECT_EQ(s.gpuShootdowns, p.gpuShootdowns);
 
         // Every counter the simulation produced.
-        EXPECT_EQ(s.stats.dump(), p.stats.dump());
+        EXPECT_EQ(s.stats.all(), p.stats.all());
 
         // The full report document (config, counters, histogram
         // percentiles) as CI's perf gate would serialize it.
@@ -126,7 +126,7 @@ TEST(SweepRunner, ChaosSweepIsByteIdenticalAcrossJobCounts)
         EXPECT_EQ(serial[i].cycles, parallel[i].cycles);
         EXPECT_EQ(serial[i].chaosInjected, parallel[i].chaosInjected);
         EXPECT_EQ(serial[i].chaosRetries, parallel[i].chaosRetries);
-        EXPECT_EQ(serial[i].stats.dump(), parallel[i].stats.dump());
+        EXPECT_EQ(serial[i].stats.all(), parallel[i].stats.all());
         EXPECT_EQ(
             sys::runReportJson(jobs[i].label, jobs[i].config,
                                serial[i]).dump(2),
