@@ -2,9 +2,9 @@
  * @file
  * google-benchmark microbenchmarks for the hot substrate components:
  * event queue throughput, cache and TLB lookups, the DPC classifier,
- * access counters, and link arbitration. These bound the simulator's
- * own speed (events/second), which determines how large a workload
- * the harness can regenerate.
+ * access counters, link arbitration and fabric round trips. These
+ * bound the simulator's own speed (events/second), which determines
+ * how large a workload the harness can regenerate.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,8 +15,10 @@
 #include "src/core/dpc.hh"
 #include "src/gpu/access_counter.hh"
 #include "src/interconnect/link.hh"
+#include "src/interconnect/switch.hh"
 #include "src/mem/cache.hh"
 #include "src/mem/page_table.hh"
+#include "src/sim/engine.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/rng.hh"
 #include "src/xlat/tlb.hh"
@@ -380,6 +382,60 @@ BM_LinkSend(benchmark::State &state)
     state.SetItemsProcessed(std::int64_t(state.iterations()));
 }
 BENCHMARK(BM_LinkSend);
+
+/**
+ * Request/reply pairs through ic::Network, every hop carrying a
+ * 16-byte {this, slot}-sized capture: 16 chains on each of 4 GPUs,
+ * each sending its next request when the reply lands. Arg 0 uses the
+ * translation sizes (64 B each way), arg 1 a DCA read (16 B request,
+ * 72 B reply).
+ */
+static void
+BM_NetworkRoundTrip(benchmark::State &state)
+{
+    using Sizes = ic::MessageSizes;
+    const bool dca = state.range(0) != 0;
+    const std::uint64_t request =
+        dca ? Sizes::dcaReadRequest : Sizes::xlatRequest;
+    const std::uint64_t reply = dca ? Sizes::dcaReadReply : Sizes::xlatReply;
+    constexpr std::uint64_t trips = 4096;
+
+    struct Fabric
+    {
+        Fabric(std::uint64_t request, std::uint64_t reply,
+               std::uint64_t left)
+            : request(request), reply(reply), left(left)
+        {
+        }
+
+        sim::Engine engine;
+        ic::Network net{engine, 5, ic::LinkConfig{}};
+        std::uint64_t request, reply, left;
+
+        void
+        issue(DeviceId gpu)
+        {
+            if (left == 0)
+                return;
+            --left;
+            net.send(gpu, cpuDeviceId, request, [this, gpu] {
+                net.send(cpuDeviceId, gpu, reply,
+                         [this, gpu] { issue(gpu); });
+            });
+        }
+    };
+    for (auto _ : state) {
+        Fabric f(request, reply, trips);
+        for (unsigned chain = 0; chain < 16; ++chain)
+            for (DeviceId gpu = 1; gpu <= 4; ++gpu)
+                f.issue(gpu);
+        f.engine.run();
+        benchmark::DoNotOptimize(f.net.messagesDelivered);
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                            std::int64_t(trips));
+}
+BENCHMARK(BM_NetworkRoundTrip)->Arg(0)->Arg(1);
 
 static void
 BM_PageTableOccupancy(benchmark::State &state)

@@ -1,12 +1,11 @@
 #include "src/core/acud.hh"
 
-#include "src/obs/hostprof.hh"
-
 #include <algorithm>
 #include <cassert>
 #include <memory>
 #include <utility>
 
+#include "src/obs/hostprof.hh"
 #include "src/obs/pagestats.hh"
 #include "src/obs/trace.hh"
 #include "src/sim/log.hh"
@@ -90,6 +89,7 @@ MigrationExecutor::executeBatch(const MigrationBatch &batch,
     // 2. Drain command travels to the source GPU.
     _network.send(cpuDeviceId, source, ic::MessageSizes::drainCommand,
                   [this, src_gpu, pages, state, source]() mutable {
+        GHPROF_SCOPE("acud", "drain_command");
         auto after_quiesce = [this, src_gpu, pages, state,
                               source]() mutable {
             const bool selective = _useAcud;

@@ -1,12 +1,11 @@
 #include "src/core/griffin_policy.hh"
 
-#include "src/obs/hostprof.hh"
-
 #include <algorithm>
 #include <cassert>
 #include <memory>
 #include <utility>
 
+#include "src/obs/hostprof.hh"
 #include "src/obs/pagestats.hh"
 #include "src/obs/trace.hh"
 #include "src/sim/log.hh"
@@ -59,8 +58,11 @@ void
 GriffinPolicy::onSystemStart()
 {
     _running = true;
-    if (_config.enableInterGpuMigration)
-        schedulePeriod();
+    if (!_config.enableInterGpuMigration)
+        return;
+    for (gpu::Gpu *g : _gpus)
+        g->enableAccessCounting();
+    schedulePeriod();
 }
 
 void
@@ -186,6 +188,7 @@ GriffinPolicy::onCountsCollected()
                     << " (" << batch.moves.size() << " pages)");
         _executor.executeBatch(batch, [this, remaining, phase_begin,
                                        num_batches, phase_pages] {
+            GHPROF_SCOPE("policy", "batch_done");
             if (--*remaining == 0) {
                 _migrationInFlight = false;
                 if (auto *tr = obs::TraceSession::activeFor(

@@ -122,7 +122,8 @@ Gpu::cuAccess(unsigned cu_id, Addr vaddr, bool is_write, OpDone done)
 
     // DPC hardware: the SE access counter intercepts the request on
     // its way to the TLB (paper SS III-C: counted before translation).
-    _ses[seOfCu(cu_id)].counter().record(page);
+    if (_countAccesses)
+        _ses[seOfCu(cu_id)].counter().record(page);
     if (_probe)
         _probe(_engine.now(), _id, page);
 
@@ -188,8 +189,6 @@ Gpu::haveTranslation(DeviceId location, sim::SlotId s)
         localAccess(s);
     } else {
         ++remoteAccesses;
-        // The router's DCA round trip takes any continuation: only
-        // here does the completion become an EventFn.
         const CuAccessReq r = _accesses.take(s);
         _router.remoteAccess(_id, location, r.vaddr, r.isWrite, r.done);
     }

@@ -152,6 +152,9 @@ class Gpu : public CuMemoryInterface
 
     /** @name DPC hardware (policy facing) @{ */
 
+    /** Feed the SE access counters (off until a policy reads them). */
+    void enableAccessCounting() { _countAccesses = true; }
+
     /**
      * Collect and reset the per-SE access counters, merged into one
      * per-GPU list (the paper's 110-byte driver message carries it).
@@ -199,6 +202,7 @@ class Gpu : public CuMemoryInterface
 
     std::vector<std::unique_ptr<ComputeUnit>> _cus;
     std::vector<ShaderEngine> _ses;
+    bool _countAccesses = false;
     std::vector<mem::Cache> _l1s;
     std::vector<xlat::Tlb> _l1Tlbs;
     mem::Cache _l2;

@@ -8,15 +8,15 @@
 #ifndef GRIFFIN_GPU_REMOTE_HH
 #define GRIFFIN_GPU_REMOTE_HH
 
-#include "src/sim/engine.hh"
+#include "src/gpu/compute_unit.hh"
 #include "src/sim/types.hh"
 
 namespace griffin::gpu {
 
 /**
  * Routes a remote (DCA) cache-line access from @p requester to the
- * device owning the page. @p done fires at the requester when the
- * data/ack returns.
+ * device owning the page. @p done, the issuing CU op's completion,
+ * fires at the requester when the data/ack returns.
  */
 class RemoteRouter
 {
@@ -25,7 +25,7 @@ class RemoteRouter
 
     virtual void remoteAccess(DeviceId requester, DeviceId owner,
                               Addr addr, bool is_write,
-                              sim::EventFn done) = 0;
+                              OpDone done) = 0;
 };
 
 } // namespace griffin::gpu

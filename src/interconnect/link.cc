@@ -41,15 +41,15 @@ Link::send(Tick now, unsigned dir, std::uint64_t bytes)
     assert(bytes > 0);
 
     const Tick start = std::max(now, _nextFree[dir]);
-    // Simulation time is monotone, so any later send (either
-    // direction) starts at or after now: windows closed by now are
-    // dead and can be dropped.
-    std::erase_if(_windows, [&](const Window &w) { return w.until <= now; });
     double bpc = _config.bytesPerCycle;
-    const double factor = degradeFactorAt(start);
-    if (factor < 1.0) {
-        bpc *= factor;
-        ++degradedMessages;
+    // Simulation time is monotone, so any later send (either direction)
+    // starts at or after now: windows closed by now are dead and go.
+    if (!_windows.empty()) {
+        std::erase_if(_windows, [&](auto &w) { return w.until <= now; });
+        if (const double factor = degradeFactorAt(start); factor < 1.0) {
+            bpc *= factor;
+            ++degradedMessages;
+        }
     }
     const Tick service =
         std::max<Tick>(1, Tick(std::ceil(double(bytes) / bpc)));

@@ -40,8 +40,6 @@ class Link
   public:
     explicit Link(const LinkConfig &config);
 
-    const LinkConfig &config() const { return _config; }
-
     /**
      * Transmit @p bytes in direction @p dir, starting no earlier than
      * @p now and no earlier than the wire being free.
@@ -61,15 +59,6 @@ class Link
      * still in effect.
      */
     void degrade(Tick until, double factor);
-
-    /** True when a message starting at @p now would be degraded. */
-    bool degradedAt(Tick now) const
-    {
-        for (const Window &w : _windows)
-            if (now < w.until)
-                return true;
-        return false;
-    }
 
     /**
      * The bandwidth factor applied to a message starting at @p now:
@@ -97,9 +86,10 @@ class Link
     LinkConfig _config;
     Tick _nextFree[2] = {0, 0};
     /**
-     * Open degradation windows. Kept minimal: degrade() drops windows
-     * dominated by a new one, send() prunes windows that have closed.
-     * Overlaps are resolved by taking the minimum factor.
+     * Open degradation windows, empty outside chaos runs. Kept
+     * minimal: degrade() drops windows dominated by a new one, send()
+     * prunes windows that have closed. Overlaps are resolved by taking
+     * the minimum factor.
      */
     std::vector<Window> _windows;
 };

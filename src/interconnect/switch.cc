@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <string>
-#include <utility>
 
 #include "src/obs/hostprof.hh"
 #include "src/obs/trace.hh"
@@ -24,10 +23,10 @@ Network::Network(sim::Engine &engine, unsigned num_devices,
     assert(num_devices >= 2);
 }
 
-void
-Network::send(DeviceId src, DeviceId dst, std::uint64_t bytes,
-              sim::EventFn deliver)
+Tick
+Network::route(DeviceId src, DeviceId dst, std::uint64_t bytes)
 {
+    GHPROF_SCOPE("network", "route");
     assert(src < _links.size() && dst < _links.size());
     assert(src != dst && "loopback traffic never crosses the fabric");
 
@@ -100,15 +99,7 @@ Network::send(DeviceId src, DeviceId dst, std::uint64_t bytes,
                      "link" + std::to_string(dst) + ".down", "xfer",
                      down_start, _links[dst].nextFree(dirDown), args);
     }
-    // The receiver's completion callback waits in a slot and runs as
-    // this event; the scope attributes it (and any un-scoped work it
-    // does) to the network unless the callback opens its own, more
-    // specific scope.
-    const sim::SlotId slot = _onWire.acquire(std::move(deliver));
-    _engine.scheduleAt(at_dst, [this, slot] {
-        GHPROF_SCOPE("network", "deliver");
-        _onWire.take(slot)();
-    });
+    return at_dst;
 }
 
 } // namespace griffin::ic

@@ -15,11 +15,11 @@
 #define GRIFFIN_IC_SWITCH_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/interconnect/link.hh"
 #include "src/sim/engine.hh"
-#include "src/sim/slot_pool.hh"
 #include "src/sim/types.hh"
 
 namespace griffin::sys {
@@ -61,17 +61,20 @@ class Network
             const LinkConfig &config);
 
     /**
-     * Send @p bytes from @p src to @p dst; @p deliver runs at the
-     * destination when the last byte arrives.
+     * Send @p bytes from @p src to @p dst; @p deliver (any callable an
+     * EventFn accepts, or an EventFn rvalue) is the delivery event,
+     * built in its queue entry to run when the last byte arrives.
      */
-    void send(DeviceId src, DeviceId dst, std::uint64_t bytes,
-              sim::EventFn deliver);
+    template <typename F>
+    void
+    send(DeviceId src, DeviceId dst, std::uint64_t bytes, F &&deliver)
+    {
+        _engine.scheduleAt(route(src, dst, bytes), std::forward<F>(deliver));
+    }
 
     /** The link attaching @p dev (for stats and tests). */
     const Link &link(DeviceId dev) const { return _links[dev]; }
     Link &link(DeviceId dev) { return _links[dev]; }
-
-    unsigned numDevices() const { return unsigned(_links.size()); }
 
     /**
      * Attach a fault injector (nullptr detaches). When set, each
@@ -93,8 +96,9 @@ class Network
     sim::Engine &_engine;
     std::vector<Link> _links;
     sys::FaultInjector *_injector = nullptr;
-    /** The deliver callbacks of the messages on the wire. */
-    sim::SlotPool<sim::EventFn> _onWire;
+
+    /** Reserve and count one message's wires; @return its arrival. */
+    Tick route(DeviceId src, DeviceId dst, std::uint64_t bytes);
 };
 
 } // namespace griffin::ic

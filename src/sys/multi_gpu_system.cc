@@ -191,15 +191,15 @@ MultiGpuSystem::sumGpus(std::uint64_t gpu::Gpu::*counter) const
 
 void
 MultiGpuSystem::remoteAccess(DeviceId requester, DeviceId owner,
-                             Addr addr, bool is_write, sim::EventFn done)
+                             Addr addr, bool is_write, gpu::OpDone done)
 {
     assert(owner != requester);
     const std::uint64_t req_bytes = is_write
         ? ic::MessageSizes::dcaWriteRequest
         : ic::MessageSizes::dcaReadRequest;
 
-    const sim::SlotId s = _dca.acquire(addr, _engine.now(), requester,
-                                       owner, is_write, std::move(done));
+    const sim::SlotId s =
+        _dca.acquire(addr, _engine.now(), requester, owner, is_write, done);
     _network->send(requester, owner, req_bytes,
                    [this, s] { serveDca(s); });
 }
@@ -207,6 +207,7 @@ MultiGpuSystem::remoteAccess(DeviceId requester, DeviceId owner,
 void
 MultiGpuSystem::serveDca(sim::SlotId s)
 {
+    GHPROF_SCOPE("sys", "dca_serve");
     const DcaAccess &d = _dca[s];
     const PageId page = d.addr >> _config.gpu.pageShift;
     if (d.owner == cpuDeviceId) {
@@ -226,7 +227,8 @@ MultiGpuSystem::serveDca(sim::SlotId s)
 void
 MultiGpuSystem::finishDca(sim::SlotId s)
 {
-    DcaAccess d = _dca.take(s);
+    GHPROF_SCOPE("sys", "dca_finish");
+    const DcaAccess d = _dca.take(s);
     if (auto *lat = obs::Telemetry::current().latency)
         lat->remoteAccessLatency.sample(double(_engine.now() - d.begin));
     d.done();

@@ -122,7 +122,7 @@ class MultiGpuSystem : public gpu::RemoteRouter
 
     /** gpu::RemoteRouter */
     void remoteAccess(DeviceId requester, DeviceId owner, Addr addr,
-                      bool is_write, sim::EventFn done) override;
+                      bool is_write, gpu::OpDone done) override;
 
     /** @name Component access (probes, benches, tests) @{ */
     sim::Engine &engine() { return _engine; }
@@ -213,7 +213,7 @@ class MultiGpuSystem : public gpu::RemoteRouter
         DeviceId requester;
         DeviceId owner;
         bool isWrite;
-        sim::EventFn done;
+        gpu::OpDone done;
     };
     sim::SlotPool<DcaAccess> _dca;
 

@@ -42,9 +42,16 @@ SweepRunner::execute(SweepJob &job)
     MultiGpuSystem system(job.config);
     if (job.preRun)
         job.preRun(system);
-    const RunResult result = system.run(*workload);
+    RunResult result;
+    try {
+        result = system.run(*workload);
+    } catch (...) {
+        if (job.postRun)
+            job.postRun(system, nullptr);
+        throw;
+    }
     if (job.postRun)
-        job.postRun(system, result);
+        job.postRun(system, &result);
     return result;
 }
 

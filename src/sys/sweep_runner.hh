@@ -60,12 +60,12 @@ struct SweepJob
     std::function<void(MultiGpuSystem &)> preRun;
 
     /**
-     * Optional: runs on the worker thread after the simulation
-     * completes, while the system is still alive — the place to
-     * detach sinks and hand per-run fragments to a merge point
-     * (synchronize anything shared!).
+     * Optional: runs on the worker thread after the simulation ends
+     * (with a null result when it threw), while the system is still
+     * alive — the place to detach sinks and hand per-run fragments to
+     * a merge point (synchronize anything shared!).
      */
-    std::function<void(MultiGpuSystem &, const RunResult &)> postRun;
+    std::function<void(MultiGpuSystem &, const RunResult *)> postRun;
 };
 
 /**

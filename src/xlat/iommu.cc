@@ -1,12 +1,10 @@
 #include "src/xlat/iommu.hh"
 
-#include "src/obs/hostprof.hh"
-
 #include <cassert>
+#include <string>
 #include <utility>
 
-#include <string>
-
+#include "src/obs/hostprof.hh"
 #include "src/obs/telemetry.hh"
 #include "src/obs/trace.hh"
 #include "src/sim/log.hh"
@@ -200,6 +198,7 @@ Iommu::reply(sim::SlotId s, XlatReply rep)
 {
     _network.send(cpuDeviceId, _requests[s].requester,
                   ic::MessageSizes::xlatReply, [this, s, rep] {
+        GHPROF_SCOPE("iommu", "xlat_reply");
         Request req = _requests.take(s);
         // A reply that retires a fault closes its span here, where the
         // stalled wavefront actually resumes.

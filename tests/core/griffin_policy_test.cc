@@ -25,9 +25,9 @@ class NullRouter : public gpu::RemoteRouter
     explicit NullRouter(sim::Engine &engine) : _engine(engine) {}
     void
     remoteAccess(DeviceId, DeviceId, Addr, bool,
-                 sim::EventFn done) override
+                 gpu::OpDone done) override
     {
-        _engine.schedule(10, std::move(done));
+        _engine.schedule(10, done);
     }
 
   private:
@@ -113,8 +113,12 @@ TEST(GriffinPolicy, InterGpuDisabledMeansNoPeriods)
     gcfg.enableInterGpuMigration = false;
     Rig rig(gcfg);
     rig.policy->onSystemStart();
+    // With no period to read them, the access counters stay off.
+    test::OpSink sink(rig.engine, *rig.gpu_ptrs[1]);
+    sink.issue(0, 0x5000, false);
     rig.engine.runUntil(10000);
     EXPECT_EQ(rig.policy->periodsRun, 0u);
+    EXPECT_EQ(rig.gpu_ptrs[1]->shaderEngine(0).counter().recorded, 0u);
     rig.policy->onSystemStop();
     rig.engine.run();
 }
@@ -122,11 +126,13 @@ TEST(GriffinPolicy, InterGpuDisabledMeansNoPeriods)
 TEST(GriffinPolicy, CollectionDrainsTheAccessCounters)
 {
     Rig rig;
-    // Record some traffic into GPU 2's counters.
+    // Starting the periods switches counting on, so GPU 2's access
+    // lands in its counters before the first period collects them.
+    rig.policy->onSystemStart();
     test::OpSink sink(rig.engine, *rig.gpu_ptrs[1]);
     sink.issue(0, 0x5000, false);
-    rig.engine.run();
-    rig.policy->onSystemStart();
+    rig.engine.runUntil(500);
+    ASSERT_EQ(rig.gpu_ptrs[1]->shaderEngine(0).counter().size(), 1u);
     rig.engine.runUntil(1500); // one period, including the messages
     rig.policy->onSystemStop();
     rig.engine.run();

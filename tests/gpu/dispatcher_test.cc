@@ -26,9 +26,9 @@ class NullRouter : public gpu::RemoteRouter
     explicit NullRouter(sim::Engine &engine) : _engine(engine) {}
     void
     remoteAccess(DeviceId, DeviceId, Addr, bool,
-                 sim::EventFn done) override
+                 gpu::OpDone done) override
     {
-        _engine.schedule(1, std::move(done));
+        _engine.schedule(1, done);
     }
 
   private:

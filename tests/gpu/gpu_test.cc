@@ -64,12 +64,12 @@ class StubRouter : public gpu::RemoteRouter
 
     void
     remoteAccess(DeviceId requester, DeviceId owner, Addr addr,
-                 bool is_write, sim::EventFn done) override
+                 bool is_write, gpu::OpDone done) override
     {
         (void)requester;
         (void)is_write;
         remote.push_back({owner, addr});
-        _engine.schedule(latency, std::move(done));
+        _engine.schedule(latency, done);
     }
 
     std::vector<std::pair<DeviceId, Addr>> remote;
@@ -177,6 +177,7 @@ TEST(Gpu, RemotePageRoutedToOwnerAndNotCached)
 TEST(Gpu, AccessCountersRecordPerShaderEngine)
 {
     Rig rig;
+    rig.gpu1->enableAccessCounting();
     // CU 0 is in SE 0; CU 9 is in SE 1 (9 CUs per SE).
     rig.sink->issue(0, 0x1000, false);
     rig.sink->issue(0, 0x1040, false);
@@ -193,6 +194,7 @@ TEST(Gpu, AccessCountersRecordPerShaderEngine)
 TEST(Gpu, CollectAccessCountsResets)
 {
     Rig rig;
+    rig.gpu1->enableAccessCounting();
     rig.sink->issue(0, 0x1000, false);
     rig.engine.run();
     EXPECT_EQ(rig.gpu1->collectAccessCounts().size(), 1u);

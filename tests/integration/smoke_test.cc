@@ -78,6 +78,40 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, SmokeAllWorkloads,
                          ::testing::ValuesIn(wl::workloadNames()),
                          [](const auto &info) { return info.param; });
 
+TEST(SmokeAccessCounters, OnlyGriffinFillsTheSeTables)
+{
+    // Only Griffin's DPC collects the SE access counters, so only a
+    // Griffin run switches them on; a first-touch run leaves every
+    // table untouched.
+    for (const auto policy :
+         {sys::PolicyKind::FirstTouch, sys::PolicyKind::Griffin}) {
+        wl::WorkloadConfig wcfg = tinyWorkloadConfig();
+        wcfg.scaleDiv = 32;
+        auto workload = wl::makeWorkload("SC", wcfg);
+        sys::MultiGpuSystem system(policy == sys::PolicyKind::Griffin
+                                       ? sys::SystemConfig::griffinDefault()
+                                       : sys::SystemConfig::baseline());
+        const auto result = system.run(*workload);
+        ASSERT_GT(result.localAccesses + result.remoteAccesses, 0u);
+        std::uint64_t recorded = 0;
+        for (unsigned g = 0; g < system.numGpus(); ++g) {
+            gpu::Gpu &gpu = system.gpu(g);
+            for (unsigned se = 0; se < gpu.config().numSes; ++se) {
+                const auto &counter = gpu.shaderEngine(se).counter();
+                recorded += counter.recorded;
+                if (policy == sys::PolicyKind::FirstTouch) {
+                    EXPECT_EQ(counter.size(), 0u);
+                }
+            }
+        }
+        if (policy == sys::PolicyKind::FirstTouch) {
+            EXPECT_EQ(recorded, 0u);
+        } else {
+            EXPECT_GT(recorded, 0u);
+        }
+    }
+}
+
 TEST(SmokeDeterminism, SameSeedSameCycles)
 {
     const auto a = runOne("SC", sys::PolicyKind::Griffin);

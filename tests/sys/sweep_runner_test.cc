@@ -186,7 +186,7 @@ TEST(SweepRunner, ResultsComeBackInSubmissionOrder)
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         jobs[i].postRun = [&postLabels, i, label = jobs[i].label](
                               sys::MultiGpuSystem &,
-                              const RunResult &) {
+                              const RunResult *) {
             postLabels[i] = label;
         };
         const std::size_t idx = runner.submit(std::move(jobs[i]));
@@ -270,7 +270,7 @@ TEST(SweepRunner, PerRunTraceSessionsStayIsolated)
                 session->attach();
             };
             job.postRun = [session](sys::MultiGpuSystem &,
-                                    const RunResult &) {
+                                    const RunResult *) {
                 session->detach();
             };
             runner.submit(std::move(job));
@@ -348,7 +348,7 @@ TEST(SweepRunner, HostProfileEventsMatchEngineDispatches)
     jobs[0].config.hostProf = true;
     std::uint64_t profiled = 0;
     jobs[0].postRun = [&profiled](sys::MultiGpuSystem &system,
-                                  const RunResult &) {
+                                  const RunResult *) {
         ASSERT_NE(system.hostProfiler(), nullptr);
         profiled = system.hostProfiler()->eventsDispatched();
     };

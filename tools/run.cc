@@ -19,8 +19,6 @@
 
 #include <unistd.h>
 
-#include "src/obs/sampler.hh"
-#include "src/obs/trace.hh"
 #include "src/sim/log.hh"
 #include "tools/run.hh"
 
@@ -109,31 +107,6 @@ resolveSelection(const Experiment &e, const Args &args, RunOptions &opt)
     if (opt.workloads.empty())
         opt.workloads = e.subset.empty() ? set : e.subset;
 }
-
-/**
- * The invocation's observability outputs. Each run owns one slot,
- * claimed in submission order by Sweep::add and filled by the run's
- * worker thread alone, so no lock is needed. The destructor merges the
- * slots in order and writes the files, then prints the host-time
- * summary and applies --host-gate when any run was profiled.
- */
-struct ObsState
-{
-    struct Slot
-    {
-        std::unique_ptr<obs::TraceSession> trace;
-        std::unique_ptr<obs::Sampler> sampler;
-        std::optional<obs::json::Value> report;
-        std::string samplesCsv;
-        obs::HostProfile hostProfile;
-    };
-
-    const RunOptions &opt;
-    /** A deque: slots never move while their runs are in flight. */
-    std::deque<Slot> slots;
-
-    ~ObsState();
-};
 
 ObsState::~ObsState()
 {
@@ -261,17 +234,22 @@ Sweep::add(const std::string &name, const sys::SystemConfig &scfg,
         if (setup)
             setup(system);
     };
+    // The sampler reads the system's engine, so it stops (and the
+    // trace detaches) on both paths, before the system is destroyed;
+    // a run that threw contributes no fragments.
     job.postRun = [&s, &opt = opt, label, scfg](
-                      sys::MultiGpuSystem &, const sys::RunResult &r) {
+                      sys::MultiGpuSystem &, const sys::RunResult *r) {
         if (s.sampler)
             s.sampler->stop();
         if (s.trace)
             s.trace->detach();
+        if (!r)
+            return;
         if (!opt.reportFile.empty())
-            s.report = sys::runReportJson(label, scfg, r, s.sampler.get());
+            s.report = sys::runReportJson(label, scfg, *r, s.sampler.get());
         if (!opt.samplesFile.empty() && s.sampler)
             s.samplesCsv = "# " + label + "\n" + s.sampler->csv();
-        s.hostProfile = r.hostProfile;
+        s.hostProfile = r->hostProfile;
     };
     return _runner.submit(std::move(job));
 }

@@ -50,11 +50,17 @@
 #define GRIFFIN_TOOLS_RUN_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/obs/hostprof.hh"
+#include "src/obs/json.hh"
+#include "src/obs/sampler.hh"
+#include "src/obs/trace.hh"
 #include "src/sys/chaos.hh"
 #include "src/sys/report.hh"
 #include "src/sys/sweep_runner.hh"
@@ -100,8 +106,30 @@ struct RunOptions
  */
 Args parseRunFlags(const Args &args, RunOptions &opt);
 
-/** The observability outputs of one invocation (run.cc). */
-struct ObsState;
+/**
+ * The invocation's observability outputs. Each run owns one slot,
+ * claimed in submission order by Sweep::add and filled by the run's
+ * worker thread alone, so no lock is needed. The destructor merges the
+ * slots in order and writes the files, then prints the host-time
+ * summary and applies --host-gate when any run was profiled.
+ */
+struct ObsState
+{
+    struct Slot
+    {
+        std::unique_ptr<obs::TraceSession> trace;
+        std::unique_ptr<obs::Sampler> sampler;
+        std::optional<obs::json::Value> report;
+        std::string samplesCsv;
+        obs::HostProfile hostProfile;
+    };
+
+    const RunOptions &opt;
+    /** A deque: slots never move while their runs are in flight. */
+    std::deque<Slot> slots;
+
+    ~ObsState();
+};
 
 /**
  * What an entry runs with: the options, with workloads resolved to the
