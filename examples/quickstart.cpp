@@ -101,7 +101,7 @@ main(int argc, char **argv)
     if (!trace_file.empty()) {
         trace.detach();
         std::ofstream os(trace_file);
-        trace.writeJson(os);
+        obs::TraceSession::writeMerged(os, {&trace});
         std::cout << "\nwrote trace: " << trace_file << " ("
                   << trace.eventCount()
                   << " events; open in ui.perfetto.dev)\n";

@@ -167,7 +167,6 @@ GriffinPolicy::onCountsCollected()
     if (_migrationInFlight) {
         // CPMS paces migrations: one phase at a time keeps the page
         // ping-pong and drain pressure bounded.
-        ++migrationPhasesSkipped;
         return;
     }
 

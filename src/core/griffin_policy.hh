@@ -87,7 +87,6 @@ class GriffinPolicy : public MigrationPolicy
 
     /** @name Statistics @{ */
     std::uint64_t periodsRun = 0;
-    std::uint64_t migrationPhasesSkipped = 0; ///< previous still running
     /** @} */
 
   private:

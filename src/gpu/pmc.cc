@@ -106,14 +106,12 @@ Pmc::runAttempt(XferPtr xf)
             [this, x = std::move(x)]() mutable {
                 GHPROF_SCOPE("pmc", "stream_arrive");
                 if (_injector && _injector->failDmaTransfer()) {
-                    ++transfersFailed;
                     const auto &cc = _injector->config();
                     if (x->attempt > cc.dmaMaxRetries) {
                         // Retry budget exhausted: abandon the
                         // transfer. Its completion never fires; the
                         // arming side's migration timeout (driver or
                         // executor) is the recovery path.
-                        ++transfersAbandoned;
                         _injector->noteDmaAbandoned();
                         obs::PageStats::recordActive(
                             obs::PageEvent::Recovery, x->page, _self,

@@ -81,8 +81,6 @@ class Pmc
     std::uint64_t pagesTransferred = 0;
     std::uint64_t bytesTransferred = 0;
     std::uint64_t transfersDeferred = 0; ///< waited on a DMA slot
-    std::uint64_t transfersFailed = 0;   ///< injected DMA failures
-    std::uint64_t transfersAbandoned = 0; ///< retry budget exhausted
     /** @} */
 
   private:

@@ -1,28 +1,23 @@
 #include "src/obs/hostprof.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <mutex>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 namespace griffin::obs {
 
 namespace {
 
-/**
- * The bucket a scope-less dispatch falls into. Module-level literals
- * so every record() call keys on the same pointers.
- */
-const char *const kSimComponent = "sim";
-const char *const kUnattributed = "unattributed";
+/** Every interned site name, indexed by id; shared by all threads. */
+std::mutex registryMutex;
+std::vector<std::pair<const char *, const char *>> registryNames;
 
-std::uint64_t
-nowMinus(std::chrono::steady_clock::time_point begin)
-{
-    return std::uint64_t(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - begin)
-            .count());
-}
+/** The bucket a scope-less dispatch falls into. */
+constinit Site unattributedSite{"sim", "unattributed"};
 
 } // namespace
 
@@ -37,7 +32,7 @@ HostProfile::eventsPerSec() const
 std::uint64_t
 HostProfile::unattributedNs() const
 {
-    const Bucket *b = findBucket(kSimComponent, kUnattributed);
+    const Bucket *b = findBucket("sim", "unattributed");
     return b ? b->selfNs : 0;
 }
 
@@ -94,24 +89,18 @@ HostProfile::merge(const HostProfile &other)
 
     // Re-keying through an ordered map both merges duplicates and
     // restores the sorted invariant in one pass.
-    std::map<std::pair<std::string, std::string>,
-             std::pair<std::uint64_t, std::uint64_t>>
-        merged;
-    for (const Bucket &b : buckets) {
-        auto &slot = merged[{b.component, b.event}];
-        slot.first += b.count;
-        slot.second += b.selfNs;
-    }
-    for (const Bucket &b : other.buckets) {
-        auto &slot = merged[{b.component, b.event}];
-        slot.first += b.count;
-        slot.second += b.selfNs;
+    std::map<std::pair<std::string, std::string>, Bucket> merged;
+    const std::vector<Bucket> *lists[] = {&buckets, &other.buckets};
+    for (const auto *list : lists) {
+        for (const Bucket &b : *list) {
+            Bucket &m = merged[{b.component, b.event}];
+            m.count += b.count;
+            m.selfNs += b.selfNs;
+        }
     }
     buckets.clear();
-    buckets.reserve(merged.size());
-    for (const auto &[key, val] : merged)
-        buckets.push_back(Bucket{key.first, key.second, val.first,
-                                 val.second});
+    for (const auto &[name, b] : merged)
+        buckets.push_back(Bucket{name.first, name.second, b.count, b.selfNs});
 }
 
 std::string
@@ -123,109 +112,60 @@ HostProfile::folded() const
     return out.str();
 }
 
-std::optional<HostProfile>
-HostProfile::parseFolded(const std::string &text)
+std::uint32_t
+Site::intern()
 {
-    HostProfile profile;
-    profile.enabled = true;
-
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        // "component;event selfNs" — the value follows the last space
-        // so event names may themselves contain spaces.
-        const auto space = line.find_last_of(' ');
-        if (space == std::string::npos || space == 0 ||
-            space + 1 >= line.size())
-            return std::nullopt;
-        const std::string stack = line.substr(0, space);
-        const std::string value = line.substr(space + 1);
-
-        const auto semi = stack.find(';');
-        if (semi == std::string::npos || semi == 0 ||
-            semi + 1 >= stack.size())
-            return std::nullopt;
-
-        std::uint64_t self_ns = 0;
-        for (const char c : value) {
-            if (c < '0' || c > '9')
-                return std::nullopt;
-            self_ns = self_ns * 10 + std::uint64_t(c - '0');
-        }
-
-        Bucket bucket;
-        bucket.component = stack.substr(0, semi);
-        bucket.event = stack.substr(semi + 1);
-        bucket.selfNs = self_ns;
-        profile.buckets.push_back(std::move(bucket));
-        profile.dispatchNs += self_ns;
-    }
-
-    std::sort(profile.buckets.begin(), profile.buckets.end(),
-              [](const Bucket &a, const Bucket &b) {
-                  return a.component != b.component
-                             ? a.component < b.component
-                             : a.event < b.event;
-              });
-    return profile;
+    const std::lock_guard<std::mutex> lock(registryMutex);
+    // Interning is by content: distinct literals with the same name
+    // (the same scope at two call sites) share one id.
+    std::uint32_t id = 0;
+    while (id < registryNames.size() &&
+           (std::strcmp(registryNames[id].first, component) != 0 ||
+            std::strcmp(registryNames[id].second, event) != 0))
+        ++id;
+    if (id == registryNames.size())
+        registryNames.emplace_back(component, event);
+    cached.store(id + 1, std::memory_order_relaxed);
+    return id;
 }
 
 void
 HostProfiler::startTimer()
 {
-    _startTime = std::chrono::steady_clock::now();
-    _stopped = false;
+    _startTime = now();
     _wallNs = 0;
 }
 
 void
 HostProfiler::beginDispatch()
 {
-    _rootFrame = Frame{};
-    _top = &_rootFrame;
-    _dispatchBegin = std::chrono::steady_clock::now();
+    charge();
+    _dispatchBegin = _last;
+    _top = kUnclaimed;
 }
 
 void
 HostProfiler::endDispatch()
 {
-    const std::uint64_t ns = nowMinus(_dispatchBegin);
-    const std::uint64_t child =
-        _rootFrame.childNs < ns ? _rootFrame.childNs : ns;
-    const std::uint64_t self = ns - child;
-    if (_rootFrame.component) {
-        // The bracket's own self time (std::function call, scope
-        // setup) belongs to the first scope's component; count 0 so
-        // bucket counts stay a pure function of the event sequence.
-        record(_rootFrame.component, _rootFrame.event, self, 0);
-    } else {
+    if (_top == kUnclaimed) {
         // No scope opened: an uninstrumented event type. Count it so
         // the attribution fraction exposes the gap.
-        record(kSimComponent, kUnattributed, self, 1);
+        _top = unattributedSite.id();
+        ++at(_top).count;
     }
-    _dispatchNs += ns;
+    charge();
+    _dispatchNs += _last - _dispatchBegin;
     ++_events;
-    _top = nullptr;
+    _top = kIdle;
 }
 
 void
 HostProfiler::stopTimer()
 {
-    if (_stopped)
+    if (_startTime == 0)
         return;
-    _wallNs = nowMinus(_startTime);
-    _stopped = true;
-}
-
-void
-HostProfiler::record(const char *component, const char *event,
-                     std::uint64_t self_ns, std::uint64_t count)
-{
-    Counts &slot = _buckets[{component, event}];
-    slot.count += count;
-    slot.selfNs += self_ns;
+    _wallNs = now() - _startTime;
+    _startTime = 0;
 }
 
 HostProfile
@@ -237,22 +177,20 @@ HostProfiler::profile() const
     out.dispatchNs = _dispatchNs;
     out.events = _events;
 
-    // The raw map keys on literal pointers; distinct literals with
-    // identical content (e.g. the same scope name in two translation
-    // units) merge here, and the ordered map gives the deterministic
-    // (component, event) order the report relies on.
-    std::map<std::pair<std::string, std::string>,
-             std::pair<std::uint64_t, std::uint64_t>>
-        merged;
-    for (const auto &[key, counts] : _buckets) {
-        auto &slot = merged[{key.first, key.second}];
-        slot.first += counts.count;
-        slot.second += counts.selfNs;
+    // Every site this profiler entered has a nonzero count; the rest
+    // are other runs' sites.
+    const std::lock_guard<std::mutex> lock(registryMutex);
+    for (std::uint32_t id = 0; id < _sites.size(); ++id) {
+        if (_sites[id].count > 0)
+            out.buckets.push_back(HostProfile::Bucket{
+                registryNames[id].first, registryNames[id].second,
+                _sites[id].count, _sites[id].selfNs});
     }
-    out.buckets.reserve(merged.size());
-    for (const auto &[key, val] : merged)
-        out.buckets.push_back(HostProfile::Bucket{
-            key.first, key.second, val.first, val.second});
+    std::sort(out.buckets.begin(), out.buckets.end(),
+              [](const HostProfile::Bucket &a, const HostProfile::Bucket &b) {
+                  return std::tie(a.component, a.event) <
+                         std::tie(b.component, b.event);
+              });
     return out;
 }
 

@@ -7,22 +7,32 @@
  * feel slow" turns into numbers a perf PR can gate on.
  *
  * Attribution model:
+ *  - Every GHPROF_SCOPE call site is a static Site naming its
+ *    component ("network", "iommu", "driver", "pmc", "gpu", "policy",
+ *    "dispatcher", "chaos", "obs", ...) and event type. On its first
+ *    profiled use a site is interned by content into a dense id, so
+ *    two call sites with the same name share one bucket and the
+ *    profiler keeps its counts and self times in flat per-site arrays.
  *  - sim::EventQueue's dispatch brackets every event it runs with
  *    beginDispatch()/endDispatch() when the prof slot is set; the
  *    sum of those brackets is the *measured dispatch wall time*.
- *  - Instrumented event bodies open RAII scopes (GHPROF_SCOPE) naming
- *    their component ("network", "iommu", "driver", "pmc", "gpu",
- *    "policy", "dispatcher", "chaos", "obs", ...) and event type.
- *    Scopes nest; a scope's *self time* is its elapsed time minus the
- *    elapsed time of its children, so bucket self-times partition the
- *    measured time exactly (no double counting).
- *  - The dispatch bracket's own self time (the InlineEvent call and
- *    scope setup around the outermost scope) is attributed to that
- *    outermost scope's bucket — it is overhead *of* that component's
- *    event. Only dispatches that never open a scope land in the
+ *  - One timeline: every clock read charges the time since the
+ *    previous read to the site on top of the scope stack. Scopes
+ *    nest, so a site's self time excludes its children by
+ *    construction, and inside a bracket the charged intervals tile it:
+ *    bucket self times partition the measured time exactly.
+ *  - The first scope opened directly in a bracket claims it: the
+ *    bracket's own time (the callback call and everything outside the
+ *    scopes) belongs to that site's bucket, which is overhead *of*
+ *    that component's event. Since every interval around the claiming
+ *    scope is charged to its site anyway, that scope reads no clock.
+ *    Only dispatches that never open a scope land in the
  *    "sim;unattributed" bucket, which is how the attribution fraction
  *    stays honest: it drops exactly when an event type is missing its
  *    instrumentation.
+ *  - A scope opened outside a bracket (the engine's periodic hooks)
+ *    reads the clock on entry and exit: its time lands in its bucket
+ *    but not in the dispatch time.
  *
  * The telemetry-overhead meter is nothing special: the obs sinks
  * (TraceSession, Sampler, PageStats, TimeSeries) open "obs;..."
@@ -39,18 +49,16 @@
  * The profiler is the `prof` slot of the thread's telemetry set
  * (obs/telemetry.hh): near-zero cost when off (a scope is one
  * thread_local load and a branch), one instance per concurrent sweep
- * run.
+ * run. The site registry is shared by every thread.
  */
 
 #ifndef GRIFFIN_OBS_HOSTPROF_HH
 #define GRIFFIN_OBS_HOSTPROF_HH
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/obs/telemetry.hh"
@@ -79,7 +87,7 @@ struct HostProfile
         std::string event;
         /** Scope entries (deterministic across --jobs=N). */
         std::uint64_t count = 0;
-        /** Self time: elapsed minus time inside child scopes. */
+        /** Self time: host time charged while this site was on top. */
         std::uint64_t selfNs = 0;
 
         std::string name() const { return component + ";" + event; }
@@ -121,14 +129,31 @@ struct HostProfile
      * bucket, consumable by flamegraph.pl / speedscope.
      */
     std::string folded() const;
+};
 
-    /**
-     * Parse folded() output back into a profile. Bucket counts and
-     * the wall/event totals are not part of the folded format;
-     * dispatchNs is reconstructed as the sum of bucket self times.
-     * @return nullopt on any malformed line.
-     */
-    static std::optional<HostProfile> parseFolded(const std::string &text);
+/**
+ * One GHPROF_SCOPE call site. Constant-initialized, so a
+ * function-local static needs no init guard; its dense id is interned
+ * on the first profiled use and cached. The names must be string
+ * literals (the registry keeps the pointers).
+ */
+struct Site
+{
+    const char *component;
+    const char *event;
+    /** The interned id plus one; 0 until the first profiled use. */
+    std::atomic<std::uint32_t> cached{0};
+
+    /** The dense id shared by every site with this name. */
+    std::uint32_t
+    id()
+    {
+        const std::uint32_t c = cached.load(std::memory_order_relaxed);
+        return c ? c - 1 : intern();
+    }
+
+    /** Look the name up in the registry (adding it), cache the id. */
+    std::uint32_t intern();
 };
 
 /**
@@ -138,20 +163,6 @@ struct HostProfile
  */
 class HostProfiler
 {
-  private:
-    /**
-     * One live scope on the (intrusive, stack-allocated) stack. No
-     * member initialisers: a Scope with no profiler attached never
-     * writes its frame.
-     */
-    struct Frame
-    {
-        const char *component;
-        const char *event;
-        std::uint64_t childNs;
-        Frame *parent;
-    };
-
   public:
     HostProfiler() = default;
 
@@ -175,53 +186,27 @@ class HostProfiler
     /** Build the copyable digest (deterministic bucket order). */
     HostProfile profile() const;
 
-    /** @name Raw inspection (tests) @{ */
+    /** Events dispatched so far (tests). */
     std::uint64_t eventsDispatched() const { return _events; }
-    std::uint64_t dispatchNs() const { return _dispatchNs; }
-    /** @} */
 
     /**
      * One RAII attribution scope. Constructing is near-free when no
      * profiler is attached (a thread_local load plus a branch), so
      * instrumentation sites stay on the hot path unconditionally.
-     * @p component and @p event must be string literals (or otherwise
-     * outlive the profiler): buckets key on the pointers and resolve
-     * to content only when the profile is built.
      */
     class Scope
     {
       public:
-        Scope(const char *component, const char *event)
-            : _prof(Telemetry::current().prof)
+        explicit Scope(Site &site) : _prof(Telemetry::current().prof)
         {
-            if (!_prof)
-                return;
-            _frame = Frame{component, event, 0, _prof->_top};
-            _prof->_top = &_frame;
-            // First scope of a dispatch claims the dispatch bracket:
-            // its component absorbs the bracket's own self time.
-            if (_frame.parent == &_prof->_rootFrame &&
-                !_prof->_rootFrame.component) {
-                _prof->_rootFrame.component = component;
-                _prof->_rootFrame.event = event;
-            }
-            _begin = std::chrono::steady_clock::now();
+            if (_prof)
+                _prof->push(site.id());
         }
 
         ~Scope()
         {
-            if (!_prof)
-                return;
-            const auto ns = std::uint64_t(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - _begin)
-                    .count());
-            _prof->_top = _frame.parent;
-            const std::uint64_t child =
-                _frame.childNs < ns ? _frame.childNs : ns;
-            _prof->record(_frame.component, _frame.event, ns - child, 1);
-            if (_frame.parent)
-                _frame.parent->childNs += ns;
+            if (_prof)
+                _prof->pop();
         }
 
         Scope(const Scope &) = delete;
@@ -229,28 +214,23 @@ class HostProfiler
 
       private:
         HostProfiler *_prof;
-        /** Written only when a profiler is attached. */
-        Frame _frame;
-        union
-        {
-            /** Written only when a profiler is attached. */
-            std::chrono::steady_clock::time_point _begin;
-        };
     };
 
   private:
-    friend class Scope;
-
-    struct KeyHash
+    /** Host time in ns; only differences mean anything. */
+    static std::uint64_t
+    now()
     {
-        std::size_t
-        operator()(const std::pair<const char *, const char *> &k) const
-        {
-            const auto a = std::hash<const void *>()(k.first);
-            const auto b = std::hash<const void *>()(k.second);
-            return a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2));
-        }
-    };
+        return std::uint64_t(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now().time_since_epoch())
+                .count());
+    }
+
+    /** _top outside any bracket: the time is nobody's. */
+    static constexpr std::uint32_t kIdle = ~std::uint32_t(0);
+    /** _top in a bracket no scope has claimed yet. */
+    static constexpr std::uint32_t kUnclaimed = kIdle - 1;
 
     struct Counts
     {
@@ -258,33 +238,80 @@ class HostProfiler
         std::uint64_t selfNs = 0;
     };
 
-    void record(const char *component, const char *event,
-                std::uint64_t self_ns, std::uint64_t count);
+    /** @p site's slot, grown into on first use. */
+    Counts &
+    at(std::uint32_t site)
+    {
+        if (site >= _sites.size())
+            _sites.resize(site + 1);
+        return _sites[site];
+    }
 
-    /** Pointer-keyed raw buckets; content-merged by profile(). */
-    std::unordered_map<std::pair<const char *, const char *>, Counts,
-                       KeyHash>
-        _buckets;
+    /** Count one entry of @p site and make it the charged site. */
+    void
+    push(std::uint32_t site)
+    {
+        ++at(site).count;
+        // The first scope of a bracket claims it: the bracket charges
+        // to this site from its start, so entering switches nothing.
+        const std::uint32_t prev = _top == kUnclaimed ? site : _top;
+        _stack.push_back(prev);
+        if (prev != site)
+            charge();
+        _top = site;
+    }
 
-    /** Sentinel frame representing the current dispatch bracket. */
-    Frame _rootFrame{};
-    Frame *_top = nullptr;
-    std::chrono::steady_clock::time_point _dispatchBegin;
+    /** Close the innermost scope: charge it, restore its outer site. */
+    void
+    pop()
+    {
+        const std::uint32_t prev = _stack.back();
+        _stack.pop_back();
+        if (prev != _top)
+            charge();
+        _top = prev;
+    }
+
+    /**
+     * Read the clock and charge the time since the previous read to
+     * the site on top. Callers skip it when the charged site does not
+     * change: the interval then runs on to the same site.
+     */
+    void
+    charge()
+    {
+        const std::uint64_t t = now();
+        if (_top < _sites.size())
+            _sites[_top].selfNs += t - _last;
+        _last = t;
+    }
+
+    /** Per interned site id; sites this profiler never saw stay 0. */
+    std::vector<Counts> _sites;
+    /** The site the running interval is charged to. */
+    std::uint32_t _top = kIdle;
+    /** Per open scope, the site charged before it opened. */
+    std::vector<std::uint32_t> _stack;
+    /** The previous clock read. */
+    std::uint64_t _last = 0;
+    std::uint64_t _dispatchBegin = 0;
 
     std::uint64_t _dispatchNs = 0;
     std::uint64_t _events = 0;
 
-    std::chrono::steady_clock::time_point _startTime;
+    /** When the wall clock started; 0 while it is not running. */
+    std::uint64_t _startTime = 0;
     std::uint64_t _wallNs = 0;
-    bool _stopped = false;
 };
 
 /** Open an attribution scope for the rest of the enclosing block. */
 #define GHPROF_CONCAT2(a, b) a##b
 #define GHPROF_CONCAT(a, b) GHPROF_CONCAT2(a, b)
 #define GHPROF_SCOPE(component, event)                                 \
+    static constinit ::griffin::obs::Site GHPROF_CONCAT(               \
+        ghprofSite_, __LINE__){component, event};                      \
     ::griffin::obs::HostProfiler::Scope GHPROF_CONCAT(                 \
-        ghprofScope_, __LINE__)(component, event)
+        ghprofScope_, __LINE__)(GHPROF_CONCAT(ghprofSite_, __LINE__))
 
 } // namespace griffin::obs
 

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "src/obs/json.hh"
@@ -152,7 +151,7 @@ TraceSession::instant(Category cat, const std::string &track,
                       const TraceArgs &args)
 {
     GHPROF_SCOPE("obs", "trace");
-    _events.push_back(Event{'i', _pid, trackId(track), ts, 0, 0.0, 0,
+    _events.push_back(Event{'i', _pid, trackId(track), ts, 0, 0,
                             categoryName(cat), name, args.json()});
 }
 
@@ -164,16 +163,7 @@ TraceSession::complete(Category cat, const std::string &track,
     GHPROF_SCOPE("obs", "trace");
     assert(end >= begin);
     _events.push_back(Event{'X', _pid, trackId(track), begin, end - begin,
-                            0.0, 0, categoryName(cat), name, args.json()});
-}
-
-void
-TraceSession::counter(Category cat, const std::string &track,
-                      const std::string &series, Tick ts, double value)
-{
-    GHPROF_SCOPE("obs", "trace");
-    _events.push_back(Event{'C', _pid, trackId(track), ts, 0, value, 0,
-                            categoryName(cat), series, std::string()});
+                            0, categoryName(cat), name, args.json()});
 }
 
 void
@@ -185,55 +175,8 @@ TraceSession::flow(Category cat, const std::string &track,
                   : phase == FlowPhase::Step  ? 't'
                                               : 'f';
     GHPROF_SCOPE("obs", "trace");
-    _events.push_back(Event{ph, _pid, trackId(track), ts, 0, 0.0, id,
+    _events.push_back(Event{ph, _pid, trackId(track), ts, 0, id,
                             categoryName(cat), name, std::string()});
-}
-
-void
-TraceSession::writeJson(std::ostream &os) const
-{
-    os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-    bool first = true;
-    auto sep = [&] {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n";
-    };
-
-    // Metadata: process and thread names.
-    for (std::uint32_t pid = 0; pid < _processNames.size(); ++pid) {
-        if (pid == 0 && _processNames.size() > 1)
-            continue; // the implicit "sim" process went unused
-        sep();
-        os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-           << ",\"tid\":0,\"args\":{\"name\":\""
-           << json::escape(_processNames[pid]) << "\"}}";
-    }
-    for (const auto &[pid, track] : _trackNames) {
-        sep();
-        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
-           << ",\"tid\":"
-           << _tracks.at(std::make_pair(pid, track))
-           << ",\"args\":{\"name\":\"" << json::escape(track) << "\"}}";
-    }
-
-    // Events, in timestamp order (stable, so same-tick order is
-    // emission order).
-    std::vector<const Event *> sorted;
-    sorted.reserve(_events.size());
-    for (const Event &ev : _events)
-        sorted.push_back(&ev);
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const Event *a, const Event *b) {
-                         return a->ts < b->ts;
-                     });
-
-    for (const Event *ev : sorted) {
-        sep();
-        writeEvent(os, *ev, ev->pid);
-    }
-    os << "\n]}\n";
 }
 
 void
@@ -250,12 +193,6 @@ TraceSession::writeEvent(std::ostream &os, const Event &ev,
       case 'i':
         os << ",\"s\":\"t\"";
         break;
-      case 'C': {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.6g", ev.value);
-        os << ",\"args\":{\"value\":" << buf << "}}";
-        return;
-      }
       case 's':
         os << ",\"id\":" << ev.flowId;
         break;
@@ -361,14 +298,6 @@ TraceSession::writeMerged(std::ostream &os,
         writeEvent(os, *r.ev, r.pid);
     }
     os << "\n]}\n";
-}
-
-std::string
-TraceSession::json() const
-{
-    std::ostringstream os;
-    writeJson(os);
-    return os.str();
 }
 
 } // namespace griffin::obs

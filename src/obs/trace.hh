@@ -93,7 +93,7 @@ class TraceArgs
 
 /**
  * One recording session. Components emit typed events into the active
- * session; writeJson() produces a Chrome trace-event document.
+ * session; writeMerged() produces a Chrome trace-event document.
  */
 class TraceSession
 {
@@ -155,10 +155,6 @@ class TraceSession
                   const std::string &name, Tick begin, Tick end,
                   const TraceArgs &args = {});
 
-    /** A counter-track sample (rendered as a graph in the viewer). */
-    void counter(Category cat, const std::string &track,
-                 const std::string &series, Tick ts, double value);
-
     /** Flow-arrow phase: where @p id's arrow starts, passes, ends. */
     enum class FlowPhase { Begin, Step, End };
 
@@ -178,19 +174,12 @@ class TraceSession
     std::uint32_t categories() const { return _categories; }
 
     /**
-     * Serialize as a Chrome trace-event JSON document. Events are
-     * sorted by timestamp (metadata first), so consumers see a
-     * monotone timeline.
-     */
-    void writeJson(std::ostream &os) const;
-    std::string json() const;
-
-    /**
-     * Serialize several sessions as ONE trace document: every named
-     * process of every session becomes a distinct pid, numbered in
-     * session order, and all events share one timestamp-sorted
-     * timeline (the sort is stable, so same-tick events keep session
-     * order, then emission order). The output depends only on the
+     * Serialize sessions as ONE Chrome trace-event document; a single
+     * session is writeMerged(os, {&session}). Every named process of
+     * every session becomes a distinct pid, numbered in session order,
+     * and all events share one timestamp-sorted timeline (the sort is
+     * stable, so same-tick events keep session order, then emission
+     * order). The output depends only on the
      * order and contents of @p sessions — never on which threads
      * recorded them — which is what makes parallel sweep traces
      * byte-identical to serial ones. Null entries are skipped.
@@ -201,13 +190,12 @@ class TraceSession
   private:
     struct Event
     {
-        char ph; ///< 'i' instant, 'X' complete, 'C' counter,
+        char ph; ///< 'i' instant, 'X' complete,
                  ///< 's'/'t'/'f' flow begin/step/end
         std::uint32_t pid;
         std::uint32_t tid;
         Tick ts;
         Tick dur;             ///< complete events only
-        double value;         ///< counter events only
         std::uint64_t flowId; ///< flow events only
         const char *cat;      ///< static category name
         std::string name;

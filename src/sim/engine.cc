@@ -77,8 +77,9 @@ Engine::fireHooksUpTo(Tick limit)
             return;
         const Tick boundary = earliest->next;
         earliest->next += earliest->period;
-        // Hooks fire between dispatches, so this scope is parentless:
-        // its time lands in the profile's buckets but not dispatchNs
+        // Hooks fire between dispatches, so this scope opens outside
+        // a dispatch bracket and reads the clock itself: its time
+        // lands in the profile's buckets but not dispatchNs
         // (hook-driven sinks open nested "obs;..." scopes below it).
         GHPROF_SCOPE("sim", "periodic_hook");
         earliest->fn(boundary);

@@ -99,6 +99,11 @@ struct SystemConfig
      */
     bool hostProf = false;
 
+    /**
+     * The workload seed the run used (wl::WorkloadConfig::seed),
+     * recorded as the report's config.seed. The model reads no seed
+     * from here: the workload's own config drives every RNG.
+     */
     std::uint64_t seed = 42;
 
     /**

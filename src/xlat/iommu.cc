@@ -58,7 +58,6 @@ Iommu::request(DeviceId requester, PageId page, bool is_write, XlatDone done,
         // every wavefront of every GPU re-faults the page at once).
         auto it = _walkWaiters.find(r.page);
         if (it != _walkWaiters.end()) {
-            ++walksCoalesced;
             it->second.push_back(s);
             return;
         }

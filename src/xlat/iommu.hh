@@ -170,7 +170,6 @@ class Iommu
     std::uint64_t requests = 0;
     std::uint64_t iotlbHits = 0;
     std::uint64_t walks = 0;
-    std::uint64_t walksCoalesced = 0; ///< joined an in-flight walk
     std::uint64_t faultsRaised = 0;
     std::uint64_t dcaRedirects = 0;     ///< CPU-resident, served remotely
     std::uint64_t parkedRequests = 0;   ///< waited on an ongoing migration

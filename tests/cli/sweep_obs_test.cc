@@ -3,7 +3,8 @@
  * The `griffin run` sweep harness's per-run sinks across a run that
  * throws: a watchdog trip must stop the run's Sampler and detach its
  * trace while the system (and the engine the Sampler reads) is still
- * alive, not leave them to the invocation's teardown.
+ * alive, not leave them to the invocation's teardown. A run's report
+ * records the workload seed it used.
  */
 
 #include <gtest/gtest.h>
@@ -55,5 +56,32 @@ TEST(SweepObs, WatchdogTripStopsTheSamplerBeforeTheSystemDies)
         EXPECT_FALSE(slot.report.has_value());
     }
     std::remove(opt.traceFile.c_str());
+    std::remove(opt.reportFile.c_str());
+}
+
+TEST(SweepObs, ReportRecordsTheSeedTheRunUsed)
+{
+    // --seed sets the workload seed; the report's config.seed must say
+    // which one generated the run, not the system config's default.
+    const std::string dir = ::testing::TempDir();
+    cli::RunOptions opt;
+    opt.jobs = 1;
+    opt.workload.scaleDiv = 64;
+    opt.workload.seed = 7;
+    opt.reportFile = dir + "sweep_obs_seed_report.json";
+    opt.samplePeriod = 0;
+    {
+        cli::ObsState obs{opt, {}};
+        cli::Sweep sweep(opt, obs);
+        sweep.add("MT", sys::SystemConfig::griffinDefault());
+        sweep.run();
+
+        const cli::ObsState::Slot &slot = obs.slots.at(0);
+        ASSERT_TRUE(slot.report.has_value());
+        const obs::json::Value *config = slot.report->find("config");
+        ASSERT_NE(config, nullptr);
+        ASSERT_NE(config->find("seed"), nullptr);
+        EXPECT_EQ(config->find("seed")->asNumber(), 7.0);
+    }
     std::remove(opt.reportFile.c_str());
 }

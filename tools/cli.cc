@@ -50,11 +50,9 @@ parseFlags(const Args &args, const std::vector<Flag> &flags)
             seen.push_back(name);
         }
         if (flag->toggle) {
-            if (eq != std::string::npos && !flag->set)
+            if (eq != std::string::npos)
                 throw usageError(name + " takes no value");
             *flag->toggle = true;
-            if (eq != std::string::npos)
-                flag->set(arg.substr(eq + 1));
         } else if (eq != std::string::npos) {
             flag->set(arg.substr(eq + 1));
         } else if (i + 1 < args.size()) {

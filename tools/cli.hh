@@ -42,11 +42,10 @@ struct Exit
 Exit usageError(std::string message);
 
 /**
- * One flag a subcommand accepts. A switch ("--csv") sets *toggle; a
- * switch with a setter too ("--host-prof[=FILE]") also passes an
- * optional "=VALUE" to it, and never takes the next word. Any other
- * flag takes a value as "--name=VALUE" or "--name VALUE". Only a
- * repeatable flag may be given more than once.
+ * One flag a subcommand accepts. A switch ("--csv") sets *toggle and
+ * takes no value; any other flag passes its value to set(), given as
+ * "--name=VALUE" or "--name VALUE". Only a repeatable flag may be
+ * given more than once.
  */
 struct Flag
 {

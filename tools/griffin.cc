@@ -32,7 +32,7 @@ usage()
            "                  [--trace=FILE [--trace-all]] [--report=FILE]"
            " [--samples=FILE] [--sample=N]\n"
            "                  [--page-stats] [--timeseries=N]"
-           " [--host-prof[=FILE]] [--host-gate=N] [--progress]\n"
+           " [--host-prof] [--progress]\n"
            "                  [--log=error|warn|info|trace] [--chaos=SPEC]"
            " [--chaos-seed=N]\n"
            "  griffin compare REF.json CUR.json"

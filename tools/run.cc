@@ -50,9 +50,7 @@ parseRunFlags(const Args &args, RunOptions &opt)
          numberFlag("--sample", opt.samplePeriod, 0, maxU64),
          {"--page-stats", &opt.pageStats},
          numberFlag("--timeseries", opt.timeseriesTick, 0, maxU64),
-         {"--host-prof", &opt.hostProf,
-          [&](const std::string &v) { opt.hostProfFile = v; }},
-         numberFlag("--host-gate", opt.hostGate, 1, maxU64),
+         {"--host-prof", &opt.hostProf},
          {"--progress", &opt.progress},
          {"--log", nullptr,
           [](const std::string &v) {
@@ -66,7 +64,6 @@ parseRunFlags(const Args &args, RunOptions &opt)
          text("--chaos", chaosSpec),
          numberFlag("--chaos-seed", chaosSeed, 0, maxU64),
          {"--list", &opt.list}});
-    opt.hostProf |= opt.hostGate > 0; // the gate needs the profiler
     if (!chaosSpec.empty()) {
         opt.chaos = sys::ChaosConfig::parse(chaosSpec);
         if (!opt.chaos)
@@ -158,26 +155,12 @@ ObsState::~ObsState()
     }
     if (!total.enabled) // no runs, as in tab03_workloads
         return;
-    if (!opt.hostProfFile.empty()) {
-        std::ofstream os(opt.hostProfFile);
-        os << total.folded();
-        std::cerr << "host-prof: " << opt.hostProfFile << " ("
-                  << total.buckets.size() << " buckets, " << total.events
-                  << " dispatches)\n";
-    }
 
     // Host wall times are machine-dependent, so the summary stays on
-    // stderr, out of the deterministic stdout contract, and the gate
-    // only warns.
+    // stderr, out of the deterministic stdout contract.
     const HostProfiles sweep{{"sweep", total}};
     std::cerr << profSummaryTable(sweep).str()
               << profTopTable(sweep, 5).str();
-    if (opt.hostGate > 0 && total.eventsPerSec() < double(opt.hostGate)) {
-        std::cerr << "WARNING: host throughput "
-                  << sys::Table::num(total.eventsPerSec(), 0)
-                  << " events/sec below --host-gate=" << opt.hostGate
-                  << " (soft gate: warning only)\n";
-    }
 }
 
 void
@@ -211,9 +194,13 @@ Sweep::add(const std::string &name, const sys::SystemConfig &scfg,
         (!opt.reportFile.empty() || !opt.samplesFile.empty()))
         s.sampler = std::make_unique<obs::Sampler>();
 
+    // The report's config.seed records the seed the run used.
+    sys::SystemConfig config = scfg;
+    config.seed = opt.workload.seed;
+
     sys::SweepJob job;
     job.label = label;
-    job.config = scfg;
+    job.config = config;
     if (opt.chaos)
         job.config.chaos = *opt.chaos;
     job.config.pageStats.enabled |= opt.pageStats;
@@ -237,7 +224,7 @@ Sweep::add(const std::string &name, const sys::SystemConfig &scfg,
     // The sampler reads the system's engine, so it stops (and the
     // trace detaches) on both paths, before the system is destroyed;
     // a run that threw contributes no fragments.
-    job.postRun = [&s, &opt = opt, label, scfg](
+    job.postRun = [&s, &opt = opt, label, config](
                       sys::MultiGpuSystem &, const sys::RunResult *r) {
         if (s.sampler)
             s.sampler->stop();
@@ -246,7 +233,8 @@ Sweep::add(const std::string &name, const sys::SystemConfig &scfg,
         if (!r)
             return;
         if (!opt.reportFile.empty())
-            s.report = sys::runReportJson(label, scfg, *r, s.sampler.get());
+            s.report =
+                sys::runReportJson(label, config, *r, s.sampler.get());
         if (!opt.samplesFile.empty() && s.sampler)
             s.samplesCsv = "# " + label + "\n" + s.sampler->csv();
         s.hostProfile = r->hostProfile;

@@ -22,12 +22,9 @@
  *                   section, src/obs/pagestats.hh)
  *   --timeseries=N  event time-series with N-cycle intervals
  *                   ("timeseries" report section; 0 = off)
- *   --host-prof[=FILE]  host-side self-profiling: a "host_profile"
- *                   report section, a host-time summary on stderr,
- *                   and (with =FILE) the sweep's folded stacks
- *   --host-gate=N   warn (never fail) when the sweep dispatched fewer
- *                   than N events/sec of host wall time; implies
- *                   --host-prof
+ *   --host-prof     host-side self-profiling: a "host_profile"
+ *                   report section and a host-time summary on stderr
+ *                   (`griffin prof folded REPORT` writes its stacks)
  *   --progress      sweep progress on stderr (terminals only)
  *   --log=LEVEL     stderr log level: error|warn|info|trace
  *   --chaos=SPEC    inject faults (src/sys/chaos.hh): a bare rate or
@@ -89,9 +86,6 @@ struct RunOptions
     bool pageStats = false;
     Tick timeseriesTick = 0;
     bool hostProf = false;
-    std::string hostProfFile;
-    /** Soft host-throughput floor in events/sec (0 = off). */
-    std::uint64_t hostGate = 0;
     bool progress = false;
     /** @} */
 
@@ -111,7 +105,7 @@ Args parseRunFlags(const Args &args, RunOptions &opt);
  * claimed in submission order by Sweep::add and filled by the run's
  * worker thread alone, so no lock is needed. The destructor merges the
  * slots in order and writes the files, then prints the host-time
- * summary and applies --host-gate when any run was profiled.
+ * summary when any run was profiled.
  */
 struct ObsState
 {
