@@ -13,11 +13,12 @@
 namespace griffin::gpu {
 
 Gpu::Gpu(sim::Engine &engine, DeviceId id, const GpuConfig &config,
-         ic::Network &network, xlat::Iommu &iommu, RemoteRouter &router)
+         ic::Network &network, xlat::Iommu &iommu, RemoteRouter &router,
+         AccessTable &accesses)
     : _engine(engine), _id(id), _config(config), _network(network),
-      _iommu(iommu), _router(router), _l2(config.l2Cache),
-      _l2Tlb(config.l2Tlb), _dram(config.dram),
-      _rdma(engine, network, id, _l2, _dram, config.lineBytes, &_dataPhase)
+      _iommu(iommu), _router(router), _accesses(accesses),
+      _l2(config.l2Cache), _l2Tlb(config.l2Tlb), _dram(config.dram),
+      _rdma(_l2, _dram, config.lineBytes)
 {
     assert(id != cpuDeviceId && "device 0 is the CPU");
 
@@ -127,26 +128,26 @@ Gpu::cuAccess(unsigned cu_id, Addr vaddr, bool is_write, OpDone done)
     if (_probe)
         _probe(_engine.now(), _id, page);
 
-    // The access (completion included) waits in a slot for the whole
-    // chain; each hop captures {this, slot}.
-    const sim::SlotId s =
-        _accesses.acquire(cu_id, is_write, vaddr, page, done);
+    // The access (completion included) waits in its record for the
+    // whole chain; each hop captures {this, id}.
+    const AccessId id =
+        _accesses.acquire(vaddr, page, done, cu_id, _id, is_write);
 
     // L1 TLB.
-    _engine.schedule(_l1Tlbs[cu_id].latency(), [this, s] {
+    _engine.schedule(_l1Tlbs[cu_id].latency(), [this, id] {
         GHPROF_SCOPE("gpu", "l1_tlb");
-        const CuAccessReq &r = _accesses[s];
+        const Access &r = _accesses[id];
         if (auto loc = _l1Tlbs[r.cuId].lookup(r.page)) {
-            haveTranslation(*loc, s);
+            haveTranslation(*loc, id);
             return;
         }
         // L2 TLB.
-        _engine.schedule(_l2Tlb.latency(), [this, s] {
+        _engine.schedule(_l2Tlb.latency(), [this, id] {
             GHPROF_SCOPE("gpu", "l2_tlb");
-            const CuAccessReq &r = _accesses[s];
+            const Access &r = _accesses[id];
             if (auto loc = _l2Tlb.lookup(r.page)) {
                 _l1Tlbs[r.cuId].fill(r.page, *loc);
-                haveTranslation(*loc, s);
+                haveTranslation(*loc, id);
                 return;
             }
             // IOMMU over the fabric. The miss time here is the span
@@ -154,24 +155,24 @@ Gpu::cuAccess(unsigned cu_id, Addr vaddr, bool is_write, OpDone done)
             ++xlatRequestsSent;
             const Tick miss_at = _engine.now();
             _network.send(_id, cpuDeviceId, ic::MessageSizes::xlatRequest,
-                          [this, miss_at, s] {
+                          [this, miss_at, id] {
                 GHPROF_SCOPE("gpu", "xlat_request");
-                const CuAccessReq &r = _accesses[s];
+                const Access &r = _accesses[id];
                 _iommu.request(_id, r.page, r.isWrite,
-                               [this, s](xlat::XlatReply reply) {
+                               [this, id](xlat::XlatReply reply) {
                     // Remote translations are never cached in the GPU
                     // TLBs (paper SS II-B). A cacheable reply is also
                     // fenced against migration: if the page went into
                     // migration while the reply crossed the fabric,
                     // the shootdown already ran and filling now would
                     // plant a stale entry nothing will invalidate.
-                    const CuAccessReq &r = _accesses[s];
+                    const Access &r = _accesses[id];
                     if (reply.cacheable &&
                         !_iommu.pageMigrating(r.page)) {
                         _l1Tlbs[r.cuId].fill(r.page, reply.location);
                         _l2Tlb.fill(r.page, reply.location);
                     }
-                    haveTranslation(reply.location, s);
+                    haveTranslation(reply.location, id);
                 },
                 miss_at);
             });
@@ -180,34 +181,35 @@ Gpu::cuAccess(unsigned cu_id, Addr vaddr, bool is_write, OpDone done)
 }
 
 void
-Gpu::haveTranslation(DeviceId location, sim::SlotId s)
+Gpu::haveTranslation(DeviceId location, AccessId id)
 {
+    Access &r = _accesses[id];
+    r.owner = location;
     if (location == _id) {
         ++localAccesses;
-        CuAccessReq &r = _accesses[s];
         r.dataPhase = _dataPhase.enter(r.page);
-        localAccess(s);
+        localAccess(id);
     } else {
         ++remoteAccesses;
-        const CuAccessReq r = _accesses.take(s);
-        _router.remoteAccess(_id, location, r.vaddr, r.isWrite, r.done);
+        r.begin = _engine.now();
+        _router.remoteAccess(id);
     }
 }
 
 void
-Gpu::finishLocal(sim::SlotId s)
+Gpu::finishLocal(AccessId id)
 {
-    const CuAccessReq r = _accesses.take(s);
+    const Access r = _accesses.take(id);
     _dataPhase.leave(r.dataPhase);
     r.done();
 }
 
 void
-Gpu::localAccess(sim::SlotId s)
+Gpu::localAccess(AccessId id)
 {
-    _engine.schedule(_l1s[_accesses[s].cuId].latency(), [this, s] {
+    _engine.schedule(_l1s[_accesses[id].cuId].latency(), [this, id] {
         GHPROF_SCOPE("gpu", "l1_cache");
-        const CuAccessReq &r = _accesses[s];
+        const Access &r = _accesses[id];
         const auto r1 = _l1s[r.cuId].access(r.vaddr, r.isWrite);
         if (r1.writeback) {
             // Dirty L1 victim drains into the L2 asynchronously.
@@ -221,28 +223,28 @@ Gpu::localAccess(sim::SlotId s)
             });
         }
         if (r1.hit) {
-            finishLocal(s);
+            finishLocal(id);
             return;
         }
 
         // L1 miss: cross the XBar to the shared L2.
-        _engine.schedule(_config.xbarLatency + _l2.latency(), [this, s] {
+        _engine.schedule(_config.xbarLatency + _l2.latency(), [this, id] {
             GHPROF_SCOPE("gpu", "l2_cache");
-            const CuAccessReq &r = _accesses[s];
+            const Access &r = _accesses[id];
             const auto r2 = _l2.access(r.vaddr, r.isWrite);
             if (r2.writeback)
                 _dram.access(_engine.now(), r2.writebackAddr,
                              _config.lineBytes, true);
             if (r2.hit) {
                 _engine.schedule(_config.xbarLatency,
-                                 [this, s] { finishLocal(s); });
+                                 [this, id] { finishLocal(id); });
                 return;
             }
             // L2 miss: local HBM (write-allocate reads the line).
             const Tick ready = _dram.access(_engine.now(), r.vaddr,
                                             _config.lineBytes, false);
             _engine.scheduleAt(ready + _config.xbarLatency,
-                               [this, s] { finishLocal(s); });
+                               [this, id] { finishLocal(id); });
         });
     });
 }

@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/gpu/access.hh"
 #include "src/gpu/compute_unit.hh"
 #include "src/gpu/data_phase.hh"
 #include "src/gpu/pmc.hh"
@@ -26,7 +27,6 @@
 #include "src/mem/cache.hh"
 #include "src/mem/dram.hh"
 #include "src/sim/engine.hh"
-#include "src/sim/slot_pool.hh"
 #include "src/sim/types.hh"
 #include "src/workloads/trace.hh"
 #include "src/xlat/iommu.hh"
@@ -64,9 +64,10 @@ struct GpuConfig
 
 /**
  * The GPU model. Implements CuMemoryInterface: every CU transaction
- * funnels through cuAccess(), which performs address translation
- * (L1 TLB -> L2 TLB -> IOMMU over the fabric) and then either a local
- * cache-hierarchy access or a remote DCA access via the router.
+ * funnels through cuAccess(), which records it in the system's access
+ * table, performs address translation (L1 TLB -> L2 TLB -> IOMMU over
+ * the fabric) and then either a local cache-hierarchy access or a
+ * remote DCA access via the router.
  */
 class Gpu : public CuMemoryInterface
 {
@@ -76,7 +77,8 @@ class Gpu : public CuMemoryInterface
         std::function<void(Tick, DeviceId gpu, PageId page)>;
 
     Gpu(sim::Engine &engine, DeviceId id, const GpuConfig &config,
-        ic::Network &network, xlat::Iommu &iommu, RemoteRouter &router);
+        ic::Network &network, xlat::Iommu &iommu, RemoteRouter &router,
+        AccessTable &accesses);
 
     DeviceId id() const { return _id; }
     const GpuConfig &config() const { return _config; }
@@ -199,6 +201,12 @@ class Gpu : public CuMemoryInterface
     ic::Network &_network;
     xlat::Iommu &_iommu;
     RemoteRouter &_router;
+    /**
+     * The system's in-flight accesses. An access's record lives here
+     * from cuAccess() until its data returns (local) or the router
+     * releases it (remote); every hop's event captures {this, id}.
+     */
+    AccessTable &_accesses;
 
     std::vector<std::unique_ptr<ComputeUnit>> _cus;
     std::vector<ShaderEngine> _ses;
@@ -225,31 +233,13 @@ class Gpu : public CuMemoryInterface
     void tryDispatchWorkgroups();
     void onWorkgroupDone(unsigned cu_idx);
 
+    void haveTranslation(DeviceId location, AccessId id);
+    void localAccess(AccessId id);
     /**
-     * One CU access in flight through the translation + data path. It
-     * lives in _accesses from cuAccess() until the data returns (local)
-     * or the access leaves for the router (remote); every hop's event
-     * captures just {this, slot}.
-     */
-    struct CuAccessReq
-    {
-        unsigned cuId;
-        bool isWrite;
-        Addr vaddr;
-        PageId page;
-        OpDone done;
-        /** Held from the local data phase's start (local accesses). */
-        DataPhase::Token dataPhase = 0;
-    };
-    sim::SlotPool<CuAccessReq> _accesses;
-
-    void haveTranslation(DeviceId location, sim::SlotId slot);
-    void localAccess(sim::SlotId slot);
-    /**
-     * End of the local data phase: release the slot, leave the data
+     * End of the local data phase: release the record, leave the data
      * phase, then run done.
      */
-    void finishLocal(sim::SlotId slot);
+    void finishLocal(AccessId id);
 };
 
 } // namespace griffin::gpu

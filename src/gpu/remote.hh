@@ -8,24 +8,22 @@
 #ifndef GRIFFIN_GPU_REMOTE_HH
 #define GRIFFIN_GPU_REMOTE_HH
 
-#include "src/gpu/compute_unit.hh"
-#include "src/sim/types.hh"
+#include "src/gpu/access.hh"
 
 namespace griffin::gpu {
 
 /**
- * Routes a remote (DCA) cache-line access from @p requester to the
- * device owning the page. @p done, the issuing CU op's completion,
- * fires at the requester when the data/ack returns.
+ * Routes a remote (DCA) cache-line access to the device owning the
+ * page. The access's record names its requester and owner; the router
+ * releases it and runs its done, at the requester, when the data/ack
+ * returns.
  */
 class RemoteRouter
 {
   public:
     virtual ~RemoteRouter() = default;
 
-    virtual void remoteAccess(DeviceId requester, DeviceId owner,
-                              Addr addr, bool is_write,
-                              OpDone done) = 0;
+    virtual void remoteAccess(AccessId id) = 0;
 };
 
 } // namespace griffin::gpu

@@ -20,8 +20,8 @@
  *
  * State that must outlive one event, and in particular another
  * InlineFn (a continuation can never nest inside a buffer of its own
- * size), lives in a sim::SlotPool owned by the component that carries
- * the request; each hop captures {this, slot}. Every per-op path does
+ * size), lives in a sim::SlotPool slot; each hop captures
+ * {this, slot}. Every per-op path does
  * this, so the dominant schedule shapes ([this] continuations, scalar
  * captures, slot indices) are allocation-free. sim::boxed() remains
  * for cold paths (drains, ACUD, kernel completion, trace-on spans): it

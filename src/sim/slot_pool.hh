@@ -1,13 +1,13 @@
 /**
  * @file
- * A stable-index slot pool: where a component keeps the state of its
- * in-flight requests.
+ * A stable-index slot pool: where in-flight requests keep their state.
  *
- * A request that outlives one event (a CU access walking the TLBs and
- * caches, a message on the fabric, a DCA round trip, an IOMMU
- * translation) acquires a slot in the pool of the component that owns
- * it. Every hop's event then captures only {this, slot}, which always
- * fits an InlineEvent inline, and the last hop releases the slot.
+ * A request that outlives one event acquires a slot in the pool that
+ * holds its kind: a GPU access, from CU issue through its TLB, cache
+ * and DCA hops, in the system's access table; an IOMMU translation in
+ * the IOMMU's pool. Every hop's event then captures only {this, slot},
+ * which always fits an InlineEvent inline, and the last hop releases
+ * the slot.
  *
  * Slots live in fixed-size chunks, so a reference to one stays valid
  * while the pool grows: a hop may hold it across a call that acquires

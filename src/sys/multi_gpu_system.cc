@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "src/obs/trace.hh"
 #include "src/sim/log.hh"
 
 namespace griffin::sys {
@@ -23,7 +25,8 @@ RunResult::maxGpuShare() const
 MultiGpuSystem::MultiGpuSystem(const SystemConfig &config)
     : _config(config), _engine(config.maxTicks),
       _pageTable(config.gpu.pageShift, config.numDevices()),
-      _cpuL2(config.cpuL2), _cpuDram(config.cpuDram)
+      _cpuL2(config.cpuL2), _cpuDram(config.cpuDram),
+      _cpuRdma(_cpuL2, _cpuDram, config.gpu.lineBytes)
 {
     assert(config.numGpus >= 1);
 
@@ -43,15 +46,12 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &config)
     _iommu = std::make_unique<xlat::Iommu>(_engine, *_network,
                                            _pageTable, config.iommu);
     _iommu->setFaultInjector(_injector.get());
-    _cpuRdma = std::make_unique<gpu::Rdma>(_engine, *_network,
-                                           cpuDeviceId, _cpuL2, _cpuDram,
-                                           config.gpu.lineBytes);
 
     // GPUs (device ids 1..N).
     for (unsigned g = 0; g < config.numGpus; ++g) {
         _gpus.push_back(std::make_unique<gpu::Gpu>(
             _engine, DeviceId(g + 1), config.gpu, *_network, *_iommu,
-            *this));
+            *this, _accesses));
     }
 
     // Per-device PMCs share the DRAM directory.
@@ -138,6 +138,8 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &config)
             return _gpus[g]->drainActive() ? 1 : 0;
         });
     }
+    _watchdog->addProbe("accesses", "inFlight",
+                        [this] { return _accesses.live(); });
     _watchdog->addProbe("spans", "openFaults",
                         [this] { return _spans.openFaults(); });
     _engine.setWatchdog(_watchdog.get());
@@ -190,48 +192,79 @@ MultiGpuSystem::sumGpus(std::uint64_t gpu::Gpu::*counter) const
 }
 
 void
-MultiGpuSystem::remoteAccess(DeviceId requester, DeviceId owner,
-                             Addr addr, bool is_write, gpu::OpDone done)
+MultiGpuSystem::remoteAccess(gpu::AccessId id)
 {
-    assert(owner != requester);
-    const std::uint64_t req_bytes = is_write
+    const gpu::Access &a = _accesses[id];
+    assert(a.owner != a.requester);
+    const std::uint64_t req_bytes = a.isWrite
         ? ic::MessageSizes::dcaWriteRequest
         : ic::MessageSizes::dcaReadRequest;
-
-    const sim::SlotId s =
-        _dca.acquire(addr, _engine.now(), requester, owner, is_write, done);
-    _network->send(requester, owner, req_bytes,
-                   [this, s] { serveDca(s); });
+    _network->send(a.requester, a.owner, req_bytes,
+                   [this, id] { serveDca(id); });
 }
 
 void
-MultiGpuSystem::serveDca(sim::SlotId s)
+MultiGpuSystem::serveDca(gpu::AccessId id)
 {
     GHPROF_SCOPE("sys", "dca_serve");
-    const DcaAccess &d = _dca[s];
-    const PageId page = d.addr >> _config.gpu.pageShift;
-    if (d.owner == cpuDeviceId) {
+    gpu::Access &a = _accesses[id];
+    gpu::Rdma *rdma = &_cpuRdma;
+    if (a.owner == cpuDeviceId) {
         if (_griffinPolicy)
-            _griffinPolicy->noteCpuDcaAccess(page);
-        _cpuRdma->serve(d.addr, page, d.isWrite, d.requester,
-                        [this, s] { finishDca(s); });
+            _griffinPolicy->noteCpuDcaAccess(a.page);
+    } else {
+        // A GPU owner's ACUD drain waits for the access too: it
+        // occupies the page's data phase while it is in the owner's
+        // memory hierarchy.
+        gpu::Gpu &owner = *_gpus[a.owner - 1];
+        a.dataPhase = owner.dataPhase().enter(a.page);
+        rdma = &owner.rdma();
+    }
+    const Tick ready = rdma->serve(_engine.now(), a.vaddr, a.isWrite);
+
+    // Per-line DCA service spans. CatDca is off by default — remote
+    // traffic is per-cache-line and would dominate the trace.
+    if (obs::TraceSession::activeFor(obs::CatDca)) {
+        _engine.scheduleAt(ready, [this, id, begin = _engine.now()] {
+            if (auto *tr = obs::TraceSession::activeFor(obs::CatDca)) {
+                const gpu::Access &served = _accesses[id];
+                tr->complete(obs::CatDca,
+                             "rdma" + std::to_string(served.owner),
+                             served.isWrite ? "dca_write" : "dca_read",
+                             begin, _engine.now(),
+                             obs::TraceArgs()
+                                 .add("addr", served.vaddr)
+                                 .add("from", served.requester));
+            }
+            replyDca(id);
+        });
         return;
     }
-    // A GPU owner's RDMA engine also feeds the ACUD drain bookkeeping:
-    // the access occupies the page's data phase while it is in the
-    // owner's memory hierarchy.
-    _gpus[d.owner - 1]->rdma().serve(d.addr, page, d.isWrite, d.requester,
-                                     [this, s] { finishDca(s); });
+    _engine.scheduleAt(ready, [this, id] { replyDca(id); });
 }
 
 void
-MultiGpuSystem::finishDca(sim::SlotId s)
+MultiGpuSystem::replyDca(gpu::AccessId id)
+{
+    GHPROF_SCOPE("rdma", "dca_finish");
+    const gpu::Access &a = _accesses[id];
+    if (a.owner != cpuDeviceId)
+        _gpus[a.owner - 1]->dataPhase().leave(a.dataPhase);
+    const std::uint64_t reply_bytes = a.isWrite
+        ? ic::MessageSizes::dcaWriteAck
+        : ic::MessageSizes::dcaReadReply;
+    _network->send(a.owner, a.requester, reply_bytes,
+                   [this, id] { finishDca(id); });
+}
+
+void
+MultiGpuSystem::finishDca(gpu::AccessId id)
 {
     GHPROF_SCOPE("sys", "dca_finish");
-    const DcaAccess d = _dca.take(s);
+    const gpu::Access a = _accesses.take(id);
     if (auto *lat = obs::Telemetry::current().latency)
-        lat->remoteAccessLatency.sample(double(_engine.now() - d.begin));
-    d.done();
+        lat->remoteAccessLatency.sample(double(_engine.now() - a.begin));
+    a.done();
 }
 
 void

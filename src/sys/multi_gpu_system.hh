@@ -33,7 +33,6 @@
 #include "src/obs/telemetry.hh"
 #include "src/obs/timeseries.hh"
 #include "src/sim/engine.hh"
-#include "src/sim/slot_pool.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/watchdog.hh"
 #include "src/sys/chaos.hh"
@@ -121,11 +120,12 @@ class MultiGpuSystem : public gpu::RemoteRouter
     RunResult run(wl::Workload &workload);
 
     /** gpu::RemoteRouter */
-    void remoteAccess(DeviceId requester, DeviceId owner, Addr addr,
-                      bool is_write, gpu::OpDone done) override;
+    void remoteAccess(gpu::AccessId id) override;
 
     /** @name Component access (probes, benches, tests) @{ */
     sim::Engine &engine() { return _engine; }
+    /** Every GPU access in flight, from CU issue to its OpDone. */
+    gpu::AccessTable &accesses() { return _accesses; }
     mem::PageTable &pageTable() { return _pageTable; }
     xlat::Iommu &iommu() { return *_iommu; }
     driver::Driver &driver() { return *_driver; }
@@ -170,6 +170,7 @@ class MultiGpuSystem : public gpu::RemoteRouter
   private:
     SystemConfig _config;
     sim::Engine _engine;
+    gpu::AccessTable _accesses;
     mem::PageTable _pageTable;
     std::unique_ptr<ic::Network> _network;
     std::unique_ptr<xlat::Iommu> _iommu;
@@ -177,7 +178,7 @@ class MultiGpuSystem : public gpu::RemoteRouter
     std::vector<std::unique_ptr<gpu::Pmc>> _pmcs; ///< per device
     mem::Cache _cpuL2;
     mem::Dram _cpuDram;
-    std::unique_ptr<gpu::Rdma> _cpuRdma;
+    gpu::Rdma _cpuRdma;
     std::unique_ptr<driver::Driver> _driver;
     std::unique_ptr<gpu::Dispatcher> _dispatcher;
     std::unique_ptr<core::MigrationPolicy> _policy;
@@ -202,25 +203,14 @@ class MultiGpuSystem : public gpu::RemoteRouter
     bool _ran = false;
 
     /**
-     * One DCA access, in _dca from remoteAccess() until the reply
-     * lands at the requester. The start tick makes the remote-access
-     * latency timer a field instead of a wrapper around done.
+     * The request reached the owner: its RDMA engine serves the line,
+     * and replyDca() runs when the line is ready.
      */
-    struct DcaAccess
-    {
-        Addr addr;
-        Tick begin;
-        DeviceId requester;
-        DeviceId owner;
-        bool isWrite;
-        gpu::OpDone done;
-    };
-    sim::SlotPool<DcaAccess> _dca;
-
-    /** The request reached the owner: hand it to the owner's RDMA. */
-    void serveDca(sim::SlotId slot);
-    /** The reply landed at the requester. */
-    void finishDca(sim::SlotId slot);
+    void serveDca(gpu::AccessId id);
+    /** The owner's line is ready: leave its data phase and reply. */
+    void replyDca(gpu::AccessId id);
+    /** The reply landed at the requester: release the record. */
+    void finishDca(gpu::AccessId id);
 
     /** Σ @p counter over every GPU. */
     std::uint64_t sumGpus(std::uint64_t gpu::Gpu::*counter) const;

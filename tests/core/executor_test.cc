@@ -15,6 +15,7 @@
 #include "src/core/migration_policy.hh"
 #include "src/gpu/gpu.hh"
 #include "src/sim/engine.hh"
+#include "tests/gpu/test_router.hh"
 
 using namespace griffin;
 
@@ -37,21 +38,6 @@ class NullHandler : public xlat::FaultHandler
     void onPageFault(DeviceId, PageId, FaultId = invalidFaultId) override {}
 };
 
-class NullRouter : public gpu::RemoteRouter
-{
-  public:
-    explicit NullRouter(sim::Engine &engine) : _engine(engine) {}
-    void
-    remoteAccess(DeviceId, DeviceId, Addr, bool,
-                 gpu::OpDone done) override
-    {
-        _engine.schedule(10, done);
-    }
-
-  private:
-    sim::Engine &_engine;
-};
-
 struct Rig
 {
     sim::Engine engine;
@@ -60,7 +46,7 @@ struct Rig
     xlat::Iommu iommu{engine, net, pt, xlat::IommuConfig{}};
     NeverMigratePolicy policy;
     NullHandler handler;
-    NullRouter router{engine};
+    test::TestRouter router{engine};
     std::vector<std::unique_ptr<gpu::Gpu>> gpus;
     std::vector<gpu::Gpu *> gpu_ptrs;
     mem::Dram cpuDram{mem::DramConfig{}};
@@ -77,7 +63,8 @@ struct Rig
         std::vector<mem::Dram *> drams{&cpuDram};
         for (DeviceId id = 1; id <= 4; ++id) {
             gpus.push_back(std::make_unique<gpu::Gpu>(
-                engine, id, cfg, net, iommu, router));
+                engine, id, cfg, net, iommu, router,
+                router.accesses));
             gpu_ptrs.push_back(gpus.back().get());
             drams.push_back(&gpus.back()->dram());
         }

@@ -14,25 +14,11 @@
 #include "src/gpu/gpu.hh"
 #include "src/sim/engine.hh"
 #include "tests/gpu/op_sink.hh"
+#include "tests/gpu/test_router.hh"
 
 using namespace griffin;
 
 namespace {
-
-class NullRouter : public gpu::RemoteRouter
-{
-  public:
-    explicit NullRouter(sim::Engine &engine) : _engine(engine) {}
-    void
-    remoteAccess(DeviceId, DeviceId, Addr, bool,
-                 gpu::OpDone done) override
-    {
-        _engine.schedule(10, done);
-    }
-
-  private:
-    sim::Engine &_engine;
-};
 
 class NullHandler : public xlat::FaultHandler
 {
@@ -46,7 +32,7 @@ struct Rig
     mem::PageTable pt{12, 5};
     ic::Network net{engine, 5, ic::LinkConfig{32.0, 10}};
     xlat::Iommu iommu{engine, net, pt, xlat::IommuConfig{}};
-    NullRouter router{engine};
+    test::TestRouter router{engine};
     NullHandler handler;
     std::vector<std::unique_ptr<gpu::Gpu>> gpus;
     std::vector<gpu::Gpu *> gpu_ptrs;
@@ -63,7 +49,8 @@ struct Rig
         std::vector<mem::Dram *> drams{&cpuDram};
         for (DeviceId id = 1; id <= 4; ++id) {
             gpus.push_back(std::make_unique<gpu::Gpu>(
-                engine, id, cfg, net, iommu, router));
+                engine, id, cfg, net, iommu, router,
+                router.accesses));
             gpu_ptrs.push_back(gpus.back().get());
             drams.push_back(&gpus.back()->dram());
         }

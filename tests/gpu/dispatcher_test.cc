@@ -15,25 +15,11 @@
 #include "src/gpu/gpu.hh"
 #include "src/sim/engine.hh"
 #include "src/xlat/iommu.hh"
+#include "tests/gpu/test_router.hh"
 
 using namespace griffin;
 
 namespace {
-
-class NullRouter : public gpu::RemoteRouter
-{
-  public:
-    explicit NullRouter(sim::Engine &engine) : _engine(engine) {}
-    void
-    remoteAccess(DeviceId, DeviceId, Addr, bool,
-                 gpu::OpDone done) override
-    {
-        _engine.schedule(1, done);
-    }
-
-  private:
-    sim::Engine &_engine;
-};
 
 class InstantDriver : public xlat::FaultHandler
 {
@@ -63,7 +49,7 @@ struct Rig
     xlat::Iommu iommu{engine, net, pt, xlat::IommuConfig{}};
     core::FirstTouchPolicy policy;
     InstantDriver driver{pt, iommu};
-    NullRouter router{engine};
+    test::TestRouter router{engine};
     std::vector<std::unique_ptr<gpu::Gpu>> gpus;
     std::vector<gpu::Gpu *> ptrs;
     std::unique_ptr<gpu::Dispatcher> dispatcher;
@@ -77,7 +63,8 @@ struct Rig
         cfg.cusPerSe = cus_per_se;
         for (DeviceId id = 1; id <= 4; ++id) {
             gpus.push_back(std::make_unique<gpu::Gpu>(
-                engine, id, cfg, net, iommu, router));
+                engine, id, cfg, net, iommu, router,
+                router.accesses));
             ptrs.push_back(gpus.back().get());
         }
         dispatcher = std::make_unique<gpu::Dispatcher>(engine, ptrs, 4);

@@ -16,6 +16,7 @@
 #include "src/sim/engine.hh"
 #include "src/xlat/iommu.hh"
 #include "tests/gpu/op_sink.hh"
+#include "tests/gpu/test_router.hh"
 
 using namespace griffin;
 
@@ -57,28 +58,6 @@ class InstantDriver : public xlat::FaultHandler
     xlat::Iommu &_iommu;
 };
 
-class StubRouter : public gpu::RemoteRouter
-{
-  public:
-    explicit StubRouter(sim::Engine &engine) : _engine(engine) {}
-
-    void
-    remoteAccess(DeviceId requester, DeviceId owner, Addr addr,
-                 bool is_write, gpu::OpDone done) override
-    {
-        (void)requester;
-        (void)is_write;
-        remote.push_back({owner, addr});
-        _engine.schedule(latency, done);
-    }
-
-    std::vector<std::pair<DeviceId, Addr>> remote;
-    Tick latency = 100;
-
-  private:
-    sim::Engine &_engine;
-};
-
 struct Rig
 {
     sim::Engine engine;
@@ -87,7 +66,7 @@ struct Rig
     xlat::Iommu iommu{engine, net, pt, xlat::IommuConfig{}};
     AlwaysMigratePolicy policy;
     InstantDriver driver{pt, iommu};
-    StubRouter router{engine};
+    test::TestRouter router{engine, /*latency=*/100};
     gpu::GpuConfig cfg;
     std::unique_ptr<gpu::Gpu> gpu1;
     std::unique_ptr<test::OpSink> sink;
@@ -97,7 +76,7 @@ struct Rig
         iommu.setPolicy(&policy);
         iommu.setFaultHandler(&driver);
         gpu1 = std::make_unique<gpu::Gpu>(engine, 1, cfg, net, iommu,
-                                          router);
+                                          router, router.accesses);
         sink = std::make_unique<test::OpSink>(engine, *gpu1);
     }
 
@@ -172,6 +151,32 @@ TEST(Gpu, RemotePageRoutedToOwnerAndNotCached)
     rig.access(0x9040);
     rig.engine.run();
     EXPECT_EQ(rig.gpu1->xlatRequestsSent, 2u);
+}
+
+TEST(Gpu, AnAccessHoldsItsRecordUntilItCompletes)
+{
+    Rig rig;
+    rig.pt.setLocation(9, 3); // resident on GPU 3
+    auto local = rig.access(0x5000);
+    auto remote = rig.access(0x9000);
+    rig.engine.runUntil(20); // both issued, neither translated
+    EXPECT_EQ(rig.router.accesses.live(), 2u);
+    rig.engine.run();
+    ASSERT_TRUE(local->has_value() && remote->has_value());
+    EXPECT_EQ(rig.router.accesses.live(), 0u);
+
+    // A router that drops the remote record strands it, and its op
+    // never completes: exactly what the system's watchdog names.
+    rig.router.releaseRecords = false;
+    auto dropped = rig.access(0x9040);
+    rig.engine.run();
+    EXPECT_FALSE(dropped->has_value());
+    EXPECT_EQ(rig.router.accesses.live(), 1u);
+    rig.router.accesses.forEachLive([](const gpu::Access &a) {
+        EXPECT_EQ(a.requester, 1u);
+        EXPECT_EQ(a.owner, 3u);
+        EXPECT_EQ(a.vaddr, 0x9040u);
+    });
 }
 
 TEST(Gpu, AccessCountersRecordPerShaderEngine)
@@ -293,27 +298,6 @@ TEST(Gpu, DrainWaitsForAccessesEnteringWhileItIsPending)
     EXPECT_EQ(drained_at, 500u);
     EXPECT_EQ(rig.gpu1->drainsImmediate, 0u);
     EXPECT_EQ(dp.live(), 0u);
-    rig.gpu1->resumeAllCus();
-}
-
-TEST(Gpu, DcaServiceOnADrainSetPageHoldsTheDrain)
-{
-    Rig rig;
-    auto pages = std::make_shared<std::vector<PageId>>(
-        std::vector<PageId>{7});
-    Tick replied_at = 0, drained_at = 0;
-    // The line misses the L2, so the service outlasts the drain check.
-    rig.gpu1->rdma().serve(0x7040, 7, false, /*reply_to=*/2,
-                           [&] { replied_at = rig.engine.now(); });
-    rig.gpu1->drainForPages(pages, [&] {
-        drained_at = rig.engine.now();
-        EXPECT_EQ(rig.gpu1->dataPhase().live(), 0u);
-    });
-    EXPECT_EQ(rig.gpu1->dataPhase().busy(), 1u);
-    rig.engine.run();
-    EXPECT_GT(drained_at, rig.cfg.drainCheckLatency);
-    EXPECT_LT(drained_at, replied_at); // released before the reply
-    EXPECT_EQ(rig.gpu1->drainsImmediate, 0u);
     rig.gpu1->resumeAllCus();
 }
 

@@ -22,88 +22,40 @@ namespace {
 
 struct RdmaRig
 {
-    sim::Engine engine;
-    ic::Network net{engine, 5, ic::LinkConfig{32.0, 100}};
     mem::Cache l2{mem::CacheConfig{256 * 1024, 16, 64, 20}};
     mem::Dram dram{mem::DramConfig{}};
-    gpu::Rdma rdma{engine, net, /*self=*/2, l2, dram, 64};
+    gpu::Rdma rdma{l2, dram, 64};
 };
 
 } // namespace
 
-TEST(Rdma, ReadMissGoesToDramAndRepliesWithData)
-{
-    RdmaRig rig;
-    std::optional<Tick> done;
-    rig.rdma.serve(0x1000, 1, false, /*reply_to=*/1,
-                   [&] { done = rig.engine.now(); });
-    rig.engine.run();
-    ASSERT_TRUE(done.has_value());
-    EXPECT_EQ(rig.rdma.readsServed, 1u);
-    EXPECT_EQ(rig.dram.reads, 1u);
-    // The reply crossed the fabric (latency 2 x 100 + service).
-    EXPECT_GT(*done, 200u);
-    // The reply carried a cache line (72 B message).
-    EXPECT_EQ(rig.net.link(2).bytesSent[0],
-              ic::MessageSizes::dcaReadReply);
-}
+// The replies and the drain bookkeeping of a DCA service are the
+// system's (tests/sys/dca_test.cc); the engine itself serves the line.
 
 TEST(Rdma, ReadHitSkipsDram)
 {
-    RdmaRig rig;
-    rig.l2.access(0x1000, false); // warm the line
-    std::optional<Tick> miss_done, hit_done;
-    rig.rdma.serve(0x2000, 2, false, 1,
-                   [&] { miss_done = rig.engine.now(); });
-    rig.engine.run();
-    RdmaRig rig2;
-    rig2.l2.access(0x1000, false);
-    rig2.rdma.serve(0x1000, 1, false, 1,
-                    [&] { hit_done = rig2.engine.now(); });
-    rig2.engine.run();
-    EXPECT_EQ(rig2.rdma.l2HitsServed, 1u);
-    EXPECT_EQ(rig2.dram.reads, 0u);
-    EXPECT_LT(*hit_done, *miss_done);
+    RdmaRig miss, hit;
+    hit.l2.access(0x1000, false); // warm the line
+    const Tick miss_ready = miss.rdma.serve(100, 0x1000, false);
+    const Tick hit_ready = hit.rdma.serve(100, 0x1000, false);
+    EXPECT_EQ(hit_ready, 100 + hit.l2.latency());
+    EXPECT_EQ(hit.rdma.readsServed, 1u);
+    EXPECT_EQ(hit.rdma.l2HitsServed, 1u);
+    EXPECT_EQ(hit.dram.reads, 0u);
+    EXPECT_EQ(miss.rdma.l2HitsServed, 0u);
+    EXPECT_EQ(miss.dram.reads, 1u);
+    EXPECT_GT(miss_ready, hit_ready);
 }
 
-TEST(Rdma, WriteAcksWithSmallMessage)
+TEST(Rdma, WriteMissAllocatesADirtyLine)
 {
     RdmaRig rig;
-    bool done = false;
-    rig.rdma.serve(0x3000, 3, true, 3, [&] { done = true; });
-    rig.engine.run();
-    EXPECT_TRUE(done);
+    rig.rdma.serve(0, 0x3000, true);
     EXPECT_EQ(rig.rdma.writesServed, 1u);
-    EXPECT_EQ(rig.net.link(2).bytesSent[0],
-              ic::MessageSizes::dcaWriteAck);
-    // Write-allocate left the line dirty in the L2.
+    // Write-allocate: the missing line is read from DRAM first.
+    EXPECT_EQ(rig.dram.reads, 1u);
     EXPECT_TRUE(rig.l2.probe(0x3000));
-}
-
-TEST(Rdma, ServedLineHoldsADrainOnItsPage)
-{
-    sim::Engine engine;
-    ic::Network net{engine, 5, ic::LinkConfig{32.0, 100}};
-    mem::Cache l2{mem::CacheConfig{256 * 1024, 16, 64, 20}};
-    mem::Dram dram{mem::DramConfig{}};
-    gpu::DataPhase dp;
-    gpu::Rdma rdma{engine, net, /*self=*/2, l2, dram, 64, &dp};
-
-    bool replied = false, drained = false;
-    rdma.serve(0x7040, 7, false, 1, [&] { replied = true; });
-    EXPECT_EQ(dp.live(), 1u);
-    dp.beginDrain(std::make_shared<std::vector<PageId>>(
-        std::vector<PageId>{7}));
-    EXPECT_FALSE(dp.satisfied());
-    dp.await([&] {
-        drained = true;
-        EXPECT_FALSE(replied) << "the line leaves before its reply";
-    });
-    engine.run();
-    EXPECT_TRUE(drained);
-    EXPECT_TRUE(replied);
-    EXPECT_EQ(dp.live(), 0u);
-    EXPECT_FALSE(dp.awaiting());
+    EXPECT_EQ(rig.l2.flushAll().dirtyWritebacks, 1u);
 }
 
 namespace {

@@ -24,6 +24,7 @@
 #include "src/sys/multi_gpu_system.hh"
 #include "src/sys/report.hh"
 #include "src/workloads/workload.hh"
+#include "tests/gpu/test_router.hh"
 
 using namespace griffin;
 
@@ -206,21 +207,6 @@ class NullHandler : public xlat::FaultHandler
     void onPageFault(DeviceId, PageId, FaultId = invalidFaultId) override {}
 };
 
-class NullRouter : public gpu::RemoteRouter
-{
-  public:
-    explicit NullRouter(sim::Engine &engine) : _engine(engine) {}
-    void
-    remoteAccess(DeviceId, DeviceId, Addr, bool,
-                 gpu::OpDone done) override
-    {
-        _engine.schedule(10, done);
-    }
-
-  private:
-    sim::Engine &_engine;
-};
-
 struct PingPongRig
 {
     sim::Engine engine;
@@ -229,7 +215,7 @@ struct PingPongRig
     xlat::Iommu iommu{engine, net, pt, xlat::IommuConfig{}};
     NeverMigratePolicy policy;
     NullHandler handler;
-    NullRouter router{engine};
+    test::TestRouter router{engine};
     std::vector<std::unique_ptr<gpu::Gpu>> gpus;
     std::vector<gpu::Gpu *> gpu_ptrs;
     mem::Dram cpuDram{mem::DramConfig{}};
@@ -247,7 +233,8 @@ struct PingPongRig
         std::vector<mem::Dram *> drams{&cpuDram};
         for (DeviceId id = 1; id <= 4; ++id) {
             gpus.push_back(std::make_unique<gpu::Gpu>(
-                engine, id, cfg, net, iommu, router));
+                engine, id, cfg, net, iommu, router,
+                router.accesses));
             gpu_ptrs.push_back(gpus.back().get());
             drams.push_back(&gpus.back()->dram());
         }
