@@ -1,10 +1,11 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the hot substrate components:
- * event queue throughput, cache and TLB lookups, the DPC classifier,
- * access counters, link arbitration and fabric round trips. These
- * bound the simulator's own speed (events/second), which determines
- * how large a workload the harness can regenerate.
+ * event queue and engine-loop throughput, the off cost of a profiler
+ * scope, cache and TLB lookups, the DPC classifier, access counters,
+ * link arbitration and fabric round trips. These bound the simulator's
+ * own speed (events/second), which determines how large a workload the
+ * harness can regenerate.
  */
 
 #include <benchmark/benchmark.h>
@@ -18,6 +19,7 @@
 #include "src/interconnect/switch.hh"
 #include "src/mem/cache.hh"
 #include "src/mem/page_table.hh"
+#include "src/obs/hostprof.hh"
 #include "src/sim/engine.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/rng.hh"
@@ -173,42 +175,110 @@ BM_EventQueueFabricHop(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueFabricHop)->Arg(16)->Arg(256);
 
+namespace {
+
+/**
+ * The whole model's schedule in miniature: 860 chains (the most
+ * events a fig12 simulation holds pending at once), each hopping 1, 10
+ * or 28 cycles (TLB and cache shapes), a DRAM access (150) or a fabric
+ * delivery (502-1023), about 3 events per tick. @p Sched is
+ * sim::EventQueue or sim::Engine.
+ */
+template <typename Sched>
+struct ModelMix
+{
+    static constexpr std::uint64_t chains = 860;
+
+    Sched &sched;
+    std::uint64_t hops;
+    std::uint64_t scheduled = 0;
+    std::uint32_t rng = 1;
+
+    void
+    step()
+    {
+        static constexpr Tick shortHops[] = {1, 1, 1, 1, 10, 10, 10,
+                                             28, 28, 150, 150};
+        if (scheduled == hops)
+            return;
+        ++scheduled;
+        rng = rng * 1664525u + 1013904223u;
+        const std::uint32_t pick = (rng >> 8) % 16;
+        const Tick delay = pick < std::size(shortHops)
+                               ? shortHops[pick]
+                               : 502 + (rng >> 16) % 522;
+        sched.schedule(delay, [this] { step(); });
+    }
+
+    void
+    start()
+    {
+        for (std::uint64_t k = 0; k < chains; ++k)
+            step();
+    }
+};
+
+} // namespace
+
 static void
 BM_EventQueueModelMix(benchmark::State &state)
 {
-    // The whole model's schedule in miniature: 860 chains (the most
-    // events a fig12 simulation holds pending at once), each hopping
-    // 1, 10 or 28 cycles (TLB and cache shapes), a DRAM access (150)
-    // or a fabric delivery (502-1023), about 3 events per tick.
-    constexpr std::uint64_t chains = 860;
-    const std::uint64_t hops = chains * std::uint64_t(state.range(0));
-    static constexpr Tick shortHops[] = {1, 1, 1, 1, 10, 10, 10,
-                                         28, 28, 150, 150};
+    const std::uint64_t hops =
+        ModelMix<sim::EventQueue>::chains * std::uint64_t(state.range(0));
     for (auto _ : state) {
         sim::EventQueue q;
-        std::uint64_t scheduled = 0;
-        std::uint32_t rng = 1;
-        sim::InlineFn<void()> step;
-        step = [&] {
-            if (scheduled == hops)
-                return;
-            ++scheduled;
-            rng = rng * 1664525u + 1013904223u;
-            const std::uint32_t pick = (rng >> 8) % 16;
-            const Tick delay = pick < std::size(shortHops)
-                                   ? shortHops[pick]
-                                   : 502 + (rng >> 16) % 522;
-            q.schedule(delay, [&] { step(); });
-        };
-        for (std::uint64_t k = 0; k < chains; ++k)
-            step();
+        ModelMix<sim::EventQueue> mix{q, hops};
+        mix.start();
         q.run();
-        benchmark::DoNotOptimize(rng);
+        benchmark::DoNotOptimize(mix.rng);
     }
     state.SetItemsProcessed(std::int64_t(state.iterations()) *
                             std::int64_t(hops));
 }
 BENCHMARK(BM_EventQueueModelMix)->Arg(64);
+
+static void
+BM_EngineModelMix(benchmark::State &state)
+{
+    // BM_EventQueueModelMix's schedule through sim::Engine::run(), the
+    // loop every simulation runs: per tick a settle, the periodic-hook
+    // check, the first event and the watchdog check, then the tick's
+    // other events back to back. Arg 1 adds one periodic hook (a
+    // sampler's shape) every 1000 cycles.
+    const std::uint64_t hops = ModelMix<sim::Engine>::chains * 64;
+    for (auto _ : state) {
+        sim::Engine engine;
+        std::uint64_t samples = 0;
+        if (state.range(0))
+            engine.addPeriodicHook(1000, [&samples](Tick) { ++samples; });
+        ModelMix<sim::Engine> mix{engine, hops};
+        mix.start();
+        engine.run();
+        benchmark::DoNotOptimize(mix.rng);
+        benchmark::DoNotOptimize(samples);
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                            std::int64_t(hops));
+}
+BENCHMARK(BM_EngineModelMix)->Arg(0)->Arg(1);
+
+static void
+BM_HostProfScopeOff(benchmark::State &state)
+{
+    // What every instrumented callback pays in an unprofiled run: a
+    // GHPROF_SCOPE opened and closed with no profiler attached.
+    if (obs::Telemetry::current().prof) {
+        state.SkipWithError("a host profiler is attached");
+        return;
+    }
+    std::uint64_t sink = 0;
+    for (auto _ : state) {
+        GHPROF_SCOPE("bench", "scope_off");
+        benchmark::DoNotOptimize(++sink);
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()));
+}
+BENCHMARK(BM_HostProfScopeOff);
 
 static void
 BM_CacheAccess(benchmark::State &state)

@@ -130,6 +130,30 @@ Site::intern()
 }
 
 void
+HostProfiler::enter(Site &site)
+{
+    const std::uint32_t id = site.id();
+    ++at(id).count;
+    // The first scope of a bracket claims it: the bracket charges to
+    // this site from its start, so entering switches nothing.
+    const std::uint32_t prev = _top == kUnclaimed ? id : _top;
+    _stack.push_back(prev);
+    if (prev != id)
+        charge();
+    _top = id;
+}
+
+void
+HostProfiler::leave()
+{
+    const std::uint32_t prev = _stack.back();
+    _stack.pop_back();
+    if (prev != _top)
+        charge();
+    _top = prev;
+}
+
+void
 HostProfiler::startTimer()
 {
     _startTime = now();

@@ -190,23 +190,24 @@ class HostProfiler
     std::uint64_t eventsDispatched() const { return _events; }
 
     /**
-     * One RAII attribution scope. Constructing is near-free when no
-     * profiler is attached (a thread_local load plus a branch), so
-     * instrumentation sites stay on the hot path unconditionally.
+     * One RAII attribution scope. With no profiler attached it costs a
+     * thread_local load and a branch on entry and a branch on exit, so
+     * instrumentation sites stay on the hot path unconditionally; the
+     * profiled work sits out of line in enter() and leave().
      */
     class Scope
     {
       public:
         explicit Scope(Site &site) : _prof(Telemetry::current().prof)
         {
-            if (_prof)
-                _prof->push(site.id());
+            if (_prof) [[unlikely]]
+                _prof->enter(site);
         }
 
         ~Scope()
         {
-            if (_prof)
-                _prof->pop();
+            if (_prof) [[unlikely]]
+                _prof->leave();
         }
 
         Scope(const Scope &) = delete;
@@ -248,29 +249,10 @@ class HostProfiler
     }
 
     /** Count one entry of @p site and make it the charged site. */
-    void
-    push(std::uint32_t site)
-    {
-        ++at(site).count;
-        // The first scope of a bracket claims it: the bracket charges
-        // to this site from its start, so entering switches nothing.
-        const std::uint32_t prev = _top == kUnclaimed ? site : _top;
-        _stack.push_back(prev);
-        if (prev != site)
-            charge();
-        _top = site;
-    }
+    [[gnu::noinline]] void enter(Site &site);
 
     /** Close the innermost scope: charge it, restore its outer site. */
-    void
-    pop()
-    {
-        const std::uint32_t prev = _stack.back();
-        _stack.pop_back();
-        if (prev != _top)
-            charge();
-        _top = prev;
-    }
+    [[gnu::noinline]] void leave();
 
     /**
      * Read the clock and charge the time since the previous read to

@@ -34,8 +34,8 @@ EventQueue::clampToNow(Tick when) const
 }
 
 EventQueue::Entry &
-EventQueue::claim(Tick when, std::uint32_t timer_slot1,
-                  std::uint32_t timer_gen)
+EventQueue::claimRare(Tick when, std::uint32_t timer_slot1,
+                      std::uint32_t timer_gen)
 {
     if (_size == 0) {
         // The queue is empty: drop any tombstone residue and re-anchor
@@ -43,8 +43,6 @@ EventQueue::claim(Tick when, std::uint32_t timer_slot1,
         // invariant that resident ticks span less than one window.
         resetWindow();
     }
-    ++_size;
-    const std::uint64_t seq = _nextSeq++;
     if (_free == nil) {
         // Grow by one chunk, threading its nodes onto the free list so
         // the lowest index is taken first.
@@ -53,27 +51,20 @@ EventQueue::claim(Tick when, std::uint32_t timer_slot1,
         for (std::uint32_t k = nodesPerChunk; k-- > 0;)
             freeNode(base + k);
     }
-    const std::uint32_t i = _free;
-    Entry &e = node(i);
-    _free = e.next;
-    e.when = when;
-    e.timerSlot1 = timer_slot1;
-    e.timerGen = timer_gen;
+    const std::uint64_t seq = _nextSeq;
+    const std::uint32_t i = take(when, timer_slot1, timer_gen);
     if (_refMode) {
         _ref.push({when, seq, i});
     } else if (when == _now) {
         append(_cur, i);
     } else if (when < _windowEnd) {
-        assert(when > _now && when >= _windowBase);
-        const std::size_t idx = when & (ladderBuckets - 1);
-        setBit(idx);
-        append(_ladder[idx], i);
+        fileInLadder(i, when);
     } else {
         ++_spillInserts;
         _spill.push_back({when, seq, i});
         std::push_heap(_spill.begin(), _spill.end(), Later{});
     }
-    return e;
+    return node(i);
 }
 
 std::uint32_t
@@ -183,9 +174,7 @@ EventQueue::rollWindow(Tick base)
             --_deadEntries;
             continue;
         }
-        const std::size_t idx = k.when & (ladderBuckets - 1);
-        setBit(idx);
-        append(_ladder[idx], k.node);
+        fileInLadder(k.node, k.when);
     }
 }
 
@@ -250,15 +239,6 @@ EventQueue::resetWindow()
         compact();
     _windowBase = _now;
     _windowEnd = _now + ladderBuckets;
-}
-
-bool
-EventQueue::reclaim(std::uint32_t i)
-{
-    if (alive(node(i)))
-        return false;
-    freeNode(i);
-    return true;
 }
 
 void
@@ -333,19 +313,6 @@ EventQueue::residentEntries() const
 }
 
 std::uint32_t
-EventQueue::popSameTick()
-{
-    while (_cur.head != nil) {
-        const std::uint32_t i = _cur.head;
-        _cur.head = node(i).next;
-        if (!reclaim(i))
-            return i;
-        --_deadEntries;
-    }
-    return nil;
-}
-
-std::uint32_t
 EventQueue::popLive()
 {
     for (;;) {
@@ -374,64 +341,31 @@ EventQueue::popLive()
     }
 }
 
-namespace {
-
-/** Call @p fn, inside a profiler dispatch bracket when one is attached. */
 void
-invoke(const EventFn &fn)
+EventQueue::invokeProfiled(obs::HostProfiler &prof, const EventFn &fn)
 {
-    if (auto *prof = obs::Telemetry::current().prof) {
-        // Bracket the dispatch so the profiler can attribute the
-        // callback's wall time; end it even if the callback throws
-        // (the watchdog surfaces errors as exceptions mid-run).
-        prof->beginDispatch();
-        try {
-            fn();
-        } catch (...) {
-            prof->endDispatch();
-            throw;
-        }
-        prof->endDispatch();
-    } else {
-        fn();
-    }
-}
-
-} // namespace
-
-void
-EventQueue::dispatch(std::uint32_t i)
-{
-    Entry &e = node(i);
-    assert(e.when >= _now);
-    _now = e.when;
-    ++_executed;
-    --_size;
-
-    // The node is in no list while its callback runs, and is freed only
-    // once the callback returns or throws.
+    // Bracket the dispatch so the profiler can attribute the callback's
+    // wall time; end it even if the callback throws (the watchdog
+    // surfaces errors as exceptions mid-run).
+    prof.beginDispatch();
     try {
-        if (e.timerSlot1 == 0) {
-            invoke(e.fn);
-        } else {
-            // A live timer node: the callback lives in the slot, and
-            // firing disarms the slot exactly like a cancel would. The
-            // slot vector may grow while the callback runs, so it runs
-            // from a local.
-            const EventFn fn = std::move(_timerSlots[e.timerSlot1 - 1].fn);
-            releaseTimerSlot(e.timerSlot1 - 1);
-            --_pendingTimerCount;
-            invoke(fn);
-        }
+        fn();
     } catch (...) {
-        freeNode(i);
+        prof.endDispatch();
         throw;
     }
-    freeNode(i);
-    // A drained queue holds no live work: free any tombstone residue so
-    // empty() also means "no resident nodes".
-    if (_size == 0)
-        resetWindow();
+    prof.endDispatch();
+}
+
+void
+EventQueue::fireTimer(std::uint32_t slot)
+{
+    // The callback lives in the slot. The slot vector may grow while
+    // it runs, so it runs from a local.
+    const EventFn fn = std::move(_timerSlots[slot].fn);
+    releaseTimerSlot(slot);
+    --_pendingTimerCount;
+    invoke(fn);
 }
 
 bool
@@ -453,20 +387,6 @@ EventQueue::runOne()
     }
     const std::uint32_t i = popLive();
     assert(i != nil && "size() > 0 but no live node found");
-    dispatch(i);
-    return true;
-}
-
-bool
-EventQueue::runSameTick()
-{
-    if (_size == 0)
-        return false;
-    if (_refMode)
-        return settle().when == _now && runOne();
-    const std::uint32_t i = popSameTick();
-    if (i == nil)
-        return false;
     dispatch(i);
     return true;
 }

@@ -36,18 +36,28 @@
  * is the run's peak resident count rounded up to a chunk. Cancellable
  * timeouts live in generation-checked slots so cancelTimeout() is O(1)
  * and destroys the callback immediately.
+ *
+ * The per-event path is inline in this header: an insert's common case
+ * (a ladder append into a recycled node) and the dispatch of a plain
+ * event. Each has one path; its rare branches call out of line, the
+ * insert's to claimRare() (an empty queue, a full arena, the current
+ * tick, the spill, reference mode) and the dispatch's to fireTimer()
+ * and, with a host profiler attached, invokeProfiled(). The per-tick
+ * work (settle, pop, window roll) stays in event_queue.cc.
  */
 
 #ifndef GRIFFIN_SIM_EVENT_QUEUE_HH
 #define GRIFFIN_SIM_EVENT_QUEUE_HH
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "src/obs/telemetry.hh"
 #include "src/sim/inline_fn.hh"
 #include "src/sim/ref_queue.hh"
 #include "src/sim/types.hh"
@@ -179,7 +189,19 @@ class EventQueue
      * runOne() for the first event of a tick and this for the rest.
      * @retval false nothing (live) remains at now().
      */
-    bool runSameTick();
+    bool
+    runSameTick()
+    {
+        if (_size == 0)
+            return false;
+        if (_refMode) [[unlikely]]
+            return settle().when == _now && runOne();
+        const std::uint32_t i = popSameTick();
+        if (i == nil)
+            return false;
+        dispatch(i);
+        return true;
+    }
 
     /** Run until the queue drains. @return the final simulated time. */
     Tick run();
@@ -385,12 +407,58 @@ class EventQueue
 
     /** Diagnose a past deadline; @return now(). */
     Tick clampToNow(Tick when) const;
+
     /**
-     * Count a new event at @p when (resetting an empty queue first) and
-     * return its node, filed where it belongs, callback still empty.
+     * Count a new event at @p when and return its node, filed where it
+     * belongs, callback still empty. Inline for its common case, a
+     * ladder append into a recycled node; every other insert takes
+     * claimRare(). Always inlined: GCC otherwise keeps an out-of-line
+     * copy for some large callers, and the call costs more than this.
      */
-    Entry &claim(Tick when, std::uint32_t timer_slot1,
-                 std::uint32_t timer_gen);
+    [[gnu::always_inline]] Entry &
+    claim(Tick when, std::uint32_t timer_slot1, std::uint32_t timer_gen)
+    {
+        if (_size == 0 || _free == nil || _refMode || when == _now ||
+            when >= _windowEnd) [[unlikely]]
+            return claimRare(when, timer_slot1, timer_gen);
+        const std::uint32_t i = take(when, timer_slot1, timer_gen);
+        fileInLadder(i, when);
+        return node(i);
+    }
+
+    /**
+     * claim() off its common case: re-anchor an empty queue, grow the
+     * arena by a chunk, then file the node in the current tick, the
+     * ladder, the spill or the reference heap.
+     */
+    Entry &claimRare(Tick when, std::uint32_t timer_slot1,
+                     std::uint32_t timer_gen);
+
+    /** Count a new event at @p when in the free list's head node. */
+    std::uint32_t
+    take(Tick when, std::uint32_t timer_slot1, std::uint32_t timer_gen)
+    {
+        ++_size;
+        ++_nextSeq;
+        const std::uint32_t i = _free;
+        Entry &e = node(i);
+        _free = e.next;
+        e.when = when;
+        e.timerSlot1 = timer_slot1;
+        e.timerGen = timer_gen;
+        return i;
+    }
+
+    /** Append node @p i to the bucket of tick @p when, inside the window. */
+    void
+    fileInLadder(std::uint32_t i, Tick when)
+    {
+        assert(when > _now && when >= _windowBase && when < _windowEnd);
+        const std::size_t idx = when & (ladderBuckets - 1);
+        setBit(idx);
+        append(_ladder[idx], i);
+    }
+
     /** Take a timer slot (its callback still to be set). */
     std::uint32_t armTimerSlot();
     /** Queue timer slot @p slot's node at @p when; @return its id. */
@@ -409,12 +477,72 @@ class EventQueue
     }
     /** Earliest non-empty bucket in window scan order, or -1. */
     int nextBucketIndex() const;
+
     /** Unlink the current tick's next live node; nil if none. */
-    std::uint32_t popSameTick();
+    std::uint32_t
+    popSameTick()
+    {
+        while (_cur.head != nil) {
+            const std::uint32_t i = _cur.head;
+            _cur.head = node(i).next;
+            if (!reclaim(i)) [[likely]]
+                return i;
+            --_deadEntries;
+        }
+        return nil;
+    }
+
     /** Unlink the next live node overall, moving time's lists forward. */
     std::uint32_t popLive();
+
     /** Run node @p i's callback (in place), then free the node. */
-    void dispatch(std::uint32_t i);
+    void
+    dispatch(std::uint32_t i)
+    {
+        Entry &e = node(i);
+        assert(e.when >= _now);
+        _now = e.when;
+        ++_executed;
+        --_size;
+
+        // The node is in no list while its callback runs, and is freed
+        // only once the callback returns or throws.
+        try {
+            if (e.timerSlot1 == 0) [[likely]]
+                invoke(e.fn);
+            else
+                fireTimer(e.timerSlot1 - 1);
+        } catch (...) {
+            freeNode(i);
+            throw;
+        }
+        freeNode(i);
+        // A drained queue holds no live work: free any tombstone
+        // residue so empty() also means "no resident nodes".
+        if (_size == 0) [[unlikely]]
+            resetWindow();
+    }
+
+    /** Call @p fn, inside a profiler dispatch bracket when one is attached. */
+    static void
+    invoke(const EventFn &fn)
+    {
+        if (obs::HostProfiler *prof = obs::Telemetry::current().prof)
+            [[unlikely]]
+            invokeProfiled(*prof, fn);
+        else
+            fn();
+    }
+
+    /** invoke() with @p prof attached: bracket the callback. */
+    static void invokeProfiled(obs::HostProfiler &prof, const EventFn &fn);
+
+    /**
+     * Fire live timer slot @p slot: disarm it exactly like a cancel
+     * would, then run its callback.
+     */
+    void fireTimer(std::uint32_t slot);
+
     /**
      * Make the window [@p base, @p base + N) and move every spill node
      * it now covers onto its bucket (tombstones are freed). Requires
@@ -429,7 +557,14 @@ class EventQueue
     /** Free all tombstone residue and re-anchor the window at now. */
     void resetWindow();
     /** Free node @p i if it is a tombstone; @return true if freed. */
-    bool reclaim(std::uint32_t i);
+    bool
+    reclaim(std::uint32_t i)
+    {
+        if (alive(node(i)))
+            return false;
+        freeNode(i);
+        return true;
+    }
     /** Drop @p l's tombstones, keeping the order of the rest. */
     void filter(List &l);
     /** Free every tombstone everywhere (amortized reclaim). */

@@ -411,7 +411,9 @@ MultiGpuSystem::launchKernel(wl::Workload &workload, unsigned k)
         _policy->onSystemStop();
         return;
     }
-    _dispatcher->launchKernel(workload.makeKernel(k), [this, &workload, k] {
+    wl::KernelLaunch kernel = workload.makeKernel(k);
+    _opsSubmitted += kernel.totalOps();
+    _dispatcher->launchKernel(std::move(kernel), [this, &workload, k] {
         launchKernel(workload, k + 1);
     });
 }
@@ -501,7 +503,9 @@ MultiGpuSystem::collectResults()
 {
     RunResult result;
     result.cycles = _engine.now();
+    result.opsSubmitted = _opsSubmitted;
 
+    result.pagesPerDevice.reserve(_config.numDevices());
     for (unsigned dev = 0; dev < _config.numDevices(); ++dev)
         result.pagesPerDevice.push_back(_pageTable.residentPages(dev));
 
@@ -544,6 +548,7 @@ MultiGpuSystem::collectResults()
         st.set(p + "downBusyCycles", double(lk.busyCycles[1]));
     }
 
+    result.gpuOps.resize(numGpus());
     for (unsigned g = 0; g < numGpus(); ++g) {
         auto &gp = *_gpus[g];
         const std::string p = "gpu" + std::to_string(g + 1) + ".";
@@ -556,13 +561,14 @@ MultiGpuSystem::collectResults()
         st.set(p + "fullFlushes", double(gp.fullFlushes));
         st.set(p + "workgroups", double(gp.workgroupsExecuted));
         st.set(p + "pausedCycles", double(gp.pausedCycles));
-        std::uint64_t discarded = 0, issued = 0;
+        RunResult::GpuOps &ops = result.gpuOps[g];
         for (unsigned cu = 0; cu < gp.numCus(); ++cu) {
-            discarded += gp.cu(cu).opsDiscarded;
-            issued += gp.cu(cu).opsIssued;
+            ops.issued += gp.cu(cu).opsIssued;
+            ops.completed += gp.cu(cu).opsCompleted;
+            ops.discarded += gp.cu(cu).opsDiscarded;
         }
-        st.set(p + "opsDiscarded", double(discarded));
-        st.set(p + "opsIssued", double(issued));
+        st.set(p + "opsDiscarded", double(ops.discarded));
+        st.set(p + "opsIssued", double(ops.issued));
         st.set(p + "l2Hits", double(gp.l2().hits));
         st.set(p + "l2Misses", double(gp.l2().misses));
         st.set(p + "residentPages",

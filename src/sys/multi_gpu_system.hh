@@ -80,6 +80,23 @@ struct RunResult
     std::uint64_t auditViolations = 0;
     /** @} */
 
+    /**
+     * @name Op accounting for the op-completion oracle. Kept out of
+     * stats and the report, so no output byte depends on them. @{
+     */
+    /** Sum of KernelLaunch::totalOps() over every launched kernel. */
+    std::uint64_t opsSubmitted = 0;
+    /** One GPU's ops, summed over its CUs. */
+    struct GpuOps
+    {
+        std::uint64_t issued = 0;
+        std::uint64_t completed = 0;
+        std::uint64_t discarded = 0;
+    };
+    /** Per GPU; index 0 is GPU 1. */
+    std::vector<GpuOps> gpuOps;
+    /** @} */
+
     double
     localFraction() const
     {
@@ -188,6 +205,8 @@ class MultiGpuSystem : public gpu::RemoteRouter
     /** Lost-wakeup detector; probes registered at construction. */
     std::unique_ptr<sim::Watchdog> _watchdog;
     std::uint64_t _auditViolations = 0;
+    /** Ops of every kernel launched so far (RunResult::opsSubmitted). */
+    std::uint64_t _opsSubmitted = 0;
 
     /** Run-level latency histograms, the run's latency slot. */
     obs::LatencyHistograms _latency;

@@ -89,6 +89,21 @@ checkRunInvariants(const RunResult &result, const SystemConfig &config)
     if (result.localAccesses + result.remoteAccesses == 0)
         add("access-accounting", "run recorded zero memory accesses");
 
+    // Exactly-once completion: every submitted op completes once, and
+    // every issue ends in exactly one completion or one discard (a
+    // flushed op is re-issued, so its issue count grows with it).
+    std::uint64_t completed = 0;
+    for (std::size_t g = 0; g < result.gpuOps.size(); ++g) {
+        const RunResult::GpuOps &ops = result.gpuOps[g];
+        completed += ops.completed;
+        std::ostringstream what;
+        what << "gpu" << g + 1 << " issued vs completed + discarded";
+        expectEq("op-completion", what.str().c_str(), double(ops.issued),
+                 double(ops.completed + ops.discarded));
+    }
+    expectEq("op-completion", "sum(completed) vs ops submitted",
+             double(completed), double(result.opsSubmitted));
+
     // Time-series reconciliation: interval rows must sum to the
     // series totals, and the totals must agree with the run aggregates
     // (each row is a difference of those counters between two of the

@@ -16,6 +16,8 @@
  *    the completed-fault count;
  *  - span-orphans: no fault span was left open at end of run;
  *  - access-accounting: a completed run recorded memory accesses;
+ *  - op-completion: every submitted op completed exactly once, and
+ *    per GPU every issue ended in one completion or one discard;
  *  - timeseries-reconciliation: interval rows sum to the series
  *    totals and the totals equal the run aggregates the rows are
  *    differenced from (migrations, DCA accesses, shootdowns, faults);

@@ -120,6 +120,30 @@ TEST(Properties, AcudNeverLosesWork)
     }
 }
 
+TEST(Properties, EveryOpCompletesExactlyOnce)
+{
+    // Under ACUD and under flushing (which discards and re-issues
+    // in-flight ops), every submitted op completes once and every
+    // issue ends in one completion or one discard.
+    sys::SystemConfig flush_cfg = sys::SystemConfig::griffinDefault();
+    flush_cfg.griffin.useAcud = false;
+    std::uint64_t discarded = 0;
+    for (const auto &cfg :
+         {sys::SystemConfig::griffinDefault(), flush_cfg}) {
+        const auto r = runOne("SC", cfg);
+        ASSERT_EQ(r.gpuOps.size(), 4u);
+        EXPECT_GT(r.opsSubmitted, 0u);
+        std::uint64_t completed = 0;
+        for (const auto &ops : r.gpuOps) {
+            EXPECT_EQ(ops.issued, ops.completed + ops.discarded);
+            completed += ops.completed;
+            discarded += ops.discarded;
+        }
+        EXPECT_EQ(completed, r.opsSubmitted);
+    }
+    EXPECT_GT(discarded, 0u) << "the flush run discarded nothing";
+}
+
 TEST(Properties, AcudBeatsFlushingWhenMigrationIsActive)
 {
     const auto acud = runOne("SC", sys::SystemConfig::griffinDefault());

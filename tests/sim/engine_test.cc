@@ -182,3 +182,33 @@ TEST(Engine, TwoHooksFireInGlobalTimeOrder)
     EXPECT_EQ(fires[1], (std::pair<int, Tick>{1, 15}));
     EXPECT_EQ(fires[2], (std::pair<int, Tick>{0, 20}));
 }
+
+TEST(Engine, StopMidTickResumesTheRestOfTheTickInFifoOrder)
+{
+    // The second of four tick-10 events requests a stop and schedules
+    // one more zero-delay event. run() returns inside tick 10; the next
+    // run() finishes that tick in schedule order before time moves, on
+    // the tiered queue exactly as on the reference heap.
+    for (const bool reference : {false, true}) {
+        Engine e;
+        if (reference)
+            e.queue().enableReferenceMode();
+        std::vector<int> order;
+        e.schedule(10, [&] { order.push_back(1); });
+        e.schedule(10, [&] {
+            order.push_back(2);
+            e.requestStop();
+            e.schedule(0, [&] { order.push_back(5); });
+        });
+        e.schedule(10, [&] { order.push_back(3); });
+        e.schedule(10, [&] { order.push_back(4); });
+        e.schedule(11, [&] { order.push_back(6); });
+
+        EXPECT_EQ(e.run(), 10u);
+        EXPECT_EQ(order, (std::vector<int>{1, 2})) << reference;
+        EXPECT_EQ(e.pendingEvents(), 4u);
+        EXPECT_EQ(e.run(), 11u);
+        EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6})) << reference;
+        EXPECT_TRUE(e.queue().empty());
+    }
+}

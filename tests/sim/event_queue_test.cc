@@ -1031,3 +1031,141 @@ TEST(EventQueueArena, ThrowingCallbackFreesItsNode)
         EXPECT_EQ(q.nodesAllocated(), kChunk);
     }
 }
+
+// --- The inline insert and dispatch paths ----------------------------
+// claim() appends to a ladder bucket inline and sends every other
+// insert (an empty queue, a full arena, the current tick, the spill,
+// reference mode) to one out-of-line helper; dispatch() runs plain
+// events inline and timers out of line. Each seam between the two must
+// keep the reference heap's order.
+
+namespace {
+
+/** Schedule an event at @p delay that records @p id when it runs. */
+void
+record(EventQueue &q, ScriptRun &r, Tick delay, std::uint64_t id)
+{
+    q.schedule(delay, [&r, c = Canary(id)] { r.order.push_back(c.v); });
+}
+
+} // namespace
+
+TEST(EventQueueInline, WindowEndMinusOneIsLadderWindowEndIsSpill)
+{
+    // The window is [now, now + 1024) both at the start and after time
+    // moves: one tick short of its end is a ladder append, its end is
+    // the first spill insert.
+    const auto script = [](EventQueue &q, ScriptRun &r) {
+        for (std::uint64_t k = 0; k < 3; ++k) {
+            record(q, r, 1024, 10 + k);
+            record(q, r, 1023, 20 + k);
+        }
+        q.schedule(100, [&q, &r] {
+            for (std::uint64_t k = 0; k < 3; ++k) {
+                record(q, r, 1023, 30 + k);
+                record(q, r, 1024, 40 + k);
+            }
+            r.order.push_back(1);
+        });
+    };
+    expectOrderMatchesReference(script);
+
+    EventQueue q;
+    ScriptRun r;
+    script(q, r);
+    EXPECT_EQ(q.spillInserts(), 3u);
+    q.run();
+    EXPECT_EQ(q.spillInserts(), 6u);
+    EXPECT_EQ(r.order, (std::vector<std::uint64_t>{1, 20, 21, 22, 10, 11,
+                                                   12, 30, 31, 32, 40, 41,
+                                                   42}));
+}
+
+TEST(EventQueueInline, InsertIntoADrainedQueueReanchorsTheWindow)
+{
+    // Time moved (by a dispatch, then by runUntil() with the queue
+    // empty), so the window anchored at tick 0 is long gone; the next
+    // insert re-anchors it at now() and lands in the ladder, not the
+    // spill.
+    const auto script = [](EventQueue &q, ScriptRun &r) {
+        record(q, r, 5000, 1);
+        q.run();
+        record(q, r, 1023, 2);
+        record(q, r, 1, 3);
+        record(q, r, 0, 4);
+        q.run();
+        q.runUntil(20000);
+        record(q, r, 5, 5);
+        record(q, r, 1024, 6);
+    };
+    expectOrderMatchesReference(script);
+
+    EventQueue q;
+    ScriptRun r;
+    script(q, r);
+    EXPECT_EQ(q.spillInserts(), 2u); // tick 5000, then 20000 + 1024
+    q.run();
+    EXPECT_EQ(r.order, (std::vector<std::uint64_t>{1, 4, 3, 2, 5, 6}));
+    EXPECT_EQ(q.now(), 21024u);
+}
+
+TEST(EventQueueInline, ArenaGrowsUnderARunningCallbackOnEveryInsertPath)
+{
+    // One callback fills two chunks and more with inserts cycling over
+    // the current tick, the ladder, the last ladder tick and the spill,
+    // so the arena grows mid-cycle on each path.
+    constexpr std::size_t inserts = 2 * EventQueue::nodesPerChunk + 37;
+    const auto script = [](EventQueue &q, ScriptRun &r) {
+        q.schedule(7, [&q, &r, c = Canary(1)] {
+            static constexpr Tick delays[] = {0, 1, 9, 1023, 1024, 3000};
+            for (std::size_t k = 0; k < inserts; ++k)
+                record(q, r, delays[k % std::size(delays)], 100 + k);
+            r.order.push_back(c.v);
+        });
+    };
+    expectOrderMatchesReference(script);
+
+    EventQueue q;
+    ScriptRun r;
+    script(q, r);
+    q.run();
+    EXPECT_EQ(r.order.size(), inserts + 1);
+    EXPECT_EQ(q.nodesAllocated(), roundUpToChunk(inserts + 1));
+}
+
+TEST(EventQueueInline, TickOfOnlyCancelledTimersIsSkipped)
+{
+    // Tick 50's bucket holds nothing but cancelled timeouts, and tick
+    // 40's live event is followed by one: neither tombstone fires, and
+    // time steps from 40 straight to 60.
+    const auto script = [](EventQueue &q, ScriptRun &r) {
+        record(q, r, 40, 1);
+        for (int k = 0; k < 3; ++k)
+            r.timers.push_back(q.scheduleTimeout(50, [&r] {
+                r.order.push_back(999);
+            }));
+        r.timers.push_back(q.scheduleTimeout(40, [&r] {
+            r.order.push_back(998);
+        }));
+        q.scheduleTimeout(60, [&q, &r] {
+            r.order.push_back(q.now());
+        });
+        record(q, r, 60, 2);
+        for (const auto id : r.timers)
+            EXPECT_TRUE(q.cancelTimeout(id));
+    };
+    expectOrderMatchesReference(script);
+
+    EventQueue q;
+    ScriptRun r;
+    script(q, r);
+    EXPECT_EQ(q.size(), 3u);
+    EXPECT_EQ(q.residentEntries(), 7u);
+    EXPECT_TRUE(q.runOne());
+    EXPECT_EQ(q.now(), 40u);
+    EXPECT_EQ(q.nextTime(), 60u);
+    EXPECT_EQ(q.residentEntries(), 2u);
+    q.run();
+    EXPECT_EQ(r.order, (std::vector<std::uint64_t>{1, 60, 2}));
+    EXPECT_EQ(q.pendingTimeouts(), 0u);
+}

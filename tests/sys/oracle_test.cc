@@ -56,6 +56,8 @@ struct CleanRun
         result.localAccesses = 900;
         result.remoteAccesses = 100;
         result.faultBreakdown = consistentBreakdown();
+        result.opsSubmitted = 1000;
+        result.gpuOps = {{620, 600, 20}, {400, 400, 0}};
     }
 };
 
@@ -110,6 +112,40 @@ TEST(Oracle, ZeroAccessesIsAnAccountingLoss)
     run.result.remoteAccesses = 0;
     EXPECT_TRUE(fired(checkRunInvariants(run.result, run.config),
                       "access-accounting"));
+}
+
+TEST(Oracle, OpCompletionCatchesALostOp)
+{
+    // The op's last issue was discarded and never re-issued: the GPU's
+    // issue count still balances, but the run completed one op short.
+    CleanRun run;
+    run.result.gpuOps[1].completed -= 1;
+    run.result.gpuOps[1].discarded += 1;
+    const auto findings = checkRunInvariants(run.result, run.config);
+    EXPECT_TRUE(fired(findings, "op-completion"));
+    EXPECT_EQ(findings.size(), 1u);
+}
+
+TEST(Oracle, OpCompletionCatchesADoubleCompletion)
+{
+    // A stale reply completed an op its flush had discarded: one issue
+    // ended twice, and the run completed one op too many.
+    CleanRun run;
+    run.result.gpuOps[0].completed += 1;
+    const auto findings = checkRunInvariants(run.result, run.config);
+    EXPECT_EQ(std::count_if(findings.begin(), findings.end(),
+                            [](const OracleFinding &f) {
+                                return f.oracle == "op-completion";
+                            }),
+              2);
+}
+
+TEST(Oracle, OpCompletionCatchesAnIssueThatNeverEnded)
+{
+    CleanRun run;
+    run.result.gpuOps[1].issued += 1;
+    EXPECT_TRUE(fired(checkRunInvariants(run.result, run.config),
+                      "op-completion"));
 }
 
 TEST(Oracle, TimeseriesRowsMustSumToTotals)
