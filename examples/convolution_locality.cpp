@@ -17,7 +17,7 @@
 
 #include "src/sys/multi_gpu_system.hh"
 #include "src/sys/report.hh"
-#include "src/workloads/suite.hh"
+#include "src/workloads/workload.hh"
 
 using namespace griffin;
 
@@ -75,10 +75,11 @@ main(int argc, char **argv)
     wl::WorkloadConfig wcfg;
     wcfg.scaleDiv = scale;
 
+    const auto sc = wl::makeWorkload("SC", wcfg);
+
     // Pass 1: find the page whose dominant accessor shifts the most.
     PageId hot = 0;
     {
-        wl::ScWorkload sc(wcfg);
         sys::MultiGpuSystem sys1(sys::SystemConfig::baseline());
         std::map<PageId,
                  std::map<std::uint64_t, std::vector<std::uint64_t>>>
@@ -89,13 +90,12 @@ main(int argc, char **argv)
                 row.assign(4, 0);
             ++row[gpu - 1];
         });
-        sys1.run(sc);
+        sys1.run(*sc);
         hot = findOwnerShiftingPage(counts);
         std::cout << "owner-shifting page: " << hot << "\n\n";
     }
 
     // Pass 2: chart that page's per-GPU rates and location.
-    wl::ScWorkload sc(wcfg);
     sys::MultiGpuSystem system(sys::SystemConfig::griffinDefault());
 
     struct Sample
@@ -111,7 +111,7 @@ main(int argc, char **argv)
         },
         {hot});
 
-    const auto result = system.run(sc);
+    const auto result = system.run(*sc);
 
     std::cout << "time      owner   per-GPU filtered counts\n";
     double max_c = 1.0;

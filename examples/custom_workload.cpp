@@ -1,7 +1,8 @@
 /**
  * @file
  * Custom workload: shows how a downstream user plugs their own
- * application into the simulator by subclassing wl::Workload.
+ * application into the simulator: a generator function plus a
+ * wl::WorkloadSpec row naming it, run as a wl::Workload.
  *
  * The example models a two-phase pipeline — a producer kernel that
  * writes a tensor partition-local, then consumer kernels that read it
@@ -25,53 +26,37 @@ namespace {
 /**
  * Producer/consumer shuffle over one tensor.
  */
-class ShuffleWorkload : public wl::Workload
+wl::KernelLaunch
+shuffleKernel(const wl::Workload &app, unsigned k)
 {
-  public:
-    explicit ShuffleWorkload(const wl::WorkloadConfig &cfg)
-        : Workload(cfg)
-    {
-        _lines = footprintBytes() / lineBytes;
-    }
-
-    std::string name() const override { return "SHUF"; }
-    std::string fullName() const override { return "Tensor Shuffle"; }
-    std::string suite() const override { return "custom"; }
-    std::string accessPattern() const override { return "Shuffle"; }
-    std::uint64_t paperFootprintBytes() const override { return 48ull << 20; }
-    unsigned numKernels() const override { return 5; }
-    unsigned workgroupsPerKernel() const override { return 61; }
-
-    wl::KernelLaunch
-    makeKernel(unsigned k) override
-    {
-        const unsigned wgs = workgroupsPerKernel();
-        const std::uint64_t part = _lines / wgs;
-        wl::KernelLaunch launch;
-        for (unsigned w = 0; w < wgs; ++w) {
-            wl::TraceBuilder tb = builder();
-            // Kernel 0 produces partition w; kernel k consumes the
-            // partition of workgroup (w + k * 17) % wgs — a rotating
-            // shuffle, so each partition's reader changes per phase.
-            const unsigned src = (w + k * 17) % wgs;
-            const std::uint64_t begin = src * part;
-            const std::uint64_t end =
-                (src + 1 == wgs) ? _lines : begin + part;
-            for (std::uint64_t line = begin; line < end; ++line) {
-                // Consumers re-read each line of their partition (a
-                // reduction over the tensor slice).
-                tb.add(line * lineBytes, k == 0);
-                if (k > 0)
-                    tb.add(line * lineBytes, false);
-            }
-            launch.workgroups.push_back(tb.finishWorkgroup(w));
+    const std::uint64_t lines = app.footprintBytes() / wl::lineBytes;
+    const unsigned wgs = app.workgroupsPerKernel();
+    const std::uint64_t part = lines / wgs;
+    wl::KernelLaunch launch;
+    for (unsigned w = 0; w < wgs; ++w) {
+        wl::TraceBuilder tb = app.builder();
+        // Kernel 0 produces partition w; kernel k consumes the
+        // partition of workgroup (w + k * 17) % wgs — a rotating
+        // shuffle, so each partition's reader changes per phase.
+        const unsigned src = (w + k * 17) % wgs;
+        const std::uint64_t begin = src * part;
+        const std::uint64_t end = (src + 1 == wgs) ? lines : begin + part;
+        for (std::uint64_t line = begin; line < end; ++line) {
+            // Consumers re-read each line of their partition (a
+            // reduction over the tensor slice).
+            tb.add(line * wl::lineBytes, k == 0);
+            if (k > 0)
+                tb.add(line * wl::lineBytes, false);
         }
-        return launch;
+        launch.workgroups.push_back(tb.finishWorkgroup(w));
     }
+    return launch;
+}
 
-  private:
-    std::uint64_t _lines;
-};
+/** The application's facts in Table III's columns, plus its generator. */
+const wl::WorkloadSpec shuffleSpec = {
+    "SHUF", "Tensor Shuffle", "custom", "Shuffle", 48ull << 20,
+    /*numKernels=*/5, /*workgroupsPerKernel=*/61, shuffleKernel};
 
 } // namespace
 
@@ -85,13 +70,12 @@ main(int argc, char **argv)
     std::cout << "=== Custom workload: producer/consumer tensor "
                  "shuffle ===\n\n";
 
-    ShuffleWorkload producer_consumer(wcfg);
+    wl::Workload shuffle(shuffleSpec, wcfg);
     sys::MultiGpuSystem baseline(sys::SystemConfig::baseline());
-    const auto base = baseline.run(producer_consumer);
+    const auto base = baseline.run(shuffle);
 
-    ShuffleWorkload again(wcfg);
     sys::MultiGpuSystem griffin(sys::SystemConfig::griffinDefault());
-    const auto grif = griffin.run(again);
+    const auto grif = griffin.run(shuffle);
 
     sys::Table table({"System", "Cycles", "Local%", "InterGPU",
                       "MaxShare%"});

@@ -2,22 +2,23 @@
 
 namespace griffin::wl {
 
-FirWorkload::FirWorkload(const WorkloadConfig &cfg) : Workload(cfg)
-{
-    const std::uint64_t lines = footprintBytes() / lineBytes;
-    _inLines = lines / 2;
-    _outLines = lines - _inLines;
-    _inBase = 0;
-    _outBase = _inLines * lineBytes;
-}
-
+/**
+ * Finite Impulse Response (Hetero-Mark, Adjacent, 64 MB): batched
+ * streaming filter; each workgroup reads a contiguous input slice
+ * plus a tap halo and writes the matching output slice.
+ */
 KernelLaunch
-FirWorkload::makeKernel(unsigned k)
+firKernel(const Workload &app, unsigned k)
 {
+    const std::uint64_t lines = app.footprintBytes() / lineBytes;
+    const std::uint64_t in_lines = lines / 2;
+    const Addr in_base = 0;
+    const Addr out_base = in_lines * lineBytes;
+
     // Each kernel filters one batch (a quarter of the signal).
-    const unsigned kernels = numKernels();
-    const unsigned wgs = workgroupsPerKernel();
-    const std::uint64_t batch_lines = _inLines / kernels;
+    const unsigned kernels = app.numKernels();
+    const unsigned wgs = app.workgroupsPerKernel();
+    const std::uint64_t batch_lines = in_lines / kernels;
     const std::uint64_t batch_begin = k * batch_lines;
     const std::uint64_t slice = batch_lines / wgs;
     constexpr std::uint64_t tap_halo = 16; ///< filter taps past the slice
@@ -25,9 +26,9 @@ FirWorkload::makeKernel(unsigned k)
     KernelLaunch launch;
     launch.workgroups.reserve(wgs);
     for (unsigned w = 0; w < wgs; ++w) {
-        TraceBuilder tb = builder();
+        TraceBuilder tb = app.builder();
         // A 16-tap filter does substantial MAC work per transaction.
-        tb.setComputeDelay(_cfg.computeDelay * 2);
+        tb.setComputeDelay(app.config().computeDelay * 2);
         const std::uint64_t begin = batch_begin + w * slice;
         const std::uint64_t end = (w + 1 == wgs)
             ? batch_begin + batch_lines
@@ -39,10 +40,10 @@ FirWorkload::makeKernel(unsigned k)
         for (std::uint64_t line = begin; line < end; ++line) {
             for (std::uint64_t t = 0; t < 4; ++t) {
                 const std::uint64_t il =
-                    std::min(line + t * (tap_halo / 4), _inLines - 1);
-                tb.add(_inBase + il * lineBytes, false);
+                    std::min(line + t * (tap_halo / 4), in_lines - 1);
+                tb.add(in_base + il * lineBytes, false);
             }
-            tb.add(_outBase + line * lineBytes, true);
+            tb.add(out_base + line * lineBytes, true);
         }
         launch.workgroups.push_back(tb.finishWorkgroup(w));
     }

@@ -1,9 +1,9 @@
 /**
  * @file
- * The ten benchmark generators of paper Table III.
- *
- * Each class documents how its trace reproduces the paper workload's
- * access pattern; footprints are the paper's, divided by scaleDiv.
+ * The generators of the ten paper Table III applications, one per
+ * source file. Each file documents how its trace reproduces the paper
+ * workload's access pattern; workload.cc pairs every generator with
+ * its Table III row (the WorkloadSpec table).
  */
 
 #ifndef GRIFFIN_WORKLOADS_SUITE_HH
@@ -13,258 +13,16 @@
 
 namespace griffin::wl {
 
-/**
- * Breadth First Search (SHOC, Random, 32 MB): level-synchronized CSR
- * traversal. Each level scans the dense label array sequentially and
- * the frontier nodes pull random column-array lines.
- */
-class BfsWorkload : public Workload
-{
-  public:
-    explicit BfsWorkload(const WorkloadConfig &cfg);
-    std::string name() const override { return "BFS"; }
-    std::string fullName() const override { return "Breadth First Search"; }
-    std::string suite() const override { return "SHOC"; }
-    std::string accessPattern() const override { return "Random"; }
-    std::uint64_t paperFootprintBytes() const override { return 32ull << 20; }
-    unsigned numKernels() const override { return 8; }
-    unsigned workgroupsPerKernel() const override { return 60; }
-    KernelLaunch makeKernel(unsigned k) override;
-
-  private:
-    std::uint64_t _labelLines;
-    std::uint64_t _colLines;
-    Addr _labelsBase;
-    Addr _colsBase;
-};
-
-/**
- * Bitonic Sort (AMDAPPSDK, Random, 36 MB): stride-halving compare-
- * exchange stages; partners land in distant pages at early stages.
- */
-class BsWorkload : public Workload
-{
-  public:
-    explicit BsWorkload(const WorkloadConfig &cfg);
-    std::string name() const override { return "BS"; }
-    std::string fullName() const override { return "Bitonic Sort"; }
-    std::string suite() const override { return "AMDAPPSDK"; }
-    std::string accessPattern() const override { return "Random"; }
-    std::uint64_t paperFootprintBytes() const override { return 36ull << 20; }
-    unsigned numKernels() const override { return 8; }
-    unsigned workgroupsPerKernel() const override { return 61; }
-    KernelLaunch makeKernel(unsigned k) override;
-
-  private:
-    std::uint64_t _lines;
-    Addr _base;
-};
-
-/**
- * Finite Impulse Response (Hetero-Mark, Adjacent, 64 MB): batched
- * streaming filter; each workgroup reads a contiguous input slice
- * plus a tap halo and writes the matching output slice.
- */
-class FirWorkload : public Workload
-{
-  public:
-    explicit FirWorkload(const WorkloadConfig &cfg);
-    std::string name() const override { return "FIR"; }
-    std::string fullName() const override { return "Finite Impulse Resp."; }
-    std::string suite() const override { return "Hetero-Mark"; }
-    std::string accessPattern() const override { return "Adjacent"; }
-    std::uint64_t paperFootprintBytes() const override { return 64ull << 20; }
-    unsigned numKernels() const override { return 4; }
-    unsigned workgroupsPerKernel() const override { return 64; }
-    KernelLaunch makeKernel(unsigned k) override;
-
-  private:
-    std::uint64_t _inLines;
-    std::uint64_t _outLines;
-    Addr _inBase;
-    Addr _outBase;
-};
-
-/**
- * Floyd-Warshall (AMDAPPSDK, Distributed, 44 MB): every pivot kernel
- * broadcasts one pivot row (hot shared pages that rotate per kernel)
- * while each workgroup updates its own row set.
- */
-class FlwWorkload : public Workload
-{
-  public:
-    explicit FlwWorkload(const WorkloadConfig &cfg);
-    std::string name() const override { return "FLW"; }
-    std::string fullName() const override { return "Floyd Warshall"; }
-    std::string suite() const override { return "AMDAPPSDK"; }
-    std::string accessPattern() const override { return "Distributed"; }
-    std::uint64_t paperFootprintBytes() const override { return 44ull << 20; }
-    unsigned numKernels() const override { return 6; }
-    unsigned workgroupsPerKernel() const override { return 61; }
-    KernelLaunch makeKernel(unsigned k) override;
-
-  private:
-    std::uint64_t _lines;
-    std::uint64_t _rowLines;  ///< lines per matrix row
-    std::uint64_t _numRows;
-    Addr _base;
-};
-
-/**
- * Fast Walsh Transform (AMDAPPSDK, Adjacent, 40 MB): butterfly stages
- * with doubling stride; each workgroup combines its own chunk with a
- * stage-dependent partner chunk.
- */
-class FwWorkload : public Workload
-{
-  public:
-    explicit FwWorkload(const WorkloadConfig &cfg);
-    std::string name() const override { return "FW"; }
-    std::string fullName() const override { return "Fast Walsh Trans."; }
-    std::string suite() const override { return "AMDAPPSDK"; }
-    std::string accessPattern() const override { return "Adjacent"; }
-    std::uint64_t paperFootprintBytes() const override { return 40ull << 20; }
-    unsigned numKernels() const override { return 6; }
-    unsigned workgroupsPerKernel() const override { return 62; }
-    KernelLaunch makeKernel(unsigned k) override;
-
-  private:
-    std::uint64_t _lines;
-    Addr _base;
-};
-
-/**
- * KMeans Clustering (Hetero-Mark, Partition, 51 MB): each workgroup
- * owns a point partition (dedicated pages) and every workgroup reads
- * the small centroid table (heavily shared pages) each iteration.
- */
-class KmWorkload : public Workload
-{
-  public:
-    explicit KmWorkload(const WorkloadConfig &cfg);
-    std::string name() const override { return "KM"; }
-    std::string fullName() const override { return "KMeans Clustering"; }
-    std::string suite() const override { return "Hetero-Mark"; }
-    std::string accessPattern() const override { return "Partition"; }
-    std::uint64_t paperFootprintBytes() const override { return 51ull << 20; }
-    unsigned numKernels() const override { return 4; }
-    unsigned workgroupsPerKernel() const override { return 64; }
-    KernelLaunch makeKernel(unsigned k) override;
-
-  private:
-    std::uint64_t _pointLines;
-    std::uint64_t _centroidLines;
-    std::uint64_t _assignLines;
-    Addr _pointsBase;
-    Addr _centroidsBase;
-    Addr _assignBase;
-};
-
-/**
- * Matrix Transpose (AMDAPPSDK, Scatter-Gather, 44 MB): reads row
- * bands sequentially and writes column-scattered lines; pages are
- * touched few times and never reused — the workload where DFTM and
- * fault batching matter most (paper: 2.9x peak speedup).
- */
-class MtWorkload : public Workload
-{
-  public:
-    explicit MtWorkload(const WorkloadConfig &cfg);
-    std::string name() const override { return "MT"; }
-    std::string fullName() const override { return "Matrix Transpose"; }
-    std::string suite() const override { return "AMDAPPSDK"; }
-    std::string accessPattern() const override { return "Scatter-Gather"; }
-    std::uint64_t paperFootprintBytes() const override { return 44ull << 20; }
-    unsigned numKernels() const override { return 1; }
-    unsigned workgroupsPerKernel() const override { return 64; }
-    KernelLaunch makeKernel(unsigned k) override;
-
-  private:
-    std::uint64_t _inLines;
-    std::uint64_t _outLines;
-    Addr _inBase;
-    Addr _outBase;
-};
-
-/**
- * PageRank (Hetero-Mark, Random, 38 MB): per-iteration random pulls
- * of neighbour ranks across the whole rank array; the access pattern
- * re-randomizes every iteration, which defeats history-based
- * placement (the paper's one slowdown case).
- */
-class PrWorkload : public Workload
-{
-  public:
-    explicit PrWorkload(const WorkloadConfig &cfg);
-    std::string name() const override { return "PR"; }
-    std::string fullName() const override { return "PageRank Algorithm"; }
-    std::string suite() const override { return "Hetero-Mark"; }
-    std::string accessPattern() const override { return "Random"; }
-    std::uint64_t paperFootprintBytes() const override { return 38ull << 20; }
-    unsigned numKernels() const override { return 6; }
-    unsigned workgroupsPerKernel() const override { return 60; }
-    KernelLaunch makeKernel(unsigned k) override;
-
-  private:
-    std::uint64_t _rankLines;  ///< per rank buffer
-    std::uint64_t _colLines;
-    Addr _rankABase;
-    Addr _rankBBase;
-    Addr _colsBase;
-};
-
-/**
- * Simple Convolution (AMDAPPSDK, Adjacent, 41 MB): tiled convolution
- * passes; the workgroup count is coprime with the GPU count, so the
- * tile-to-GPU mapping rotates every kernel — the owner-shifting
- * behaviour of paper Figures 1 and 10.
- */
-class ScWorkload : public Workload
-{
-  public:
-    explicit ScWorkload(const WorkloadConfig &cfg);
-    std::string name() const override { return "SC"; }
-    std::string fullName() const override { return "Simple Convolution"; }
-    std::string suite() const override { return "AMDAPPSDK"; }
-    std::string accessPattern() const override { return "Adjacent"; }
-    std::uint64_t paperFootprintBytes() const override { return 41ull << 20; }
-    unsigned numKernels() const override { return 6; }
-    unsigned workgroupsPerKernel() const override { return 61; }
-    KernelLaunch makeKernel(unsigned k) override;
-
-    /** The filter page (the hot shared page probed in the benches). */
-    PageId filterPage(unsigned page_shift) const;
-
-  private:
-    std::uint64_t _imgLines;   ///< per image buffer
-    Addr _inBase;
-    Addr _outBase;
-    Addr _filterBase;
-};
-
-/**
- * Stencil 2D (SHOC, Adjacent, 33 MB): iterative 5-point stencil over
- * row bands with halo rows exchanged between neighbouring workgroups
- * (ping-pong buffers).
- */
-class StWorkload : public Workload
-{
-  public:
-    explicit StWorkload(const WorkloadConfig &cfg);
-    std::string name() const override { return "ST"; }
-    std::string fullName() const override { return "Stencil 2D"; }
-    std::string suite() const override { return "SHOC"; }
-    std::string accessPattern() const override { return "Adjacent"; }
-    std::uint64_t paperFootprintBytes() const override { return 33ull << 20; }
-    unsigned numKernels() const override { return 5; }
-    unsigned workgroupsPerKernel() const override { return 60; }
-    KernelLaunch makeKernel(unsigned k) override;
-
-  private:
-    std::uint64_t _gridLines;  ///< per buffer
-    Addr _aBase;
-    Addr _bBase;
-};
+KernelLaunch bfsKernel(const Workload &app, unsigned k);
+KernelLaunch bsKernel(const Workload &app, unsigned k);
+KernelLaunch firKernel(const Workload &app, unsigned k);
+KernelLaunch flwKernel(const Workload &app, unsigned k);
+KernelLaunch fwKernel(const Workload &app, unsigned k);
+KernelLaunch kmKernel(const Workload &app, unsigned k);
+KernelLaunch mtKernel(const Workload &app, unsigned k);
+KernelLaunch prKernel(const Workload &app, unsigned k);
+KernelLaunch scKernel(const Workload &app, unsigned k);
+KernelLaunch stKernel(const Workload &app, unsigned k);
 
 } // namespace griffin::wl
 

@@ -4,35 +4,49 @@
 
 namespace griffin::wl {
 
+namespace {
+
+/** Paper Table III, in the paper's order. */
+const WorkloadSpec tableIII[] = {
+    {"BFS", "Breadth First Search", "SHOC", "Random", 32ull << 20, 8, 60,
+     bfsKernel},
+    {"BS", "Bitonic Sort", "AMDAPPSDK", "Random", 36ull << 20, 8, 61,
+     bsKernel},
+    {"FIR", "Finite Impulse Resp.", "Hetero-Mark", "Adjacent", 64ull << 20,
+     4, 64, firKernel},
+    {"FLW", "Floyd Warshall", "AMDAPPSDK", "Distributed", 44ull << 20, 6,
+     61, flwKernel},
+    {"FW", "Fast Walsh Trans.", "AMDAPPSDK", "Adjacent", 40ull << 20, 6,
+     62, fwKernel},
+    {"KM", "KMeans Clustering", "Hetero-Mark", "Partition", 51ull << 20, 4,
+     64, kmKernel},
+    {"MT", "Matrix Transpose", "AMDAPPSDK", "Scatter-Gather", 44ull << 20,
+     1, 64, mtKernel},
+    {"PR", "PageRank Algorithm", "Hetero-Mark", "Random", 38ull << 20, 6,
+     60, prKernel},
+    {"SC", "Simple Convolution", "AMDAPPSDK", "Adjacent", 41ull << 20, 6,
+     61, scKernel},
+    {"ST", "Stencil 2D", "SHOC", "Adjacent", 33ull << 20, 5, 60, stKernel},
+};
+
+} // namespace
+
 std::vector<std::string>
 workloadNames()
 {
-    return {"BFS", "BS", "FIR", "FLW", "FW", "KM", "MT", "PR", "SC", "ST"};
+    std::vector<std::string> names;
+    for (const WorkloadSpec &spec : tableIII)
+        names.push_back(spec.abbv);
+    return names;
 }
 
 std::unique_ptr<Workload>
 makeWorkload(const std::string &abbv, const WorkloadConfig &cfg)
 {
-    if (abbv == "BFS")
-        return std::make_unique<BfsWorkload>(cfg);
-    if (abbv == "BS")
-        return std::make_unique<BsWorkload>(cfg);
-    if (abbv == "FIR")
-        return std::make_unique<FirWorkload>(cfg);
-    if (abbv == "FLW")
-        return std::make_unique<FlwWorkload>(cfg);
-    if (abbv == "FW")
-        return std::make_unique<FwWorkload>(cfg);
-    if (abbv == "KM")
-        return std::make_unique<KmWorkload>(cfg);
-    if (abbv == "MT")
-        return std::make_unique<MtWorkload>(cfg);
-    if (abbv == "PR")
-        return std::make_unique<PrWorkload>(cfg);
-    if (abbv == "SC")
-        return std::make_unique<ScWorkload>(cfg);
-    if (abbv == "ST")
-        return std::make_unique<StWorkload>(cfg);
+    for (const WorkloadSpec &spec : tableIII) {
+        if (abbv == spec.abbv)
+            return std::make_unique<Workload>(spec, cfg);
+    }
     return nullptr;
 }
 
