@@ -21,6 +21,8 @@ Gpu::Gpu(sim::Engine &engine, DeviceId id, const GpuConfig &config,
       _rdma(_l2, _dram, config.lineBytes)
 {
     assert(id != cpuDeviceId && "device 0 is the CPU");
+    assert(config.cusPerSe > 0 && config.cusPerSe <= 16 &&
+           "a Shader Engine groups up to 16 CUs");
 
     const unsigned num_cus = config.numCus();
     _cus.reserve(num_cus);
@@ -32,11 +34,9 @@ Gpu::Gpu(sim::Engine &engine, DeviceId id, const GpuConfig &config,
         _l1s.emplace_back(config.l1Cache);
         _l1Tlbs.emplace_back(config.l1Tlb);
     }
-    _ses.reserve(config.numSes);
-    for (unsigned se = 0; se < config.numSes; ++se) {
-        _ses.emplace_back(se, se * config.cusPerSe, config.cusPerSe,
-                          config.accessCounterCapacity);
-    }
+    _counters.reserve(config.numSes);
+    for (unsigned se = 0; se < config.numSes; ++se)
+        _counters.emplace_back(config.accessCounterCapacity);
 }
 
 // ---------------------------------------------------------------------
@@ -124,7 +124,7 @@ Gpu::cuAccess(unsigned cu_id, Addr vaddr, bool is_write, OpDone done)
     // DPC hardware: the SE access counter intercepts the request on
     // its way to the TLB (paper SS III-C: counted before translation).
     if (_countAccesses)
-        _ses[seOfCu(cu_id)].counter().record(page);
+        _counters[seOfCu(cu_id)].record(page);
     if (_probe)
         _probe(_engine.now(), _id, page);
 
@@ -405,9 +405,9 @@ std::vector<PageCount>
 Gpu::collectAccessCounts()
 {
     std::vector<PageCount> out;
-    out.reserve(_ses.size() * _config.accessCounterTopN);
-    for (auto &se : _ses) {
-        const auto top = se.counter().collectTop(_config.accessCounterTopN);
+    out.reserve(_counters.size() * _config.accessCounterTopN);
+    for (AccessCounter &counter : _counters) {
+        const auto top = counter.collectTop(_config.accessCounterTopN);
         out.insert(out.end(), top.begin(), top.end());
     }
     // Merge the SEs' reports: one entry per page, counts summed.

@@ -17,12 +17,12 @@
 #include <vector>
 
 #include "src/gpu/access.hh"
+#include "src/gpu/access_counter.hh"
 #include "src/gpu/compute_unit.hh"
 #include "src/gpu/data_phase.hh"
 #include "src/gpu/pmc.hh"
 #include "src/gpu/rdma.hh"
 #include "src/gpu/remote.hh"
-#include "src/gpu/shader_engine.hh"
 #include "src/interconnect/switch.hh"
 #include "src/mem/cache.hh"
 #include "src/mem/dram.hh"
@@ -169,7 +169,8 @@ class Gpu : public CuMemoryInterface
     ComputeUnit &cu(unsigned idx) { return *_cus[idx]; }
     const ComputeUnit &cu(unsigned idx) const { return *_cus[idx]; }
     unsigned numCus() const { return unsigned(_cus.size()); }
-    ShaderEngine &shaderEngine(unsigned idx) { return _ses[idx]; }
+    /** Shader Engine @p se's page access counter table. */
+    AccessCounter &accessCounter(unsigned se) { return _counters[se]; }
     mem::Cache &l2() { return _l2; }
     mem::Dram &dram() { return _dram; }
     xlat::Tlb &l2Tlb() { return _l2Tlb; }
@@ -209,7 +210,13 @@ class Gpu : public CuMemoryInterface
     AccessTable &_accesses;
 
     std::vector<std::unique_ptr<ComputeUnit>> _cus;
-    std::vector<ShaderEngine> _ses;
+    /**
+     * One page access counter per Shader Engine (paper SS III-C:
+     * "Each Shader Engine (a group of up to 16 Compute Units...) is
+     * augmented with a page access counter"); CU c counts into
+     * seOfCu(c).
+     */
+    std::vector<AccessCounter> _counters;
     bool _countAccesses = false;
     std::vector<mem::Cache> _l1s;
     std::vector<xlat::Tlb> _l1Tlbs;

@@ -105,7 +105,7 @@ TEST(GriffinPolicy, InterGpuDisabledMeansNoPeriods)
     sink.issue(0, 0x5000, false);
     rig.engine.runUntil(10000);
     EXPECT_EQ(rig.policy->periodsRun, 0u);
-    EXPECT_EQ(rig.gpu_ptrs[1]->shaderEngine(0).counter().recorded, 0u);
+    EXPECT_EQ(rig.gpu_ptrs[1]->accessCounter(0).recorded, 0u);
     rig.policy->onSystemStop();
     rig.engine.run();
 }
@@ -119,7 +119,7 @@ TEST(GriffinPolicy, CollectionDrainsTheAccessCounters)
     test::OpSink sink(rig.engine, *rig.gpu_ptrs[1]);
     sink.issue(0, 0x5000, false);
     rig.engine.runUntil(500);
-    ASSERT_EQ(rig.gpu_ptrs[1]->shaderEngine(0).counter().size(), 1u);
+    ASSERT_EQ(rig.gpu_ptrs[1]->accessCounter(0).size(), 1u);
     rig.engine.runUntil(1500); // one period, including the messages
     rig.policy->onSystemStop();
     rig.engine.run();
@@ -141,7 +141,7 @@ TEST(GriffinPolicy, PeriodDrivesMigrationFromCounts)
     for (int burst = 0; burst < 8; ++burst) {
         rig.engine.schedule(burst * 1000 + 1, [&rig] {
             for (int i = 0; i < 40; ++i)
-                rig.gpu_ptrs[2]->shaderEngine(0).counter().record(5);
+                rig.gpu_ptrs[2]->accessCounter(0).record(5);
         });
     }
     rig.engine.runUntil(9000);
@@ -163,7 +163,7 @@ TEST(GriffinPolicy, MigrationIntervalPacesPhases)
     for (int burst = 0; burst < 8; ++burst) {
         rig.engine.schedule(burst * 1000 + 1, [&rig] {
             for (int i = 0; i < 40; ++i)
-                rig.gpu_ptrs[2]->shaderEngine(0).counter().record(5);
+                rig.gpu_ptrs[2]->accessCounter(0).record(5);
         });
     }
     rig.engine.runUntil(9000);

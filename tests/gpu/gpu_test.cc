@@ -3,7 +3,8 @@
  * GPU-level tests: the translation path (L1 TLB -> L2 TLB -> IOMMU),
  * local vs remote routing, TLB fill rules for remote translations,
  * the ACUD drain (waits only for data-phase accesses to migrating
- * pages), selective shootdown, and access-count collection.
+ * pages), selective shootdown, and the per-Shader-Engine access
+ * counters and their collection.
  */
 
 #include <gtest/gtest.h>
@@ -71,7 +72,7 @@ struct Rig
     std::unique_ptr<gpu::Gpu> gpu1;
     std::unique_ptr<test::OpSink> sink;
 
-    Rig()
+    explicit Rig(const gpu::GpuConfig &config = {}) : cfg(config)
     {
         iommu.setPolicy(&policy);
         iommu.setFaultHandler(&driver);
@@ -194,6 +195,23 @@ TEST(Gpu, AccessCountersRecordPerShaderEngine)
     EXPECT_EQ(counts[0].page, 1u);
     EXPECT_EQ(counts[0].count, 2u);
     EXPECT_EQ(counts[1].page, 2u);
+}
+
+TEST(ShaderEngine, CounterCapacityFollowsConfig)
+{
+    gpu::GpuConfig cfg;
+    cfg.accessCounterCapacity = 37;
+    Rig rig(cfg);
+    for (unsigned se = 0; se < cfg.numSes; ++se)
+        EXPECT_EQ(rig.gpu1->accessCounter(se).capacity(), 37u);
+}
+
+TEST(ShaderEngineDeath, MoreThan16CusRejected)
+{
+    // Paper SS III-C: an SE groups *up to 16* CUs.
+    gpu::GpuConfig cfg;
+    cfg.cusPerSe = 17;
+    EXPECT_DEATH(Rig{cfg}, "16");
 }
 
 TEST(Gpu, CollectAccessCountsResets)

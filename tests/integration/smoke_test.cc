@@ -97,7 +97,7 @@ TEST(SmokeAccessCounters, OnlyGriffinFillsTheSeTables)
         for (unsigned g = 0; g < system.numGpus(); ++g) {
             gpu::Gpu &gpu = system.gpu(g);
             for (unsigned se = 0; se < gpu.config().numSes; ++se) {
-                const auto &counter = gpu.shaderEngine(se).counter();
+                const auto &counter = gpu.accessCounter(se);
                 recorded += counter.recorded;
                 if (policy == sys::PolicyKind::FirstTouch) {
                     EXPECT_EQ(counter.size(), 0u);
