@@ -86,22 +86,6 @@ flattenNumbers(const obs::json::Value &node, const std::string &prefix,
     }
 }
 
-/**
- * The document's schema_version as written (absent field = 1, the
- * pre-versioning shape). Non-object / non-numeric degenerate inputs
- * also read as 1: the runs parser reports those separately.
- */
-std::uint64_t
-schemaVersionOf(const obs::json::Value &doc)
-{
-    if (doc.kind() != obs::json::Value::Kind::Object)
-        return 1;
-    const obs::json::Value *v = doc.find("schema_version");
-    if (!v || v->kind() != obs::json::Value::Kind::Number)
-        return 1;
-    return std::uint64_t(v->asNumber());
-}
-
 } // namespace
 
 std::optional<Threshold>
@@ -212,7 +196,7 @@ compareReports(const obs::json::Value &ref, const obs::json::Value &cur,
     // failing the gate.
     const auto warn_version = [&result](const obs::json::Value &doc,
                                         const char *which) {
-        const std::uint64_t version = schemaVersionOf(doc);
+        const std::uint64_t version = reportSchemaVersionOf(doc);
         // Every version so far is additive, so any known version pair
         // (v2 references vs v3 reports, say) diffs cleanly; only a
         // version this build has never heard of merits an advisory.

@@ -463,6 +463,17 @@ runReportJson(const std::string &label, const SystemConfig &config,
     return v;
 }
 
+std::uint64_t
+reportSchemaVersionOf(const obs::json::Value &doc)
+{
+    const obs::json::Value *v = doc.find("schema_version");
+    if (!v || v->kind() != obs::json::Value::Kind::Number ||
+        !(v->asNumber() >= 1))
+        return 1;
+    // Clamped so a huge version converts safely and still warns.
+    return std::uint64_t(std::min(v->asNumber(), 1e15));
+}
+
 obs::json::Value
 reportDocument(obs::json::Value runs)
 {

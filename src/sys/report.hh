@@ -106,6 +106,15 @@ knownReportSchemaVersion(std::uint64_t version)
 }
 
 /**
+ * The schema version report @p doc declares. An absent field reads as
+ * 1, the pre-versioning shape; so does a field that is not a positive
+ * number (a string, say) and a document that is not an object: the
+ * runs parser reports malformed documents separately. Every consumer
+ * reads the version here, so they agree on what to warn about.
+ */
+std::uint64_t reportSchemaVersionOf(const obs::json::Value &doc);
+
+/**
  * One histogram as JSON: {count, mean, min, max, p50, p95, p99,
  * bucketWidth, buckets}. Buckets are emitted sparsely as
  * [[index, count], ...] so idle histograms stay tiny.

@@ -356,6 +356,24 @@ TEST(ReportDocument, StampsTheSchemaVersion)
     EXPECT_LT(text.find("schema_version"), text.find("runs"));
 }
 
+TEST(ReportDocument, SchemaVersionReadsNumbersOnly)
+{
+    using obs::json::Value;
+    const auto version = [](const char *text) {
+        return reportSchemaVersionOf(*Value::parse(text));
+    };
+    EXPECT_EQ(version(R"({"runs":[]})"), 1u); // pre-versioning
+    EXPECT_EQ(version(R"({"schema_version":2})"), 2u);
+    EXPECT_EQ(version(R"({"schema_version":99})"), 99u);
+    // Not a positive number, or not a document: the absent-field rule.
+    EXPECT_EQ(version(R"({"schema_version":"3"})"), 1u);
+    EXPECT_EQ(version(R"({"schema_version":0})"), 1u);
+    EXPECT_EQ(version(R"({"schema_version":-2})"), 1u);
+    EXPECT_EQ(version(R"([{"label":"a"}])"), 1u);
+    EXPECT_FALSE(
+        knownReportSchemaVersion(version(R"({"schema_version":1e300})")));
+}
+
 TEST(RunReportJson, FaultBreakdownRoundTrips)
 {
     RunResult r = sampleResult();

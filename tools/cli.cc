@@ -110,9 +110,7 @@ openReport(ReportQuery &query, const char *tool, const Args &args,
         throw Exit{2, ""};
     query.doc = std::move(*doc);
 
-    const obs::json::Value *schema = query.doc.find("schema_version");
-    const std::uint64_t version =
-        schema ? std::uint64_t(schema->asNumber()) : 1;
+    const std::uint64_t version = sys::reportSchemaVersionOf(query.doc);
     if (!sys::knownReportSchemaVersion(version)) {
         std::cerr << tool << ": warning: report schema_version "
                   << version << " > known "
