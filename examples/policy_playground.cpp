@@ -8,6 +8,7 @@
  *   ./examples/policy_playground [workload] [scaleDiv]
  */
 
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -34,6 +35,11 @@ main(int argc, char **argv)
 {
     const std::string name = argc > 1 ? argv[1] : "KM";
     const unsigned scale = argc > 2 ? unsigned(std::stoul(argv[2])) : 32;
+    const std::vector<std::string> names = wl::workloadNames();
+    if (std::find(names.begin(), names.end(), name) == names.end()) {
+        std::cerr << "unknown workload '" << name << "'\n";
+        return 1;
+    }
 
     std::vector<Variant> variants;
     variants.push_back({"baseline", sys::SystemConfig::baseline()});
@@ -71,20 +77,19 @@ main(int argc, char **argv)
                       "InterGPU", "Shootdowns"});
 
     // All variants are independent: fan them out across the hardware
-    // threads and read the results back in submission order.
+    // threads, each writing its result at its own index.
     sys::SweepRunner runner;
     wl::WorkloadConfig wcfg;
     wcfg.scaleDiv = scale;
-    for (const auto &variant : variants) {
-        sys::SweepJob job;
-        job.label = variant.name;
-        job.config = variant.config;
-        job.makeWorkload = [name, wcfg] {
-            return wl::makeWorkload(name, wcfg);
-        };
-        runner.submit(std::move(job));
+    std::vector<sys::RunResult> results(variants.size());
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        runner.submit([&, i] {
+            const auto workload = wl::makeWorkload(name, wcfg);
+            sys::MultiGpuSystem system(variants[i].config);
+            results[i] = system.run(*workload);
+        });
     }
-    const auto results = runner.run();
+    runner.run();
 
     double base_cycles = 0;
     for (std::size_t i = 0; i < variants.size(); ++i) {

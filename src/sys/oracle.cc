@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <exception>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "src/obs/span.hh"
@@ -281,70 +282,48 @@ runFuzzBatch(const std::vector<Scenario> &scenarios,
     if (!options.differential)
         return verdicts;
 
+    // A differential re-run must complete and reproduce the serial
+    // run's report bytes.
+    const auto compare = [&](std::size_t i, const SerialRun &twin,
+                             const char *oracle, const std::string &run,
+                             const std::string &between) {
+        if (!twin.ran) {
+            verdicts[i].findings.push_back(
+                {oracle, run + " run failed: " + twin.error});
+        } else if (twin.reportDump != serial[i].reportDump) {
+            verdicts[i].findings.push_back(
+                {oracle, "report bytes diverge between " + between + "; " +
+                             firstDifference(serial[i].reportDump,
+                                             twin.reportDump)});
+        }
+    };
+
     // Reference-scheduler differential: the same scenario on the
     // naive heap must produce the same report bytes.
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
-        if (!serial[i].ran)
-            continue;
-        const SerialRun ref = runScenarioOnce(scenarios[i], true);
-        if (!ref.ran) {
-            verdicts[i].findings.push_back(
-                {"determinism-ref",
-                 "reference-queue run failed: " + ref.error});
-        } else if (ref.reportDump != serial[i].reportDump) {
-            verdicts[i].findings.push_back(
-                {"determinism-ref",
-                 "report bytes diverge between the tiered and "
-                 "reference schedulers; " +
-                     firstDifference(serial[i].reportDump,
-                                     ref.reportDump)});
-        }
+        if (serial[i].ran)
+            compare(i, runScenarioOnce(scenarios[i], true),
+                    "determinism-ref", "reference-queue",
+                    "the tiered and reference schedulers");
     }
 
-    // Parallel differential: the whole batch re-runs under a worker
-    // pool; every run's report must match its serial twin.
+    // Parallel differential: the batch re-runs under a worker pool;
+    // every run's report must match its serial twin.
     if (options.jobs > 1) {
+        std::vector<SerialRun> parallel(scenarios.size());
         SweepRunner runner(options.jobs);
-        std::vector<std::size_t> submitted;
         for (std::size_t i = 0; i < scenarios.size(); ++i) {
-            if (!serial[i].ran)
-                continue;
-            SweepJob job;
-            job.label = scenarios[i].label();
-            job.config = scenarios[i].config;
-            job.makeWorkload = [name = scenarios[i].workload,
-                                wcfg = scenarios[i].workloadConfig] {
-                return wl::makeWorkload(name, wcfg);
-            };
-            runner.submit(std::move(job));
-            submitted.push_back(i);
+            if (serial[i].ran)
+                runner.submit([&, i] {
+                    parallel[i] = runScenarioOnce(scenarios[i], false);
+                });
         }
-        try {
-            const std::vector<RunResult> results = runner.run();
-            for (std::size_t k = 0; k < submitted.size(); ++k) {
-                const std::size_t i = submitted[k];
-                const std::string dump =
-                    runReportJson(scenarios[i].label(),
-                                  scenarios[i].config, results[k])
-                        .dump(2);
-                if (dump != serial[i].reportDump) {
-                    verdicts[i].findings.push_back(
-                        {"determinism-jobs",
-                         "report bytes diverge between --jobs=1 and "
-                         "--jobs=" + std::to_string(options.jobs) +
-                             "; " +
-                             firstDifference(serial[i].reportDump,
-                                             dump)});
-                }
-            }
-        } catch (const std::exception &e) {
-            // The serial pass was clean, so a parallel-only failure
-            // is itself a determinism violation; without per-job
-            // attribution it lands on every submitted scenario.
-            for (std::size_t i : submitted)
-                verdicts[i].findings.push_back(
-                    {"determinism-jobs",
-                     std::string("parallel sweep threw: ") + e.what()});
+        runner.run();
+        for (std::size_t i = 0; i < scenarios.size(); ++i) {
+            if (serial[i].ran)
+                compare(i, parallel[i], "determinism-jobs", "parallel",
+                        "--jobs=1 and --jobs=" +
+                            std::to_string(options.jobs));
         }
     }
 

@@ -101,9 +101,9 @@ struct FuzzOptions
 /**
  * Run @p scenarios under every oracle. Per scenario: one serial run
  * (result oracles + quiesced oracle + report capture), then — for
- * scenarios whose serial run completed — one parallel sweep over the
- * whole batch and one serial reference-queue run, each compared
- * byte-for-byte against the serial run's report. Returns one verdict
+ * scenarios whose serial run completed — one serial reference-queue
+ * run and, when jobs > 1, one run in a parallel sweep over the batch,
+ * each compared byte-for-byte against the serial run's report. Returns one verdict
  * per scenario, in input order; a scenario that throws is reported in
  * its verdict, never propagated.
  */

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -25,60 +24,24 @@ SweepRunner::defaultWorkers()
 }
 
 std::size_t
-SweepRunner::submit(SweepJob job)
+SweepRunner::submit(std::function<void()> job)
 {
     _jobs.push_back(std::move(job));
     return _jobs.size() - 1;
 }
 
-RunResult
-SweepRunner::execute(SweepJob &job)
-{
-    auto workload = job.makeWorkload();
-    if (!workload) {
-        throw std::runtime_error("sweep job \"" + job.label +
-                                 "\": workload factory returned null");
-    }
-    MultiGpuSystem system(job.config);
-    if (job.preRun)
-        job.preRun(system);
-    RunResult result;
-    try {
-        result = system.run(*workload);
-    } catch (...) {
-        if (job.postRun)
-            job.postRun(system, nullptr);
-        throw;
-    }
-    if (job.postRun)
-        job.postRun(system, &result);
-    return result;
-}
-
-std::vector<RunResult>
+void
 SweepRunner::run()
 {
-    std::vector<SweepJob> jobs = std::move(_jobs);
+    const std::vector<std::function<void()>> jobs = std::move(_jobs);
     _jobs.clear();
 
     const std::size_t n = jobs.size();
-    std::vector<RunResult> results(n);
-
     const unsigned workers =
         unsigned(std::min<std::size_t>(_workers, n));
-    if (workers <= 1) {
-        // Serial reference path: inline, in submission order, with
-        // exceptions propagating directly.
-        for (std::size_t i = 0; i < n; ++i) {
-            results[i] = execute(jobs[i]);
-            if (_progress)
-                _progress(i + 1, n);
-        }
-        return results;
-    }
-
-    GLOG(Info, "sweep: " << n << " runs across " << workers
-                         << " worker threads");
+    if (workers > 1)
+        GLOG(Info, "sweep: " << n << " runs across " << workers
+                             << " worker threads");
 
     // Workers claim indices from a shared counter, so jobs start in
     // submission order and long jobs never starve the pool.
@@ -86,14 +49,11 @@ SweepRunner::run()
     std::atomic<std::size_t> next{0};
     std::size_t done = 0;
     std::mutex progress_mutex;
-    auto workerLoop = [&] {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
+    const auto claimLoop = [&] {
+        for (std::size_t i;
+             (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
             try {
-                results[i] = execute(jobs[i]);
+                jobs[i]();
             } catch (...) {
                 errors[i] = std::current_exception();
             }
@@ -107,19 +67,18 @@ SweepRunner::run()
     };
 
     std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back(workerLoop);
+    for (unsigned w = 1; w < workers; ++w)
+        pool.emplace_back(claimLoop);
+    claimLoop();
     for (std::thread &t : pool)
         t.join();
 
     // Deterministic error reporting: the earliest-submitted failure
-    // wins, exactly as it would have surfaced first in a serial run.
-    for (std::exception_ptr &e : errors) {
+    // wins, whichever worker count ran the batch.
+    for (const std::exception_ptr &e : errors) {
         if (e)
             std::rethrow_exception(e);
     }
-    return results;
 }
 
 } // namespace griffin::sys

@@ -20,17 +20,6 @@ TraceBuilder::add(Addr vaddr, bool is_write)
     _ops.push_back(MemOp{vaddr, _delay, is_write});
 }
 
-void
-TraceBuilder::addRange(Addr base, std::uint64_t bytes, bool is_write,
-                       unsigned line_bytes)
-{
-    assert(line_bytes > 0);
-    const Addr first = base / line_bytes;
-    const Addr last = (base + bytes + line_bytes - 1) / line_bytes;
-    for (Addr line = first; line < last; ++line)
-        add(line * line_bytes, is_write);
-}
-
 Workgroup
 TraceBuilder::finishWorkgroup(std::uint32_t id)
 {

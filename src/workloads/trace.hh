@@ -99,10 +99,6 @@ class TraceBuilder
     /** Append one transaction. */
     void add(Addr vaddr, bool is_write);
 
-    /** Append every line of [base, base+bytes). */
-    void addRange(Addr base, std::uint64_t bytes, bool is_write,
-                  unsigned line_bytes = 64);
-
     /** Close the current workgroup and return it (interleaved). */
     Workgroup finishWorkgroup(std::uint32_t id);
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * The `griffin run` sweep harness's per-run sinks across a run that
- * throws: a watchdog trip must stop the run's Sampler and detach its
+ * throws: a watchdog trip must stop the run's Sampler and uninstall its
  * trace while the system (and the engine the Sampler reads) is still
- * alive, not leave them to the invocation's teardown. A run's report
- * records the workload seed it used.
+ * alive, not leave them to the invocation's teardown, and the sweep
+ * reports the failure as exit 1 naming the run. A run's report records
+ * the workload seed it used.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include <string>
 
 #include "src/obs/trace.hh"
-#include "src/sim/watchdog.hh"
 #include "src/sys/system_config.hh"
 #include "tools/run.hh"
 
@@ -23,14 +23,13 @@ TEST(SweepObs, WatchdogTripStopsTheSamplerBeforeTheSystemDies)
 {
     const std::string dir = ::testing::TempDir();
     cli::RunOptions opt;
-    opt.jobs = 1; // the serial path: the run attaches on this thread
+    opt.jobs = 1; // one worker: the run installs its sinks on this thread
     opt.workload.scaleDiv = 64;
     opt.traceFile = dir + "sweep_obs_trace.json";
     opt.reportFile = dir + "sweep_obs_report.json";
     opt.samplePeriod = 1000;
     {
-        cli::ObsState obs{opt, {}};
-        cli::Sweep sweep(opt, obs);
+        cli::Sweep sweep(opt);
         sys::SystemConfig cfg = sys::SystemConfig::griffinDefault();
         cfg.maxTicks = 5000;
         sweep.add("MT", cfg);
@@ -39,8 +38,11 @@ TEST(SweepObs, WatchdogTripStopsTheSamplerBeforeTheSystemDies)
         try {
             sweep.run();
             FAIL() << "the watchdog should have tripped";
-        } catch (const sim::WatchdogError &e) {
-            const std::string what = e.what();
+        } catch (const cli::Exit &e) {
+            EXPECT_EQ(e.status, 1);
+            const std::string prefix = "MT/griffin: simulation watchdog";
+            EXPECT_EQ(e.message.rfind(prefix, 0), 0u) << e.message;
+            const std::string &what = e.message;
             const std::string at = "tripped at tick ";
             tripped = std::stoull(what.substr(what.find(at) + at.size()));
         }
@@ -48,8 +50,8 @@ TEST(SweepObs, WatchdogTripStopsTheSamplerBeforeTheSystemDies)
 
         // The sampler was stopped at the trip (its last row is the
         // final partial interval, taken at the trip tick) and the
-        // trace detached; the failed run left no report fragment.
-        const cli::ObsState::Slot &slot = obs.slots.at(0);
+        // trace uninstalled; the failed run left no report fragment.
+        const cli::Sweep::Slot &slot = sweep.slots().at(0);
         ASSERT_FALSE(slot.sampler->rows().empty());
         EXPECT_EQ(slot.sampler->rows().back().tick, tripped);
         EXPECT_EQ(obs::TraceSession::active(), nullptr);
@@ -71,12 +73,11 @@ TEST(SweepObs, ReportRecordsTheSeedTheRunUsed)
     opt.reportFile = dir + "sweep_obs_seed_report.json";
     opt.samplePeriod = 0;
     {
-        cli::ObsState obs{opt, {}};
-        cli::Sweep sweep(opt, obs);
+        cli::Sweep sweep(opt);
         sweep.add("MT", sys::SystemConfig::griffinDefault());
         sweep.run();
 
-        const cli::ObsState::Slot &slot = obs.slots.at(0);
+        const cli::Sweep::Slot &slot = sweep.slots().at(0);
         ASSERT_TRUE(slot.report.has_value());
         const obs::json::Value *config = slot.report->find("config");
         ASSERT_NE(config, nullptr);

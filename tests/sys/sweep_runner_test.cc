@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/telemetry.hh"
 #include "src/obs/trace.hh"
 #include "src/sys/multi_gpu_system.hh"
 #include "src/sys/report.hh"
@@ -25,42 +26,70 @@
 
 using namespace griffin;
 using sys::RunResult;
-using sys::SweepJob;
 using sys::SweepRunner;
 
 namespace {
 
-/** The MT/BFS x {baseline, griffin} grid of the determinism spec. */
-std::vector<SweepJob>
-gridJobs()
+/** One simulation point of a sweep. */
+struct Point
 {
-    std::vector<SweepJob> jobs;
+    std::string label;
+    std::string workload;
+    sys::SystemConfig config;
+};
+
+/** The MT/BFS x {baseline, griffin} grid of the determinism spec. */
+std::vector<Point>
+gridPoints()
+{
+    std::vector<Point> points;
     for (const char *name : {"MT", "BFS"}) {
         for (const bool griffin_run : {false, true}) {
-            SweepJob job;
-            job.label = std::string(name) + "/" +
-                        (griffin_run ? "griffin" : "first-touch");
-            job.config = griffin_run ? sys::SystemConfig::griffinDefault()
-                                     : sys::SystemConfig::baseline();
-            wl::WorkloadConfig wcfg;
-            wcfg.scaleDiv = 64;
-            wcfg.seed = 42;
-            job.makeWorkload = [name = std::string(name), wcfg] {
-                return wl::makeWorkload(name, wcfg);
-            };
-            jobs.push_back(std::move(job));
+            points.push_back(
+                {std::string(name) + "/" +
+                     (griffin_run ? "griffin" : "first-touch"),
+                 name,
+                 griffin_run ? sys::SystemConfig::griffinDefault()
+                             : sys::SystemConfig::baseline()});
         }
     }
-    return jobs;
+    return points;
+}
+
+std::unique_ptr<wl::Workload>
+workloadOf(const Point &p)
+{
+    wl::WorkloadConfig wcfg;
+    wcfg.scaleDiv = 64;
+    wcfg.seed = 42;
+    return wl::makeWorkload(p.workload, wcfg);
+}
+
+/** One point, built and run straight through, as a sweep job does. */
+RunResult
+runPoint(const Point &p)
+{
+    const auto workload = workloadOf(p);
+    sys::MultiGpuSystem system(p.config);
+    return system.run(*workload);
+}
+
+/** Run @p points on @p workers; results by submission index. */
+std::vector<RunResult>
+runPoints(const std::vector<Point> &points, unsigned workers)
+{
+    SweepRunner runner(workers);
+    std::vector<RunResult> results(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i)
+        runner.submit([&, i] { results[i] = runPoint(points[i]); });
+    runner.run();
+    return results;
 }
 
 std::vector<RunResult>
 runGrid(unsigned workers)
 {
-    SweepRunner runner(workers);
-    for (auto &job : gridJobs())
-        runner.submit(std::move(job));
-    return runner.run();
+    return runPoints(gridPoints(), workers);
 }
 
 } // namespace
@@ -69,7 +98,7 @@ TEST(SweepRunner, ParallelRunMatchesSerialBitForBit)
 {
     const auto serial = runGrid(1);
     const auto parallel = runGrid(8);
-    const auto jobs = gridJobs();
+    const auto jobs = gridPoints();
     ASSERT_EQ(serial.size(), parallel.size());
     ASSERT_EQ(serial.size(), jobs.size());
 
@@ -105,22 +134,15 @@ TEST(SweepRunner, ChaosSweepIsByteIdenticalAcrossJobCounts)
     const auto chaos =
         sys::ChaosConfig::parse("dma=0.3,link=0.02,walker=0.05");
     ASSERT_TRUE(chaos.has_value());
-    auto runChaosGrid = [&](unsigned workers) {
-        SweepRunner runner(workers);
-        for (auto &job : gridJobs()) {
-            job.config.chaos = *chaos;
-            runner.submit(std::move(job));
-        }
-        return runner.run();
-    };
+    auto jobs = gridPoints();
+    for (Point &job : jobs)
+        job.config.chaos = *chaos;
 
-    const auto serial = runChaosGrid(1);
-    const auto parallel = runChaosGrid(8);
-    auto jobs = gridJobs();
+    const auto serial = runPoints(jobs, 1);
+    const auto parallel = runPoints(jobs, 8);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE(jobs[i].label);
-        jobs[i].config.chaos = *chaos;
         EXPECT_GT(serial[i].chaosInjected, 0u);
         EXPECT_EQ(serial[i].auditViolations, 0u);
         EXPECT_EQ(serial[i].cycles, parallel[i].cycles);
@@ -141,24 +163,17 @@ TEST(SweepRunner, TelemetrySweepIsByteIdenticalAcrossJobCounts)
     // attached per run, so an instrumented sweep must serialize to
     // byte-identical reports whether it runs on 1 worker or 8 — the
     // property `--page-stats --timeseries=N --jobs=8` depends on.
-    auto runInstrumentedGrid = [](unsigned workers) {
-        SweepRunner runner(workers);
-        for (auto &job : gridJobs()) {
-            job.config.pageStats.enabled = true;
-            job.config.timeseriesTick = 50000;
-            runner.submit(std::move(job));
-        }
-        return runner.run();
-    };
+    auto jobs = gridPoints();
+    for (Point &job : jobs) {
+        job.config.pageStats.enabled = true;
+        job.config.timeseriesTick = 50000;
+    }
 
-    const auto serial = runInstrumentedGrid(1);
-    const auto parallel = runInstrumentedGrid(8);
-    auto jobs = gridJobs();
+    const auto serial = runPoints(jobs, 1);
+    const auto parallel = runPoints(jobs, 8);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE(jobs[i].label);
-        jobs[i].config.pageStats.enabled = true;
-        jobs[i].config.timeseriesTick = 50000;
         ASSERT_TRUE(serial[i].pageStats.enabled);
         EXPECT_EQ(serial[i].pageStats.totalMigrations,
                   parallel[i].pageStats.totalMigrations);
@@ -178,106 +193,74 @@ TEST(SweepRunner, TelemetrySweepIsByteIdenticalAcrossJobCounts)
 
 TEST(SweepRunner, ResultsComeBackInSubmissionOrder)
 {
-    // Labels ride along through pre/postRun hooks; results land at the
-    // submission index regardless of which worker finished first.
+    // Each job writes its result and label at its submission index,
+    // regardless of which worker finished first.
     SweepRunner runner(4);
-    std::vector<std::string> postLabels(4);
-    auto jobs = gridJobs();
+    const auto jobs = gridPoints();
+    std::vector<RunResult> parallel(jobs.size());
+    std::vector<std::string> labels(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        jobs[i].postRun = [&postLabels, i, label = jobs[i].label](
-                              sys::MultiGpuSystem &,
-                              const RunResult *) {
-            postLabels[i] = label;
-        };
-        const std::size_t idx = runner.submit(std::move(jobs[i]));
+        const std::size_t idx = runner.submit([&, i] {
+            parallel[i] = runPoint(jobs[i]);
+            labels[i] = jobs[i].label;
+        });
         EXPECT_EQ(idx, i);
     }
     EXPECT_EQ(runner.pending(), 4u);
     const auto results = runGrid(1);
-    const auto parallel = runner.run();
+    runner.run();
     EXPECT_EQ(runner.pending(), 0u);
     ASSERT_EQ(parallel.size(), 4u);
     for (std::size_t i = 0; i < 4; ++i) {
         EXPECT_EQ(parallel[i].cycles, results[i].cycles);
-        EXPECT_FALSE(postLabels[i].empty());
+        EXPECT_FALSE(labels[i].empty());
     }
-}
-
-TEST(SweepRunner, PreRunHookSeesTheSystemBeforeItRuns)
-{
-    SweepRunner runner(2);
-    auto jobs = gridJobs();
-    std::atomic<int> hooks{0};
-    for (auto &job : jobs) {
-        job.preRun = [&hooks](sys::MultiGpuSystem &system) {
-            EXPECT_EQ(system.engine().now(), 0u);
-            hooks.fetch_add(1);
-        };
-        runner.submit(std::move(job));
-    }
-    runner.run();
-    EXPECT_EQ(hooks.load(), 4);
 }
 
 TEST(SweepRunner, EarliestSubmittedExceptionWins)
 {
-    // Both failing jobs run to completion; the rethrown error is the
-    // earliest-submitted one, as a serial loop would have surfaced it.
-    SweepRunner runner(4);
-    for (const char *what : {"first", "second"}) {
-        SweepJob job;
-        job.label = what;
-        job.config = sys::SystemConfig::baseline();
-        job.makeWorkload = [what]() -> std::unique_ptr<wl::Workload> {
-            throw std::runtime_error(what);
-        };
-        runner.submit(std::move(job));
+    // Whatever the worker count, both failing jobs run to completion
+    // and the rethrown error is the earliest-submitted one.
+    for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(workers);
+        SweepRunner runner(workers);
+        std::atomic<bool> secondRan{false};
+        runner.submit([] { throw std::runtime_error("first"); });
+        runner.submit([&secondRan] {
+            secondRan = true;
+            throw std::runtime_error("second");
+        });
+        try {
+            runner.run();
+            ADD_FAILURE() << "expected the sweep to rethrow";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "first");
+        }
+        EXPECT_TRUE(secondRan);
     }
-    try {
-        runner.run();
-        FAIL() << "expected the sweep to rethrow";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "first");
-    }
-}
-
-TEST(SweepRunner, NullWorkloadFactoryResultIsAnError)
-{
-    SweepRunner runner(1);
-    SweepJob job;
-    job.label = "broken";
-    job.config = sys::SystemConfig::baseline();
-    job.makeWorkload = [] { return std::unique_ptr<wl::Workload>(); };
-    runner.submit(std::move(job));
-    EXPECT_THROW(runner.run(), std::runtime_error);
 }
 
 TEST(SweepRunner, PerRunTraceSessionsStayIsolated)
 {
-    // Each job attaches its own session on its worker thread; events
+    // Each job installs its own session on its worker thread; events
     // must never bleed into a neighbour's session, and a serial rerun
     // must produce the same per-run event counts.
     auto record = [](unsigned workers) {
         SweepRunner runner(workers);
-        auto sessions = std::make_shared<
-            std::vector<std::shared_ptr<obs::TraceSession>>>();
-        for (auto &job : gridJobs()) {
-            auto session = std::make_shared<obs::TraceSession>(
-                obs::defaultCategories);
-            session->beginProcess(job.label);
-            sessions->push_back(session);
-            job.preRun = [session](sys::MultiGpuSystem &) {
-                session->attach();
-            };
-            job.postRun = [session](sys::MultiGpuSystem &,
-                                    const RunResult *) {
-                session->detach();
-            };
-            runner.submit(std::move(job));
+        std::vector<std::unique_ptr<obs::TraceSession>> sessions;
+        for (const Point &p : gridPoints()) {
+            auto &session =
+                sessions.emplace_back(std::make_unique<obs::TraceSession>(
+                    obs::defaultCategories));
+            session->beginProcess(p.label);
+            runner.submit([p, trace = session.get()] {
+                const obs::Telemetry::Scope traced({.trace = trace});
+                runPoint(p);
+            });
         }
         runner.run();
         std::vector<std::size_t> counts;
-        for (const auto &s : *sessions)
+        for (const auto &s : sessions)
             counts.push_back(s->eventCount());
         return counts;
     };
@@ -306,18 +289,12 @@ TEST(SweepRunner, HostProfileCountsAreByteIdenticalAcrossJobCounts)
     // sequence, so a profiled sweep must agree bucket for bucket
     // between 1 worker and 8. This is the property that lets the
     // "host_profile" report section participate in CI comparisons.
-    auto runProfiledGrid = [](unsigned workers) {
-        SweepRunner runner(workers);
-        for (auto &job : gridJobs()) {
-            job.config.hostProf = true;
-            runner.submit(std::move(job));
-        }
-        return runner.run();
-    };
+    auto jobs = gridPoints();
+    for (Point &job : jobs)
+        job.config.hostProf = true;
 
-    const auto serial = runProfiledGrid(1);
-    const auto parallel = runProfiledGrid(8);
-    const auto jobs = gridJobs();
+    const auto serial = runPoints(jobs, 1);
+    const auto parallel = runPoints(jobs, 8);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE(jobs[i].label);
@@ -344,16 +321,18 @@ TEST(SweepRunner, HostProfileEventsMatchEngineDispatches)
     // The profiler's deterministic event total is exactly the number
     // of events the engine dispatched while attached.
     SweepRunner runner(1);
-    auto jobs = gridJobs();
-    jobs[0].config.hostProf = true;
+    Point job = gridPoints()[0];
+    job.config.hostProf = true;
+    std::vector<RunResult> results;
     std::uint64_t profiled = 0;
-    jobs[0].postRun = [&profiled](sys::MultiGpuSystem &system,
-                                  const RunResult *) {
+    runner.submit([&] {
+        const auto workload = workloadOf(job);
+        sys::MultiGpuSystem system(job.config);
+        results.push_back(system.run(*workload));
         ASSERT_NE(system.hostProfiler(), nullptr);
         profiled = system.hostProfiler()->eventsDispatched();
-    };
-    runner.submit(std::move(jobs[0]));
-    const auto results = runner.run();
+    });
+    runner.run();
     ASSERT_EQ(results.size(), 1u);
     EXPECT_GT(profiled, 0u);
     EXPECT_EQ(results[0].hostProfile.events, profiled);
@@ -366,14 +345,16 @@ TEST(SweepRunner, ProgressCallbackCountsEveryCompletion)
     for (const unsigned workers : {1u, 8u}) {
         SCOPED_TRACE(workers);
         SweepRunner runner(workers);
-        for (auto &job : gridJobs())
-            runner.submit(std::move(job));
+        const auto jobs = gridPoints();
+        std::vector<RunResult> results(jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            runner.submit([&, i] { results[i] = runPoint(jobs[i]); });
         std::vector<std::pair<std::size_t, std::size_t>> calls;
         runner.setProgress([&calls](std::size_t done,
                                     std::size_t total) {
             calls.emplace_back(done, total);
         });
-        const auto results = runner.run();
+        runner.run();
         ASSERT_EQ(calls.size(), results.size());
         for (std::size_t i = 0; i < calls.size(); ++i) {
             EXPECT_EQ(calls[i].first, i + 1);

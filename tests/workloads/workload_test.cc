@@ -364,17 +364,6 @@ TEST(TraceBuilder, CapsWavefrontCount)
     EXPECT_EQ(wg.totalOps(), 100u);
 }
 
-TEST(TraceBuilder, AddRangeCoversEveryLine)
-{
-    wl::TraceBuilder tb(64, 1);
-    tb.addRange(128, 256, true);
-    const auto wg = tb.finishWorkgroup(0);
-    EXPECT_EQ(wg.totalOps(), 4u);
-    for (const auto &wf : wg.wavefronts)
-        for (const auto &op : wf.ops)
-            EXPECT_TRUE(op.isWrite);
-}
-
 TEST(TraceBuilder, FinishResetsState)
 {
     wl::TraceBuilder tb(4, 1);

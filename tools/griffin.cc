@@ -10,8 +10,8 @@
  *   fuzz     randomized differential testing (fuzz.cc)
  *
  * Exit status, for every subcommand: 0 OK, 1 a negative answer (a
- * check or oracle failed, or the report lacks the queried section),
- * 2 usage / IO / parse error.
+ * check or oracle failed, a simulation failed, or the report lacks the
+ * queried section), 2 usage / IO / parse error.
  */
 
 #include <algorithm>
@@ -53,9 +53,10 @@ usage()
            " --fail-on fault_p95:+5% --fail-on cycles:+3%\n"
            "       griffin pages top report.json --n=5 --by=churn\n"
            "       griffin fuzz --seed=0x2a --seeds=1 --shrink\n"
-           "exit status: 0 OK, 1 a check or oracle failed or the report"
-           " lacks the queried section,\n"
-           "             2 usage / IO / parse error\n";
+           "exit status: 0 OK, 1 a check, oracle or simulation failed,"
+           " or the report\n"
+           "             lacks the queried section,"
+           " 2 usage / IO / parse error\n";
 }
 
 } // namespace

@@ -3,8 +3,9 @@
  * griffin run: the front end over the experiment registry
  * (experiments.cc) and the sweep harness every entry uses (run.hh).
  *
- * Exit status: 0 the entry ran, 2 usage error (an unknown entry, or a
- * flag error caught before any output).
+ * Exit status: 0 the entry ran, 1 a run failed (the message names the
+ * earliest-submitted failed run), 2 usage error (an unknown entry, or
+ * a flag error caught before any output).
  */
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 
 #include <unistd.h>
 
+#include "src/obs/telemetry.hh"
 #include "src/sim/log.hh"
 #include "tools/run.hh"
 
@@ -105,12 +107,12 @@ resolveSelection(const Experiment &e, const Args &args, RunOptions &opt)
         opt.workloads = e.subset.empty() ? set : e.subset;
 }
 
-ObsState::~ObsState()
+Sweep::~Sweep()
 {
     if (!opt.traceFile.empty()) {
         std::vector<const obs::TraceSession *> sessions;
         std::size_t events = 0;
-        for (const Slot &slot : slots) {
+        for (const Slot &slot : _slots) {
             sessions.push_back(slot.trace.get());
             events += slot.trace->eventCount();
         }
@@ -121,7 +123,7 @@ ObsState::~ObsState()
     }
     if (!opt.reportFile.empty()) {
         obs::json::Value runs = obs::json::Value::array();
-        for (Slot &slot : slots) {
+        for (Slot &slot : _slots) {
             if (slot.report)
                 runs.push(std::move(*slot.report));
         }
@@ -131,7 +133,7 @@ ObsState::~ObsState()
     }
     if (!opt.samplesFile.empty()) {
         std::string csv;
-        for (const Slot &slot : slots)
+        for (const Slot &slot : _slots)
             csv += slot.samplesCsv;
         if (csv.empty()) {
             std::cerr << "samples: nothing sampled (is --sample=0?), "
@@ -149,7 +151,7 @@ ObsState::~ObsState()
     // (= submission) order, so bucket order never depends on
     // completion order.
     obs::HostProfile total;
-    for (const Slot &slot : slots) {
+    for (const Slot &slot : _slots) {
         if (slot.hostProfile.enabled)
             total.merge(slot.hostProfile);
     }
@@ -183,8 +185,8 @@ Sweep::add(const std::string &name, const sys::SystemConfig &scfg,
         (dim.empty() ? "" : "/" + dim);
 
     // Per-run sinks, created here so the slots keep submission order,
-    // attached and filled on the worker thread.
-    ObsState::Slot &s = _obs.slots.emplace_back();
+    // and filled on the run's thread.
+    Slot &s = _slots.emplace_back();
     if (!opt.traceFile.empty()) {
         s.trace = std::make_unique<obs::TraceSession>(
             opt.traceAll ? obs::allCategories : obs::defaultCategories);
@@ -197,49 +199,47 @@ Sweep::add(const std::string &name, const sys::SystemConfig &scfg,
     // The report's config.seed records the seed the run used.
     sys::SystemConfig config = scfg;
     config.seed = opt.workload.seed;
-
-    sys::SweepJob job;
-    job.label = label;
-    job.config = config;
+    sys::SystemConfig runConfig = config;
     if (opt.chaos)
-        job.config.chaos = *opt.chaos;
-    job.config.pageStats.enabled |= opt.pageStats;
+        runConfig.chaos = *opt.chaos;
+    runConfig.pageStats.enabled |= opt.pageStats;
     if (opt.timeseriesTick > 0)
-        job.config.timeseriesTick = opt.timeseriesTick;
-    job.config.hostProf |= opt.hostProf;
-    job.makeWorkload = [name, wcfg = opt.workload] {
-        return wl::makeWorkload(name, wcfg);
-    };
-    job.preRun = [&s, period = opt.samplePeriod,
-                  setup = std::move(setup)](sys::MultiGpuSystem &system) {
-        if (s.trace)
-            s.trace->attach();
-        if (s.sampler) {
-            system.registerProbes(*s.sampler);
-            s.sampler->start(system.engine(), period);
+        runConfig.timeseriesTick = opt.timeseriesTick;
+    runConfig.hostProf |= opt.hostProf;
+
+    const std::size_t i = _runner.pending();
+    _runner.submit([this, &s, i, name, label, config, runConfig,
+                    setup = std::move(setup)] {
+        try {
+            const auto workload = wl::makeWorkload(name, opt.workload);
+            {
+                sys::MultiGpuSystem system(runConfig);
+                const obs::Telemetry::Scope traced({.trace = s.trace.get()});
+                // The sampler reads the system's engine, so it stops
+                // before the system is destroyed, on a throw too.
+                const std::unique_ptr<obs::Sampler, void (*)(obs::Sampler *)>
+                    stopSampler(s.sampler.get(),
+                                [](obs::Sampler *p) { p->stop(); });
+                if (s.sampler) {
+                    system.registerProbes(*s.sampler);
+                    s.sampler->start(system.engine(), opt.samplePeriod);
+                }
+                if (setup)
+                    setup(system);
+                _results[i] = system.run(*workload);
+            }
+            // A run that threw leaves no fragment.
+            if (!opt.reportFile.empty())
+                s.report = sys::runReportJson(label, config, _results[i],
+                                              s.sampler.get());
+            if (!opt.samplesFile.empty() && s.sampler)
+                s.samplesCsv = "# " + label + "\n" + s.sampler->csv();
+            s.hostProfile = _results[i].hostProfile;
+        } catch (const std::exception &e) {
+            throw Exit{1, label + ": " + e.what()};
         }
-        if (setup)
-            setup(system);
-    };
-    // The sampler reads the system's engine, so it stops (and the
-    // trace detaches) on both paths, before the system is destroyed;
-    // a run that threw contributes no fragments.
-    job.postRun = [&s, &opt = opt, label, config](
-                      sys::MultiGpuSystem &, const sys::RunResult *r) {
-        if (s.sampler)
-            s.sampler->stop();
-        if (s.trace)
-            s.trace->detach();
-        if (!r)
-            return;
-        if (!opt.reportFile.empty())
-            s.report =
-                sys::runReportJson(label, config, *r, s.sampler.get());
-        if (!opt.samplesFile.empty() && s.sampler)
-            s.samplesCsv = "# " + label + "\n" + s.sampler->csv();
-        s.hostProfile = r->hostProfile;
-    };
-    return _runner.submit(std::move(job));
+    });
+    return i;
 }
 
 std::vector<sys::RunResult>
@@ -262,7 +262,9 @@ Sweep::run()
                          done == total ? "\n" : "");
         });
     }
-    return _runner.run();
+    _results.assign(_runner.pending(), {});
+    _runner.run();
+    return std::move(_results);
 }
 
 
@@ -294,8 +296,7 @@ runMain(const Args &args)
                           " (see griffin run --list)"};
     resolveSelection(*e, args, opt);
 
-    ObsState obs{opt, {}}; // writes the files when the entry returns
-    Sweep sweep(opt, obs);
+    Sweep sweep(opt); // writes the files when the entry returns
     e->run(sweep);
     return 0;
 }

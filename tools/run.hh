@@ -38,7 +38,7 @@
  * Concurrency: an entry submits its independent runs to a Sweep,
  * which fans them out across --jobs worker threads and returns the
  * results in submission order. Each run records into its own trace /
- * report / samples fragments, and ObsState merges them in submission
+ * report / samples fragments, and the Sweep merges them in submission
  * order, so stdout and every written file are byte-identical for
  * --jobs=1 and --jobs=16.
  */
@@ -59,6 +59,7 @@
 #include "src/obs/sampler.hh"
 #include "src/obs/trace.hh"
 #include "src/sys/chaos.hh"
+#include "src/sys/multi_gpu_system.hh"
 #include "src/sys/report.hh"
 #include "src/sys/sweep_runner.hh"
 #include "src/workloads/workload.hh"
@@ -101,14 +102,21 @@ struct RunOptions
 Args parseRunFlags(const Args &args, RunOptions &opt);
 
 /**
- * The invocation's observability outputs. Each run owns one slot,
- * claimed in submission order by Sweep::add and filled by the run's
- * worker thread alone, so no lock is needed. The destructor merges the
- * slots in order and writes the files, then prints the host-time
+ * What an entry runs with: the options, with workloads resolved to the
+ * selection, and a batch of independent runs. add() every run of a
+ * batch, then run() once; results come back in submission order, and
+ * the next add() starts a new batch.
+ *
+ * The sweep also owns the invocation's observability outputs: each run
+ * has one slot, claimed in submission order by add() and filled by the
+ * run's own thread alone, so no lock is needed. The destructor merges
+ * the slots in order and writes the files, then prints the host-time
  * summary when any run was profiled.
  */
-struct ObsState
+class Sweep
 {
+  public:
+    /** One run's sinks and the fragments they leave. */
     struct Slot
     {
         std::unique_ptr<obs::TraceSession> trace;
@@ -118,26 +126,8 @@ struct ObsState
         obs::HostProfile hostProfile;
     };
 
-    const RunOptions &opt;
-    /** A deque: slots never move while their runs are in flight. */
-    std::deque<Slot> slots;
-
-    ~ObsState();
-};
-
-/**
- * What an entry runs with: the options, with workloads resolved to the
- * selection, and a batch of independent runs. add() every run of a
- * batch, then run() once; results come back in submission order, and
- * the next add() starts a new batch.
- */
-class Sweep
-{
-  public:
-    Sweep(const RunOptions &opt, ObsState &obs)
-        : opt(opt), _obs(obs), _runner(opt.jobs)
-    {
-    }
+    explicit Sweep(const RunOptions &opt) : opt(opt), _runner(opt.jobs) {}
+    ~Sweep();
 
     const RunOptions &opt;
 
@@ -145,7 +135,7 @@ class Sweep
      * Submit one run of @p name under @p scfg, labelled
      * "NAME/POLICY[/DIM]"; @p dim keeps labels unique when a sweep
      * runs a workload and policy more than once ("alpha=0.25").
-     * @p setup runs on the worker thread before the run (access
+     * @p setup runs on the run's thread before the run (access
      * probes, ...).
      * @return the index into run()'s result vector.
      */
@@ -153,13 +143,24 @@ class Sweep
                     const std::string &dim = std::string(),
                     std::function<void(sys::MultiGpuSystem &)> setup = {});
 
+    /**
+     * Run the batch. Every run still runs when one fails; the
+     * earliest-submitted failure is then thrown as Exit 1 naming the
+     * run's label.
+     */
     std::vector<sys::RunResult> run();
 
     /** Print @p table, its CSV under --csv, then @p note. */
     void emit(const sys::Table &table, const std::string &note = "") const;
 
+    /** Every run's slot so far, in submission order. */
+    const std::deque<Slot> &slots() const { return _slots; }
+
   private:
-    ObsState &_obs;
+    /** A deque: slots never move while their runs are in flight. */
+    std::deque<Slot> _slots;
+    /** The batch's results, written by index by each run. */
+    std::vector<sys::RunResult> _results;
     sys::SweepRunner _runner;
 };
 
