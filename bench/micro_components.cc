@@ -283,8 +283,7 @@ BENCHMARK(BM_HostProfScopeOff);
 static void
 BM_CacheAccess(benchmark::State &state)
 {
-    mem::Cache cache(mem::CacheConfig{std::uint64_t(state.range(0)),
-                                      16, 64, 1});
+    mem::Cache cache(mem::CacheConfig{std::uint64_t(state.range(0)), 16, 1});
     sim::Rng rng(7);
     for (auto _ : state) {
         const Addr addr = rng.nextBelow(8 * 1024 * 1024);
@@ -307,7 +306,7 @@ BM_CacheFlushPages(benchmark::State &state)
     constexpr unsigned pageShift = 12;
     constexpr PageId residentPages = 512;
     const PageId n = PageId(state.range(0));
-    mem::Cache cache(mem::CacheConfig{2 * 1024 * 1024, 16, 64, 20});
+    mem::Cache cache(mem::CacheConfig{2 * 1024 * 1024, 16, 20});
     const auto warm = [&] {
         for (Addr a = 0; a < (residentPages << pageShift); a += 64)
             cache.access(a, (a & 0xff) == 0);

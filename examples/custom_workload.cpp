@@ -29,7 +29,7 @@ namespace {
 wl::KernelLaunch
 shuffleKernel(const wl::Workload &app, unsigned k)
 {
-    const std::uint64_t lines = app.footprintBytes() / wl::lineBytes;
+    const std::uint64_t lines = app.footprintBytes() / lineBytes;
     const unsigned wgs = app.workgroupsPerKernel();
     const std::uint64_t part = lines / wgs;
     wl::KernelLaunch launch;
@@ -44,9 +44,9 @@ shuffleKernel(const wl::Workload &app, unsigned k)
         for (std::uint64_t line = begin; line < end; ++line) {
             // Consumers re-read each line of their partition (a
             // reduction over the tensor slice).
-            tb.add(line * wl::lineBytes, k == 0);
+            tb.add(line * lineBytes, k == 0);
             if (k > 0)
-                tb.add(line * wl::lineBytes, false);
+                tb.add(line * lineBytes, false);
         }
         launch.workgroups.push_back(tb.finishWorkgroup(w));
     }

@@ -21,8 +21,6 @@ namespace griffin::core {
 class FirstTouchPolicy : public MigrationPolicy
 {
   public:
-    std::string name() const override { return "first-touch"; }
-
     CpuAccessDecision onCpuResidentAccess(DeviceId requester, PageId page,
                                           mem::PageTable &pt) override;
 

@@ -60,8 +60,6 @@ class GriffinPolicy : public MigrationPolicy
                   std::vector<gpu::Pmc *> pmcs,
                   const GriffinConfig &config);
 
-    std::string name() const override { return "griffin"; }
-
     CpuAccessDecision onCpuResidentAccess(DeviceId requester, PageId page,
                                           mem::PageTable &pt) override;
 

@@ -13,7 +13,6 @@
 #ifndef GRIFFIN_CORE_MIGRATION_POLICY_HH
 #define GRIFFIN_CORE_MIGRATION_POLICY_HH
 
-#include <string>
 
 #include "src/sim/types.hh"
 
@@ -37,9 +36,6 @@ class MigrationPolicy
 {
   public:
     virtual ~MigrationPolicy() = default;
-
-    /** Short policy name for reports ("first-touch", "griffin"). */
-    virtual std::string name() const = 0;
 
     /**
      * A GPU accessed a CPU-resident page (walk completed, page not

@@ -169,10 +169,13 @@ Driver::startBatch()
                     _iommu.onMigrationDone(fault.page);
                 },
                 fault.fid);
-            if (_injector && _config.migrationTimeout > 0 &&
-                !state->completed) {
+            // Chaos recovery: a migration whose DMA has not completed
+            // after the injector's timeout (0 disables) is aborted.
+            const Tick timeout =
+                _injector ? _injector->config().migrationTimeout : 0;
+            if (timeout > 0 && !state->completed) {
                 state->timer = _engine.scheduleTimeout(
-                    _config.migrationTimeout, [this, fault, state] {
+                    timeout, [this, fault, state] {
                         GHPROF_SCOPE("driver", "migration_timeout");
                         if (state->completed)
                             return;
@@ -185,7 +188,7 @@ Driver::startBatch()
                         _injector->noteFallback();
                         _injector->noteMigrationTimeout();
                         _injector->noteRecoveryCycles(
-                            _config.migrationTimeout);
+                            _injector->config().migrationTimeout);
                         mem::PageInfo &pi = _pageTable.info(fault.page);
                         pi.migrating = false;
                         pi.pinned = false;

@@ -48,12 +48,6 @@ struct DriverConfig
     Tick faultServiceLatency = 600;
     /** Pin pages on the GPU after migration (baseline behaviour). */
     bool pinAfterMigration = false;
-    /**
-     * Abort a migration whose DMA has not completed after this many
-     * cycles: unpin the page, degrade it to DCA remote access and
-     * replay the parked translations (chaos recovery; 0 disables).
-     */
-    Tick migrationTimeout = 0;
 };
 
 /**
@@ -76,8 +70,8 @@ class Driver : public xlat::FaultHandler
 
     /**
      * Attach a fault injector (nullptr detaches). Timeout recovery is
-     * only armed while an injector is attached, so fault-free runs pay
-     * nothing.
+     * only armed while an injector is attached, after its
+     * ChaosConfig::migrationTimeout, so fault-free runs pay nothing.
      */
     void setFaultInjector(sys::FaultInjector *injector)
     {

@@ -18,7 +18,7 @@ Gpu::Gpu(sim::Engine &engine, DeviceId id, const GpuConfig &config,
     : _engine(engine), _id(id), _config(config), _network(network),
       _iommu(iommu), _router(router), _accesses(accesses),
       _l2(config.l2Cache), _l2Tlb(config.l2Tlb), _dram(config.dram),
-      _rdma(_l2, _dram, config.lineBytes)
+      _rdma(_l2, _dram)
 {
     assert(id != cpuDeviceId && "device 0 is the CPU");
     assert(config.cusPerSe > 0 && config.cusPerSe <= 16 &&
@@ -218,8 +218,8 @@ Gpu::localAccess(AccessId id)
                 GHPROF_SCOPE("gpu", "l2_writeback");
                 const auto r = _l2.access(wb, true);
                 if (r.writeback)
-                    _dram.access(_engine.now(), r.writebackAddr,
-                                 _config.lineBytes, true);
+                    _dram.access(_engine.now(), r.writebackAddr, lineBytes,
+                                 true);
             });
         }
         if (r1.hit) {
@@ -233,16 +233,16 @@ Gpu::localAccess(AccessId id)
             const Access &r = _accesses[id];
             const auto r2 = _l2.access(r.vaddr, r.isWrite);
             if (r2.writeback)
-                _dram.access(_engine.now(), r2.writebackAddr,
-                             _config.lineBytes, true);
+                _dram.access(_engine.now(), r2.writebackAddr, lineBytes,
+                             true);
             if (r2.hit) {
                 _engine.schedule(_config.xbarLatency,
                                  [this, id] { finishLocal(id); });
                 return;
             }
             // L2 miss: local HBM (write-allocate reads the line).
-            const Tick ready = _dram.access(_engine.now(), r.vaddr,
-                                            _config.lineBytes, false);
+            const Tick ready =
+                _dram.access(_engine.now(), r.vaddr, lineBytes, false);
             _engine.scheduleAt(ready + _config.xbarLatency,
                                [this, id] { finishLocal(id); });
         });
@@ -319,15 +319,14 @@ Gpu::flushForMigration(sim::EventFn done)
     for (auto &l1 : _l1s) {
         const auto fr = l1.flushAll();
         for (std::uint64_t i = 0; i < fr.dirtyWritebacks; ++i) {
-            last_wb = std::max(last_wb,
-                               _dram.access(_engine.now(), 0,
-                                            _config.lineBytes, true));
+            last_wb = std::max(
+                last_wb, _dram.access(_engine.now(), 0, lineBytes, true));
         }
     }
     const auto fr2 = _l2.flushAll();
     for (std::uint64_t i = 0; i < fr2.dirtyWritebacks; ++i) {
-        last_wb = std::max(last_wb, _dram.access(_engine.now(), 0,
-                                                 _config.lineBytes, true));
+        last_wb = std::max(
+            last_wb, _dram.access(_engine.now(), 0, lineBytes, true));
     }
 
     const Tick delay = (last_wb - _engine.now()) +
@@ -391,8 +390,8 @@ Gpu::flushCachesForPages(const std::vector<PageId> &pages)
         // writeback burst is what costs time, not its placement.
         last_wb = std::max(last_wb,
                            _dram.access(_engine.now(),
-                                        Addr(i) * _config.lineBytes,
-                                        _config.lineBytes, true));
+                                        Addr(i) * lineBytes,
+                                        lineBytes, true));
     }
     return last_wb;
 }
@@ -405,9 +404,10 @@ std::vector<PageCount>
 Gpu::collectAccessCounts()
 {
     std::vector<PageCount> out;
-    out.reserve(_counters.size() * _config.accessCounterTopN);
+    constexpr std::size_t topN = ic::MessageSizes::accessCountPages;
+    out.reserve(_counters.size() * topN);
     for (AccessCounter &counter : _counters) {
-        const auto top = counter.collectTop(_config.accessCounterTopN);
+        const auto top = counter.collectTop(topN);
         out.insert(out.end(), top.begin(), top.end());
     }
     // Merge the SEs' reports: one entry per page, counts summed.

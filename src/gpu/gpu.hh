@@ -39,14 +39,13 @@ struct GpuConfig
 {
     unsigned numSes = 4;
     unsigned cusPerSe = 9;
-    mem::CacheConfig l1Cache{16 * 1024, 4, 64, 1};
-    mem::CacheConfig l2Cache{8ull * 256 * 1024, 16, 64, 20};
+    mem::CacheConfig l1Cache{16 * 1024, 4, 1};
+    mem::CacheConfig l2Cache{8ull * 256 * 1024, 16, 20};
     mem::DramConfig dram{};
     xlat::TlbConfig l1Tlb{1, 32, 1};
     xlat::TlbConfig l2Tlb{32, 16, 10};
     CuConfig cu{};
     unsigned pageShift = 12;
-    unsigned lineBytes = 64;
     /** Intra-GPU crossbar hop (paper Table II: single-stage XBar). */
     Tick xbarLatency = 8;
     /** Cycles to scan the in-flight buffers against a drain request. */
@@ -56,8 +55,6 @@ struct GpuConfig
     /** Fixed pipeline-flush recovery cost (conventional scheme). */
     Tick flushRecoveryLatency = 500;
     std::size_t accessCounterCapacity = 100;
-    /** Pages reported per SE per collection (20 fit in 110 bytes). */
-    std::size_t accessCounterTopN = 20;
 
     unsigned numCus() const { return numSes * cusPerSe; }
 };

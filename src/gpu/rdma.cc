@@ -14,7 +14,7 @@ Rdma::serve(Tick now, Addr addr, bool is_write)
     // back asynchronously (no one waits on them).
     const auto result = _l2.access(addr, is_write);
     if (result.writeback)
-        _dram.access(now + _l2.latency(), result.writebackAddr, _lineBytes,
+        _dram.access(now + _l2.latency(), result.writebackAddr, lineBytes,
                      true);
 
     if (result.hit) {
@@ -23,7 +23,7 @@ Rdma::serve(Tick now, Addr addr, bool is_write)
     }
     // Write-allocate: a missing line is fetched from DRAM first, so the
     // DRAM transaction is a read either way.
-    return _dram.access(now + _l2.latency(), addr, _lineBytes, false);
+    return _dram.access(now + _l2.latency(), addr, lineBytes, false);
 }
 
 } // namespace griffin::gpu

@@ -25,10 +25,7 @@ namespace griffin::gpu {
 class Rdma
 {
   public:
-    Rdma(mem::Cache &l2, mem::Dram &dram, unsigned line_bytes = 64)
-        : _l2(l2), _dram(dram), _lineBytes(line_bytes)
-    {
-    }
+    Rdma(mem::Cache &l2, mem::Dram &dram) : _l2(l2), _dram(dram) {}
 
     /**
      * Serve one remote access to @p addr that arrived at @p now.
@@ -45,7 +42,6 @@ class Rdma
   private:
     mem::Cache &_l2;
     mem::Dram &_dram;
-    unsigned _lineBytes;
 };
 
 } // namespace griffin::gpu

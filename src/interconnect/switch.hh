@@ -34,15 +34,17 @@ struct MessageSizes
     static constexpr std::uint64_t header = 8;
     static constexpr std::uint64_t xlatRequest = 64;
     static constexpr std::uint64_t xlatReply = 64;
-    static constexpr std::uint64_t cacheLine = 64;
     static constexpr std::uint64_t dcaReadRequest = header + 8;
-    static constexpr std::uint64_t dcaReadReply = header + cacheLine;
-    static constexpr std::uint64_t dcaWriteRequest = header + cacheLine;
+    static constexpr std::uint64_t dcaReadReply = header + lineBytes;
+    static constexpr std::uint64_t dcaWriteRequest = header + lineBytes;
     static constexpr std::uint64_t dcaWriteAck = header;
     static constexpr std::uint64_t drainCommand = 64;
     static constexpr std::uint64_t drainReply = header;
-    /** Paper SS III-C: 20 pages of (36b id + 8b count) fits in 110 B. */
-    static constexpr std::uint64_t accessCountReply = 110;
+    /** Pages an SE reports per access-count collection (SS III-C). */
+    static constexpr std::uint64_t accessCountPages = 20;
+    /** Each page is a 36-bit id and an 8-bit count: 110 B for 20. */
+    static constexpr std::uint64_t accessCountReply =
+        (accessCountPages * (36 + 8) + 7) / 8;
     static constexpr std::uint64_t accessCountRequest = header;
 };
 

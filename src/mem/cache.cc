@@ -8,14 +8,12 @@ namespace griffin::mem {
 
 Cache::Cache(const CacheConfig &config) : _config(config)
 {
-    assert(config.lineBytes > 0 && std::has_single_bit(config.lineBytes));
     assert(config.assoc > 0);
-    assert(config.sizeBytes % (std::uint64_t(config.lineBytes) * config.assoc)
+    assert(config.sizeBytes % (std::uint64_t(lineBytes) * config.assoc)
            == 0 && "size must be a whole number of sets");
 
-    _lineShift = unsigned(std::countr_zero(config.lineBytes));
     _numSets = unsigned(config.sizeBytes /
-                        (std::uint64_t(config.lineBytes) * config.assoc));
+                        (std::uint64_t(lineBytes) * config.assoc));
     assert(std::has_single_bit(_numSets) &&
            "set index is a mask: the set count must be a power of two");
     _setMask = _numSets - 1;
@@ -25,7 +23,7 @@ Cache::Cache(const CacheConfig &config) : _config(config)
 Addr
 Cache::lineAddr(Addr addr) const
 {
-    return addr >> _lineShift;
+    return addr >> lineShift;
 }
 
 std::size_t
@@ -85,7 +83,7 @@ Cache::access(Addr addr, bool is_write)
         if (old & dirtyBit) {
             ++writebacks;
             result.writeback = true;
-            result.writebackAddr = (old >> flagBits) << _lineShift;
+            result.writebackAddr = (old >> flagBits) << lineShift;
         }
     }
 
@@ -127,8 +125,8 @@ Cache::FlushResult
 Cache::flushPages(const std::vector<PageId> &pages, unsigned page_shift)
 {
     assert(std::is_sorted(pages.begin(), pages.end()));
-    assert(page_shift >= _lineShift);
-    const unsigned page_line_shift = page_shift - _lineShift;
+    assert(page_shift >= lineShift);
+    const unsigned page_line_shift = page_shift - lineShift;
     const std::uint64_t lines_per_page = std::uint64_t(1) << page_line_shift;
     std::uint64_t distinct = 0;
     for (std::size_t i = 0; i < pages.size(); ++i)

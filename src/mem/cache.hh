@@ -18,6 +18,7 @@
 #ifndef GRIFFIN_MEM_CACHE_HH
 #define GRIFFIN_MEM_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -26,12 +27,11 @@
 
 namespace griffin::mem {
 
-/** Geometry and latency of one cache. */
+/** Geometry and latency of one cache; its lines are lineBytes. */
 struct CacheConfig
 {
     std::uint64_t sizeBytes = 16 * 1024;
     unsigned assoc = 4;
-    unsigned lineBytes = 64;
     /** Hit latency in cycles; the owner adds miss latencies itself. */
     Tick latency = 1;
 };
@@ -98,10 +98,10 @@ class Cache
     static constexpr std::uint64_t validBit = 1;
     static constexpr std::uint64_t dirtyBit = 2;
     static constexpr unsigned flagBits = 2;
+    static constexpr unsigned lineShift = std::countr_zero(lineBytes);
 
     CacheConfig _config;
     unsigned _numSets;
-    unsigned _lineShift;
     /** _numSets - 1: the set index is lineAddr & _setMask. */
     std::uint64_t _setMask;
     /**

@@ -25,20 +25,11 @@ stageName(Stage stage)
 // CriticalPath
 // ---------------------------------------------------------------------
 
-namespace {
-/** Same bucketing as the fault-latency histogram (obs/telemetry.hh). */
-sim::Histogram
-stageHistogramShape()
-{
-    return sim::Histogram{250.0, 400};
-}
-} // namespace
-
-CriticalPath::CriticalPath() : _total(stageHistogramShape())
+CriticalPath::CriticalPath() : _total(faultScaleHistogram())
 {
     _stageHist.reserve(numStages);
     for (unsigned s = 0; s < numStages; ++s)
-        _stageHist.push_back(stageHistogramShape());
+        _stageHist.push_back(faultScaleHistogram());
     _stageSum.assign(numStages, 0.0);
 }
 

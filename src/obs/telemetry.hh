@@ -51,6 +51,16 @@ class TimeSeries;
 class TraceSession;
 
 /**
+ * An empty histogram of fault-scale latencies: faults, their
+ * critical-path stages and page transfers.
+ */
+inline sim::Histogram
+faultScaleHistogram()
+{
+    return sim::Histogram{250.0, 400};
+}
+
+/**
  * The run-level latency histograms, a plain copyable aggregate so
  * RunResult can carry a snapshot out of the system. Histogram samples
  * are a handful of integer ops, which is why the system fills this
@@ -63,11 +73,11 @@ class TraceSession;
 struct LatencyHistograms
 {
     /** Fault raise (driver notified) -> page landed on the GPU. */
-    sim::Histogram faultLatency{250.0, 400};
+    sim::Histogram faultLatency = faultScaleHistogram();
     /** One CPU->GPU page transfer, PMC dispatch -> last byte. */
-    sim::Histogram cpuMigrationLatency{250.0, 400};
+    sim::Histogram cpuMigrationLatency = faultScaleHistogram();
     /** One GPU->GPU page transfer, PMC dispatch -> last byte. */
-    sim::Histogram interGpuMigrationLatency{250.0, 400};
+    sim::Histogram interGpuMigrationLatency = faultScaleHistogram();
     /** One remote DCA access, fabric entry -> requester resumed. */
     sim::Histogram remoteAccessLatency{100.0, 400};
 };

@@ -27,6 +27,18 @@ nearestRank(const std::vector<double> &samples, double p)
 
 } // namespace
 
+const char *
+seriesName(TimeSeries::Series series)
+{
+    switch (series) {
+      case TimeSeries::Series::Migrations: return "migrations";
+      case TimeSeries::Series::DcaAccesses: return "dca_accesses";
+      case TimeSeries::Series::Shootdowns: return "shootdowns";
+      case TimeSeries::Series::Faults: return "faults";
+    }
+    return "unknown";
+}
+
 TimeSeries::TimeSeries(Tick tick, Sources sources)
     : _sources(std::move(sources)), _digest{tick, {}, {}}
 {

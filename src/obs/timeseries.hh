@@ -111,6 +111,9 @@ class TimeSeries
     Summary _digest;
 };
 
+/** Snake-case series name used in reports ("dca_accesses", ...). */
+const char *seriesName(TimeSeries::Series series);
+
 } // namespace griffin::obs
 
 #endif // GRIFFIN_OBS_TIMESERIES_HH

@@ -32,6 +32,13 @@ inline constexpr DeviceId cpuDeviceId = 0;
 /** An invalid / "no device" marker. */
 inline constexpr DeviceId invalidDeviceId = ~DeviceId(0);
 
+/**
+ * Bytes per cache line: the block of every cache, the DRAM burst of
+ * a line fill or writeback, the payload of a DCA message, and the
+ * size of one post-coalescing workload transaction.
+ */
+inline constexpr unsigned lineBytes = 64;
+
 /** Sentinel for "never" / "not scheduled". */
 inline constexpr Tick maxTick = ~Tick(0);
 

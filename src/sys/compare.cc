@@ -7,6 +7,7 @@
 #include <map>
 
 #include "src/obs/span.hh"
+#include "src/obs/timeseries.hh"
 #include "src/sys/report.hh"
 
 namespace griffin::sys {
@@ -142,14 +143,18 @@ resolveMetricPath(const std::string &metric)
         {"reuse_p50", "page_stats.reuse_distance.p50"},
         {"reuse_p95", "page_stats.reuse_distance.p95"},
         {"reuse_p99", "page_stats.reuse_distance.p99"},
-        {"peak_migrations", "timeseries.peak.migrations"},
-        {"peak_dca_accesses", "timeseries.peak.dca_accesses"},
-        {"peak_shootdowns", "timeseries.peak.shootdowns"},
-        {"peak_faults", "timeseries.peak.faults"},
         {"host_events_per_sec", "host_profile.host.events_per_sec"},
     };
     if (auto it = aliases.find(metric); it != aliases.end())
         return it->second;
+
+    // Series peaks: "peak_<series>" for every time-series column.
+    for (unsigned s = 0; s < obs::TimeSeries::numSeries; ++s) {
+        const std::string series =
+            obs::seriesName(obs::TimeSeries::Series(s));
+        if (metric == "peak_" + series)
+            return "timeseries.peak." + series;
+    }
 
     // Stage metrics: "<stage>_<field>" for every span-model stage.
     static const char *fields[] = {"share", "sum",  "mean",

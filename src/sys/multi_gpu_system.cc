@@ -26,7 +26,7 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &config)
     : _config(config), _engine(config.maxTicks),
       _pageTable(config.gpu.pageShift, config.numDevices()),
       _cpuL2(config.cpuL2), _cpuDram(config.cpuDram),
-      _cpuRdma(_cpuL2, _cpuDram, config.gpu.lineBytes)
+      _cpuRdma(_cpuL2, _cpuDram)
 {
     assert(config.numGpus >= 1);
 
@@ -72,8 +72,6 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &config)
     // half uses N_PTW; the baseline services faults one by one).
     driver::DriverConfig dcfg;
     dcfg.cpuFlushPenalty = config.cpuFlushPenalty;
-    if (_injector)
-        dcfg.migrationTimeout = config.chaos.migrationTimeout;
     if (config.policy == PolicyKind::Griffin) {
         dcfg.faultBatchSize = config.griffin.nPtw;
         dcfg.faultBatchWindow = config.griffin.faultBatchWindow;
@@ -352,7 +350,7 @@ MultiGpuSystem::run(wl::Workload &workload)
         .clock = &_engine,
     });
     GLOG(Info, "run: " << workload.name() << " under "
-                       << _policy->name());
+                       << policyName(_config.policy));
     if (_hostProf)
         _hostProf->startTimer();
     if (_timeSeries)
@@ -399,7 +397,9 @@ MultiGpuSystem::run(wl::Workload &workload)
     if (_hostProf)
         _hostProf->stopTimer();
 
-    return collectResults();
+    RunResult result = collectResults();
+    result.seed = workload.config().seed;
+    return result;
 }
 
 void

@@ -45,6 +45,8 @@ namespace griffin::sys {
 /** The outcome of one workload run. */
 struct RunResult
 {
+    /** The workload seed the run used; the report's config.seed. */
+    std::uint64_t seed = 0;
     /** Total execution time in cycles. */
     Tick cycles = 0;
     /** Final page residency per device (index 0 = CPU). */

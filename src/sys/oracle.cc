@@ -118,11 +118,10 @@ checkRunInvariants(const RunResult &result, const SystemConfig &config)
         for (const auto &row : ts.rows)
             for (unsigned s = 0; s < obs::TimeSeries::numSeries; ++s)
                 rowSums[s] += row.counts[s];
-        const char *names[] = {"migrations", "dca_accesses",
-                               "shootdowns", "faults"};
         for (unsigned s = 0; s < obs::TimeSeries::numSeries; ++s) {
             expectEq("timeseries-reconciliation",
-                     (std::string("row sum vs total for ") + names[s])
+                     (std::string("row sum vs total for ") +
+                      obs::seriesName(Series(s)))
                          .c_str(),
                      double(rowSums[s]), double(ts.totals[s]));
         }

@@ -148,18 +148,17 @@ histogramJson(const sim::Histogram &hist)
 }
 
 obs::json::Value
-configJson(const SystemConfig &config)
+configJson(const SystemConfig &config, std::uint64_t seed)
 {
     obs::json::Value v = obs::json::Value::object();
-    v["policy"] = config.policy == PolicyKind::Griffin ? "griffin"
-                                                       : "first-touch";
+    v["policy"] = policyName(config.policy);
     v["numGpus"] = config.numGpus;
     v["pageShift"] = config.gpu.pageShift;
     v["cusPerGpu"] = config.gpu.numCus();
     v["linkBytesPerCycle"] = config.link.bytesPerCycle;
     v["linkLatency"] = std::uint64_t(config.link.latency);
     v["cpuFlushPenalty"] = std::uint64_t(config.cpuFlushPenalty);
-    v["seed"] = config.seed;
+    v["seed"] = seed;
     if (config.policy == PolicyKind::Griffin) {
         obs::json::Value g = obs::json::Value::object();
         g["enableDftm"] = config.griffin.enableDftm;
@@ -242,9 +241,11 @@ timeseriesJson(const obs::TimeSeries::Summary &ts)
     obs::json::Value v = obs::json::Value::object();
     v["tick"] = std::uint64_t(ts.tick);
     obs::json::Value cols = obs::json::Value::array();
-    for (const char *c :
-         {"t_begin", "t_end", "migrations", "dca_accesses", "shootdowns",
-          "faults", "fault_p50", "fault_p95", "link_util"})
+    cols.push("t_begin");
+    cols.push("t_end");
+    for (unsigned s = 0; s < obs::TimeSeries::numSeries; ++s)
+        cols.push(obs::seriesName(obs::TimeSeries::Series(s)));
+    for (const char *c : {"fault_p50", "fault_p95", "link_util"})
         cols.push(c);
     v["columns"] = std::move(cols);
     obs::json::Value rows = obs::json::Value::array();
@@ -264,23 +265,13 @@ timeseriesJson(const obs::TimeSeries::Summary &ts)
     }
     v["rows"] = std::move(rows);
     obs::json::Value totals = obs::json::Value::object();
-    totals["migrations"] =
-        ts.totals[unsigned(obs::TimeSeries::Series::Migrations)];
-    totals["dca_accesses"] =
-        ts.totals[unsigned(obs::TimeSeries::Series::DcaAccesses)];
-    totals["shootdowns"] =
-        ts.totals[unsigned(obs::TimeSeries::Series::Shootdowns)];
-    totals["faults"] =
-        ts.totals[unsigned(obs::TimeSeries::Series::Faults)];
-    v["totals"] = std::move(totals);
     obs::json::Value pk = obs::json::Value::object();
-    pk["migrations"] =
-        peak[unsigned(obs::TimeSeries::Series::Migrations)];
-    pk["dca_accesses"] =
-        peak[unsigned(obs::TimeSeries::Series::DcaAccesses)];
-    pk["shootdowns"] =
-        peak[unsigned(obs::TimeSeries::Series::Shootdowns)];
-    pk["faults"] = peak[unsigned(obs::TimeSeries::Series::Faults)];
+    for (unsigned s = 0; s < obs::TimeSeries::numSeries; ++s) {
+        const char *name = obs::seriesName(obs::TimeSeries::Series(s));
+        totals[name] = ts.totals[s];
+        pk[name] = peak[s];
+    }
+    v["totals"] = std::move(totals);
     v["peak"] = std::move(pk);
     return v;
 }
@@ -371,7 +362,7 @@ runReportJson(const std::string &label, const SystemConfig &config,
 {
     obs::json::Value v = obs::json::Value::object();
     v["label"] = label;
-    v["config"] = configJson(config);
+    v["config"] = configJson(config, result.seed);
 
     obs::json::Value r = obs::json::Value::object();
     r["cycles"] = std::uint64_t(result.cycles);

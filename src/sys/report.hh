@@ -121,8 +121,11 @@ std::uint64_t reportSchemaVersionOf(const obs::json::Value &doc);
  */
 obs::json::Value histogramJson(const sim::Histogram &hist);
 
-/** The run-relevant SystemConfig fields as a JSON object. */
-obs::json::Value configJson(const SystemConfig &config);
+/**
+ * The run-relevant SystemConfig fields as a JSON object, with @p seed,
+ * the workload seed the run used (RunResult::seed).
+ */
+obs::json::Value configJson(const SystemConfig &config, std::uint64_t seed);
 
 /**
  * The per-run "host_profile" section for @p hp. Deterministic members

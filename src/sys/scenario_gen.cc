@@ -44,6 +44,12 @@ pick(sim::Rng &rng, const T (&choices)[N])
 struct Knob
 {
     const char *name;
+    /**
+     * The knob's RNG substream index. Fixed per knob rather than its
+     * row number, so deleting a knob moves no other knob's draws
+     * (stream 3 belonged to a knob that is gone).
+     */
+    std::uint64_t stream;
     void (*apply)(Scenario &, sim::Rng &);
 };
 
@@ -55,37 +61,32 @@ struct Knob
  * with chaos and telemetry off.
  */
 const Knob knobTable[] = {
-    {"workload",
+    {"workload", 0,
      [](Scenario &s, sim::Rng &rng) {
          static const std::vector<std::string> names =
              wl::workloadNames();
          s.workload = names[rng.nextBelow(names.size())];
      }},
-    {"scale",
+    {"scale", 1,
      [](Scenario &s, sim::Rng &rng) {
          const unsigned divs[] = {128, 192, 256, 384, 512};
          s.workloadConfig.scaleDiv = pick(rng, divs);
      }},
-    {"wlseed",
+    {"wlseed", 2,
      [](Scenario &s, sim::Rng &rng) {
          s.workloadConfig.seed = rng.nextRange(1, 1000000);
      }},
-    {"sysseed",
-     [](Scenario &s, sim::Rng &rng) {
-         s.config.seed = rng.nextRange(1, 1000000);
-     }},
-    {"policy",
+    {"policy", 4,
      [](Scenario &s, sim::Rng &rng) {
          if (rng.chance(0.5)) {
-             // Start from the tuned Griffin defaults (see
-             // SystemConfig::griffinDefault); the "griffin" knob may
-             // then perturb individual hyperparameters.
-             s.config.policy = PolicyKind::Griffin;
-             s.config.griffin.alpha = 0.25;
-             s.config.griffin.lambdaT = 0.002;
+             // Start from the tuned Griffin defaults; the "griffin"
+             // knob may then perturb individual hyperparameters.
+             const SystemConfig tuned = SystemConfig::griffinDefault();
+             s.config.policy = tuned.policy;
+             s.config.griffin = tuned.griffin;
          }
      }},
-    {"gpus",
+    {"gpus", 5,
      [](Scenario &s, sim::Rng &rng) {
          const unsigned counts[] = {1, 2, 4, 8};
          unsigned n = pick(rng, counts);
@@ -96,36 +97,36 @@ const Knob knobTable[] = {
              n = 2;
          s.config.numGpus = n;
      }},
-    {"pagesize",
+    {"pagesize", 6,
      [](Scenario &s, sim::Rng &rng) {
          const unsigned shifts[] = {12, 13, 14};
          s.config.gpu.pageShift = pick(rng, shifts);
      }},
-    {"fabric",
+    {"fabric", 7,
      [](Scenario &s, sim::Rng &rng) {
          const double bpc[] = {8.0, 16.0, 32.0, 64.0, 256.0};
          s.config.link.bytesPerCycle = pick(rng, bpc);
          s.config.link.latency = Tick(rng.nextRange(100, 400));
      }},
-    {"walkers",
+    {"walkers", 8,
      [](Scenario &s, sim::Rng &rng) {
          const unsigned walkers[] = {1, 2, 4, 8, 16};
          s.config.iommu.numWalkers = pick(rng, walkers);
      }},
-    {"pmc",
+    {"pmc", 9,
      [](Scenario &s, sim::Rng &rng) {
          const unsigned bounds[] = {0, 1, 2, 4};
          s.config.pmcMaxConcurrent = pick(rng, bounds);
      }},
-    {"dispatch",
+    {"dispatch", 10,
      [](Scenario &s, sim::Rng &rng) {
          s.config.dispatchLatency = Tick(rng.nextRange(1, 16));
      }},
-    {"flush",
+    {"flush", 11,
      [](Scenario &s, sim::Rng &rng) {
          s.config.cpuFlushPenalty = Tick(rng.nextRange(50, 200));
      }},
-    {"griffin",
+    {"griffin", 12,
      [](Scenario &s, sim::Rng &rng) {
          if (s.config.policy != PolicyKind::Griffin)
              return;
@@ -146,7 +147,7 @@ const Knob knobTable[] = {
          g.useAcud = rng.chance(0.75);
          g.enablePredictiveMigration = rng.chance(0.25);
      }},
-    {"chaos",
+    {"chaos", 13,
      [](Scenario &s, sim::Rng &rng) {
          if (rng.chance(0.4))
              return; // chaos stays off
@@ -166,15 +167,13 @@ const Knob knobTable[] = {
          // Every rate drawing zero is fine: ChaosConfig::enabled()
          // then reports false and the layer stays inert.
      }},
-    {"telemetry",
+    {"telemetry", 14,
      [](Scenario &s, sim::Rng &rng) {
          s.config.pageStats.enabled = rng.chance(0.5);
          const Tick ticks[] = {0, 0, 20000, 50000};
          s.config.timeseriesTick = pick(rng, ticks);
      }},
 };
-
-constexpr std::size_t numKnobs = sizeof(knobTable) / sizeof(knobTable[0]);
 
 } // namespace
 
@@ -194,10 +193,7 @@ Scenario::describe() const
     os << "workload=" << workload
        << " scale=" << workloadConfig.scaleDiv
        << " wlseed=" << workloadConfig.seed
-       << " sysseed=" << config.seed
-       << " policy="
-       << (config.policy == PolicyKind::Griffin ? "griffin"
-                                                : "first-touch")
+       << " policy=" << policyName(config.policy)
        << " gpus=" << config.numGpus
        << " pageShift=" << config.gpu.pageShift
        << " link=" << config.link.bytesPerCycle << "B/c,"
@@ -283,12 +279,11 @@ makeScenario(std::uint64_t seed, const std::vector<std::string> &pinned)
         if (isScenarioKnob(p))
             s.pinned.push_back(p);
 
-    for (std::size_t i = 0; i < numKnobs; ++i) {
-        const Knob &knob = knobTable[i];
+    for (const Knob &knob : knobTable) {
         if (std::find(s.pinned.begin(), s.pinned.end(), knob.name) !=
             s.pinned.end())
             continue;
-        sim::Rng rng(knobStream(seed, i));
+        sim::Rng rng(knobStream(seed, knob.stream));
         knob.apply(s, rng);
     }
     return s;

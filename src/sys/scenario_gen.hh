@@ -10,11 +10,12 @@
  * generator to produce an "invalid" run.
  *
  * Shrinking: each knob draws from its own RNG substream (derived from
- * the seed and the knob's index), so pinning one knob to its default
- * never perturbs what the other knobs draw. A failing seed shrinks by
- * re-running with knobs pinned one at a time, keeping each pin that
- * preserves the failure — the surviving unpinned knobs are the
- * minimal trigger. See tools/fuzz.cc (griffin fuzz) and DESIGN.md §15.
+ * the seed and the knob's fixed stream index), so pinning one knob to
+ * its default never perturbs what the other knobs draw. A failing
+ * seed shrinks by re-running with knobs pinned one at a time, keeping
+ * each pin that preserves the failure — the surviving unpinned knobs
+ * are the minimal trigger. See tools/fuzz.cc (griffin fuzz) and
+ * DESIGN.md §15.
  */
 
 #ifndef GRIFFIN_SYS_SCENARIO_GEN_HH

@@ -2,6 +2,12 @@
 
 namespace griffin::sys {
 
+const char *
+policyName(PolicyKind kind)
+{
+    return kind == PolicyKind::Griffin ? "griffin" : "first-touch";
+}
+
 SystemConfig
 SystemConfig::baseline()
 {
@@ -21,7 +27,7 @@ SystemConfig::griffinDefault()
     // tens of collection periods long instead of thousands), so the
     // filter must react faster and the streaming rate floor must sit
     // lower; these values were tuned the same way the paper's were
-    // (see bench/abl_alpha_sweep and bench/abl_thresholds).
+    // (see `griffin run abl_alpha_sweep` and `abl_thresholds`).
     cfg.griffin.alpha = 0.25;
     cfg.griffin.lambdaT = 0.002;
     return cfg;

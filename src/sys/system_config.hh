@@ -32,6 +32,12 @@ enum class PolicyKind
 };
 
 /**
+ * The policy's name in labels, reports and logs: "first-touch" or
+ * "griffin".
+ */
+const char *policyName(PolicyKind kind);
+
+/**
  * Everything needed to build a MultiGpuSystem.
  */
 struct SystemConfig
@@ -46,7 +52,7 @@ struct SystemConfig
 
     /** CPU-side memory complex (DDR + a slice of CPU LLC). */
     mem::DramConfig cpuDram{4, 120, 16.0, 256};
-    mem::CacheConfig cpuL2{8ull * 1024 * 1024, 16, 64, 20};
+    mem::CacheConfig cpuL2{8ull * 1024 * 1024, 16, 20};
 
     /** Fault-path timing shared by both policies. */
     Tick cpuFlushPenalty = 100;
@@ -98,13 +104,6 @@ struct SystemConfig
      * are unaffected either way.
      */
     bool hostProf = false;
-
-    /**
-     * The workload seed the run used (wl::WorkloadConfig::seed),
-     * recorded as the report's config.seed. The model reads no seed
-     * from here: the workload's own config drives every RNG.
-     */
-    std::uint64_t seed = 42;
 
     /**
      * Run the engine on the naive reference scheduler (ref_queue.hh)

@@ -20,7 +20,6 @@ scKernel(const Workload &app, unsigned k)
 
     const unsigned wgs = app.workgroupsPerKernel();
     const std::uint64_t tile = img_lines / wgs;
-    constexpr std::uint64_t halo = 8; ///< rows from the next tile
     // Successive passes alternate the image buffers.
     const Addr src = (k % 2 == 0) ? in_base : out_base;
     const Addr dst = (k % 2 == 0) ? out_base : in_base;
@@ -47,9 +46,9 @@ scKernel(const Workload &app, unsigned k)
             // 3-row convolution window: each source line is read by
             // three neighbouring output rows, so tile pages sustain
             // a high post-coalescing access rate while in the window.
+            // A tile's last rows read the next tile's first 2 lines.
             for (std::uint64_t d = 0; d < 3; ++d) {
-                const std::uint64_t sl =
-                    std::min(line + d, std::min(end + halo, img_lines) - 1);
+                const std::uint64_t sl = std::min(line + d, img_lines - 1);
                 tb.add(src + sl * lineBytes, false);
             }
             tb.add(dst + line * lineBytes, true);

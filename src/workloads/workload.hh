@@ -42,9 +42,6 @@ struct WorkloadConfig
 
 class Workload;
 
-/** Bytes per post-coalescing transaction. */
-constexpr unsigned lineBytes = 64;
-
 /**
  * One application: its paper Table III row plus the function that
  * generates its kernels. The generator is stateless; it derives its

@@ -26,7 +26,6 @@ namespace {
 class AlwaysMigratePolicy : public core::MigrationPolicy
 {
   public:
-    std::string name() const override { return "always"; }
     core::CpuAccessDecision
     onCpuResidentAccess(DeviceId, PageId, mem::PageTable &) override
     {

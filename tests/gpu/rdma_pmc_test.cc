@@ -22,9 +22,9 @@ namespace {
 
 struct RdmaRig
 {
-    mem::Cache l2{mem::CacheConfig{256 * 1024, 16, 64, 20}};
+    mem::Cache l2{mem::CacheConfig{256 * 1024, 16, 20}};
     mem::Dram dram{mem::DramConfig{}};
-    gpu::Rdma rdma{l2, dram, 64};
+    gpu::Rdma rdma{l2, dram};
 };
 
 } // namespace

@@ -193,7 +193,6 @@ namespace {
 class NeverMigratePolicy : public core::MigrationPolicy
 {
   public:
-    std::string name() const override { return "never"; }
     core::CpuAccessDecision
     onCpuResidentAccess(DeviceId, PageId, mem::PageTable &) override
     {

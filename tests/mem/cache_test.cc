@@ -26,7 +26,7 @@ CacheConfig
 tinyConfig()
 {
     // 4 sets x 2 ways x 64 B lines.
-    return CacheConfig{512, 2, 64, 1};
+    return CacheConfig{512, 2, 1};
 }
 
 } // namespace
@@ -35,7 +35,7 @@ TEST(Cache, GeometryDerivedFromConfig)
 {
     Cache c(tinyConfig());
     EXPECT_EQ(c.numSets(), 4u);
-    Cache big(CacheConfig{2 * 1024 * 1024, 16, 64, 20});
+    Cache big(CacheConfig{2 * 1024 * 1024, 16, 20});
     EXPECT_EQ(big.numSets(), 2048u);
     EXPECT_EQ(big.latency(), 20u);
 }
@@ -131,7 +131,7 @@ TEST(Cache, FlushAllInvalidatesAndCountsDirty)
 
 TEST(Cache, FlushPagesIsSelective)
 {
-    Cache c(CacheConfig{16 * 1024, 4, 64, 1});
+    Cache c(CacheConfig{16 * 1024, 4, 1});
     // Lines in pages 0, 1 and 5 (4 KB pages).
     c.access(0x0000, true);
     c.access(0x0040, false);
@@ -175,8 +175,7 @@ class CacheGeometry
 TEST_P(CacheGeometry, WorkingSetSmallerThanCacheAlwaysHitsAfterWarmup)
 {
     const auto [size_kb, assoc] = GetParam();
-    Cache c(CacheConfig{std::uint64_t(size_kb) * 1024, unsigned(assoc),
-                        64, 1});
+    Cache c(CacheConfig{std::uint64_t(size_kb) * 1024, unsigned(assoc), 1});
     const std::uint64_t lines = std::uint64_t(size_kb) * 1024 / 64;
     // Warm up with half the capacity (conflicts cannot evict within
     // a strided working set that maps one line per set per way used).
@@ -195,8 +194,7 @@ TEST_P(CacheGeometry, WorkingSetSmallerThanCacheAlwaysHitsAfterWarmup)
 TEST_P(CacheGeometry, StreamLargerThanCacheAlwaysMisses)
 {
     const auto [size_kb, assoc] = GetParam();
-    Cache c(CacheConfig{std::uint64_t(size_kb) * 1024, unsigned(assoc),
-                        64, 1});
+    Cache c(CacheConfig{std::uint64_t(size_kb) * 1024, unsigned(assoc), 1});
     const std::uint64_t lines = std::uint64_t(size_kb) * 1024 / 64;
     for (int round = 0; round < 2; ++round) {
         for (std::uint64_t i = 0; i < lines * 4; ++i)
@@ -224,10 +222,8 @@ class RefCache
   public:
     explicit RefCache(const CacheConfig &config)
         : _assoc(config.assoc),
-          _lineShift(unsigned(std::countr_zero(config.lineBytes))),
           _numSets(unsigned(config.sizeBytes /
-                            (std::uint64_t(config.lineBytes) *
-                             config.assoc))),
+                            (std::uint64_t(lineBytes) * config.assoc))),
           _lines(std::size_t(_numSets) * config.assoc)
     {
     }
@@ -260,10 +256,10 @@ class RefCache
             if (victim->dirty) {
                 ++writebacks;
                 result.writeback = true;
-                result.writebackAddr = victim->tag << _lineShift;
+                result.writebackAddr = victim->tag << lineShift;
             }
         }
-        *victim = Line{addr >> _lineShift, true, is_write, _useClock};
+        *victim = Line{addr >> lineShift, true, is_write, _useClock};
         return result;
     }
 
@@ -275,7 +271,7 @@ class RefCache
         return invalidateIf([&](const Line &l) {
             return std::binary_search(
                 pages.begin(), pages.end(),
-                PageId(l.tag >> (page_shift - _lineShift)));
+                PageId(l.tag >> (page_shift - lineShift)));
         });
     }
 
@@ -309,7 +305,7 @@ class RefCache
     };
 
     unsigned _assoc;
-    unsigned _lineShift;
+    static constexpr unsigned lineShift = std::countr_zero(lineBytes);
     unsigned _numSets;
     std::vector<Line> _lines;
     std::uint64_t _useClock = 0;
@@ -317,7 +313,7 @@ class RefCache
     Line *
     setOf(Addr addr)
     {
-        const Addr line = addr >> _lineShift;
+        const Addr line = addr >> lineShift;
         return &_lines[std::size_t(line % _numSets) * _assoc];
     }
 
@@ -326,7 +322,7 @@ class RefCache
     {
         Line *set = setOf(addr);
         for (unsigned way = 0; way < _assoc; ++way) {
-            if (set[way].valid && set[way].tag == addr >> _lineShift)
+            if (set[way].valid && set[way].tag == addr >> lineShift)
                 return &set[way];
         }
         return nullptr;
@@ -370,14 +366,14 @@ TEST_P(CacheDifferential, PackedTagsMatchTheLineModel)
     // Addresses come from a footprint four times the cache, in 4 KB
     // pages, so sets conflict, lines get evicted dirty, and page
     // flushes find resident lines.
-    const std::uint64_t lines = 4 * config.sizeBytes / config.lineBytes;
+    const std::uint64_t lines = 4 * config.sizeBytes / lineBytes;
     const std::uint64_t pages =
-        std::max<std::uint64_t>(1, lines * config.lineBytes >> pageShift);
+        std::max<std::uint64_t>(1, lines * lineBytes >> pageShift);
     const Addr base = Addr(1) << 36;
     // flushPages visits only each page's sets unless the pages cover
     // every set; count which form each flush takes.
     const std::uint64_t linesPerPage =
-        (std::uint64_t(1) << pageShift) / config.lineBytes;
+        (std::uint64_t(1) << pageShift) / lineBytes;
     const std::uint64_t covering =
         std::max<std::uint64_t>(1, cache.numSets() / linesPerPage);
     std::uint64_t setScans = 0, wholeScans = 0;
@@ -388,8 +384,8 @@ TEST_P(CacheDifferential, PackedTagsMatchTheLineModel)
         // fills and evicts between them).
         const std::uint64_t kind = rng.nextBelow(20000);
         if (kind < 18000) {
-            const Addr addr = base + rng.nextBelow(lines) * config.lineBytes +
-                              rng.nextBelow(config.lineBytes);
+            const Addr addr = base + rng.nextBelow(lines) * lineBytes +
+                              rng.nextBelow(lineBytes);
             const bool write = rng.chance(0.3);
             const auto got = cache.access(addr, write);
             const auto want = ref.access(addr, write);
@@ -397,7 +393,7 @@ TEST_P(CacheDifferential, PackedTagsMatchTheLineModel)
             ASSERT_EQ(got.writeback, want.writeback) << "op " << op;
             ASSERT_EQ(got.writebackAddr, want.writebackAddr) << "op " << op;
         } else if (kind < 19960) {
-            const Addr addr = base + rng.nextBelow(lines) * config.lineBytes;
+            const Addr addr = base + rng.nextBelow(lines) * lineBytes;
             ASSERT_EQ(cache.probe(addr), ref.probe(addr)) << "op " << op;
         } else if (kind < 19999) {
             // One page, a few, or enough to cover every set; a page may
@@ -457,9 +453,9 @@ TEST_P(CacheDifferential, PackedTagsMatchTheLineModel)
 INSTANTIATE_TEST_SUITE_P(
     L1AndL2, CacheDifferential,
     ::testing::Values(
-        std::make_tuple(CacheConfig{16 * 1024, 4, 64, 1}, std::uint64_t(1)),
-        std::make_tuple(CacheConfig{16 * 1024, 4, 64, 1}, std::uint64_t(2)),
-        std::make_tuple(CacheConfig{2 * 1024 * 1024, 16, 64, 20},
+        std::make_tuple(CacheConfig{16 * 1024, 4, 1}, std::uint64_t(1)),
+        std::make_tuple(CacheConfig{16 * 1024, 4, 1}, std::uint64_t(2)),
+        std::make_tuple(CacheConfig{2 * 1024 * 1024, 16, 20},
                         std::uint64_t(3))),
     [](const auto &info) {
         std::string name = std::get<0>(info.param).assoc == 4

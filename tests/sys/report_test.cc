@@ -211,6 +211,22 @@ TEST(RunReportJson, ConfigIdentifiesThePolicy)
     EXPECT_NE(grif.find("config")->find("griffin"), nullptr);
 }
 
+TEST(RunReportJson, ConfigSeedIsTheSeedTheRunUsed)
+{
+    // A run under workload seed 7, not the default 42: config.seed
+    // names the seed that drove the run.
+    wl::WorkloadConfig wcfg;
+    wcfg.scaleDiv = 256;
+    wcfg.seed = 7;
+    const auto workload = wl::makeWorkload("MT", wcfg);
+    SystemConfig cfg = SystemConfig::baseline();
+    cfg.numGpus = 2;
+    MultiGpuSystem system(cfg);
+    const RunResult r = system.run(*workload);
+    const auto report = runReportJson("MT/first-touch", cfg, r);
+    EXPECT_EQ(report.find("config")->find("seed")->asNumber(), 7.0);
+}
+
 TEST(RunReportJson, SamplerRowsAreEmbedded)
 {
     sim::Engine e;

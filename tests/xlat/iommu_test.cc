@@ -23,8 +23,6 @@ namespace {
 class StubPolicy : public core::MigrationPolicy
 {
   public:
-    std::string name() const override { return "stub"; }
-
     core::CpuAccessDecision
     onCpuResidentAccess(DeviceId requester, PageId page,
                         mem::PageTable &) override

@@ -388,16 +388,19 @@ perfGate(Sweep &sweep)
 {
     Table table({"Workload", "Policy", "Cycles", "Faults", "FaultP95",
                  "Local%"});
+    const SystemConfig configs[] = {SystemConfig::baseline(),
+                                    SystemConfig::griffinDefault()};
     // No dims: the committed references pin the labels ("MT/griffin").
     for (const std::string &name : sweep.opt.workloads) {
-        sweep.add(name, SystemConfig::baseline());
-        sweep.add(name, SystemConfig::griffinDefault());
+        for (const SystemConfig &cfg : configs)
+            sweep.add(name, cfg);
     }
     const auto results = sweep.run();
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto &r = results[i];
         table.addRow(
-            {sweep.opt.workloads[i / 2], i % 2 ? "griffin" : "first-touch",
+            {sweep.opt.workloads[i / 2],
+             sys::policyName(configs[i % 2].policy),
              std::to_string(r.cycles),
              std::to_string(std::uint64_t(r.faultBreakdown.faults())),
              Table::num(r.latency.faultLatency.percentile(95.0), 0),

@@ -92,9 +92,7 @@ addCorpusRow(sys::Table &table, const sys::ScenarioVerdict &v)
     std::snprintf(seedbuf, sizeof(seedbuf), "0x%llx",
                   static_cast<unsigned long long>(s.seed));
     table.addRow(
-        {seedbuf, s.workload,
-         s.config.policy == sys::PolicyKind::Griffin ? "griffin"
-                                                     : "first-touch",
+        {seedbuf, s.workload, sys::policyName(s.config.policy),
          std::to_string(s.config.numGpus),
          s.config.chaos.enabled() ? "on" : "off",
          v.ran ? std::to_string(r.cycles) : "-",

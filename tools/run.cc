@@ -136,8 +136,11 @@ Sweep::~Sweep()
         for (const Slot &slot : _slots)
             csv += slot.samplesCsv;
         if (csv.empty()) {
-            std::cerr << "samples: nothing sampled (is --sample=0?), "
-                      << "not writing " << opt.samplesFile << "\n";
+            std::cerr << "samples: "
+                      << (opt.samplePeriod == 0
+                              ? "nothing sampled (is --sample=0?)"
+                              : "no sampled run finished")
+                      << ", not writing " << opt.samplesFile << "\n";
         } else {
             std::ofstream os(opt.samplesFile);
             os << csv;
@@ -179,10 +182,8 @@ Sweep::add(const std::string &name, const sys::SystemConfig &scfg,
            const std::string &dim,
            std::function<void(sys::MultiGpuSystem &)> setup)
 {
-    const std::string label =
-        name + (scfg.policy == sys::PolicyKind::Griffin ? "/griffin"
-                                                        : "/first-touch") +
-        (dim.empty() ? "" : "/" + dim);
+    const std::string label = name + "/" + sys::policyName(scfg.policy) +
+                              (dim.empty() ? "" : "/" + dim);
 
     // Per-run sinks, created here so the slots keep submission order,
     // and filled on the run's thread.
@@ -196,10 +197,9 @@ Sweep::add(const std::string &name, const sys::SystemConfig &scfg,
         (!opt.reportFile.empty() || !opt.samplesFile.empty()))
         s.sampler = std::make_unique<obs::Sampler>();
 
-    // The report's config.seed records the seed the run used.
-    sys::SystemConfig config = scfg;
-    config.seed = opt.workload.seed;
-    sys::SystemConfig runConfig = config;
+    // The report shows the entry's own config, without the CLI's
+    // chaos and telemetry.
+    sys::SystemConfig runConfig = scfg;
     if (opt.chaos)
         runConfig.chaos = *opt.chaos;
     runConfig.pageStats.enabled |= opt.pageStats;
@@ -208,7 +208,7 @@ Sweep::add(const std::string &name, const sys::SystemConfig &scfg,
     runConfig.hostProf |= opt.hostProf;
 
     const std::size_t i = _runner.pending();
-    _runner.submit([this, &s, i, name, label, config, runConfig,
+    _runner.submit([this, &s, i, name, label, config = scfg, runConfig,
                     setup = std::move(setup)] {
         try {
             const auto workload = wl::makeWorkload(name, opt.workload);
